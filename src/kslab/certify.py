@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,11 @@ EIG_DEGENERACY_GAP = 1e-8
 STALL_TOL = 1e-12
 STALL_WINDOW = 10
 WITNESS_RECHECK_TOL = 1e-8
+
+
+class WitnessRecheckError(RuntimeError):
+    """A Violated witness, re-evaluated away from the optimizer state, does
+    not reproduce the value the search reported."""
 
 
 @dataclass
@@ -65,7 +71,7 @@ class SchmidtWitness:
 
     @property
     def psi(self) -> np.ndarray:
-        return sum(np.kron(self.u[:, i], self.v[:, i]) for i in range(self.u.shape[1]))
+        return np.einsum("ai,bi->ab", self.u, self.v).reshape(-1)
 
 
 @dataclass
@@ -174,6 +180,80 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# half-step kernels
+#
+# Each qform returns the Hermitian n^2 x n^2 matrix M_v with
+# vec(X)* M_v vec(X) = v* defect(X) v. Every defect has the form
+# Tr(W X*X) - ||G vec(X)||^2, where G is the transfer matrix T contracted
+# with v once it is reshaped as T3[q, p, :] = T[q*n + p, :] (output column
+# q, output row p), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X).
+# ---------------------------------------------------------------------------
+
+
+def _kron_identity(A: np.ndarray, m: int) -> np.ndarray:
+    """A (x) I_m, written straight into the diagonal of the I_m factor."""
+    a, b = A.shape
+    out = np.zeros((a, m, b, m), dtype=np.result_type(A, float))
+    idx = np.arange(m)
+    out[:, idx, :, idx] = A
+    return out.reshape(a * m, b * m)
+
+
+def _ks_qform(T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Quadratic form of the KS defect of the map with transfer matrix
+    T = T3.reshape(n*n, n*n) and HS dual ``dual``:
+    v* defect(X) v = Tr(W X*X) - ||Phi(X) v||^2 with W = dual(vv*), and
+    Phi(X) v = sum_q v_q T3[q] vec(X)."""
+    n = len(v)
+    W = hermitianize(dual(np.outer(v, v.conj())))
+    G = (v @ T3.reshape(n, -1)).reshape(n, n * n)
+    return _kron_identity(W.T, n) - dagger(G) @ G
+
+
+def _co_ks_qform(T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Quadratic form of the co-KS defect: v* defect(X) v =
+    Tr(W X*X) - ||Phi(X)* v||^2, and Phi(X)* v = conj(Phi(X)^T conj(v)) has
+    the norm of Phi(X)^T conj(v) = sum_q conj(v_q) T3[:, q] vec(X)."""
+    W = hermitianize(dual(np.outer(v, v.conj())))
+    G = v.conj() @ T3  # batched over the leading axis of T3
+    return _kron_identity(W.T, len(v)) - dagger(G) @ G
+
+
+def _phi_k_qform(T4: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Quadratic form of the k x k partial-trace defect, with
+    T4 = T_k.reshape(k, d, n, n*n) for the amplified transfer matrix T_k:
+    v* defect(X) v = Tr(W0 X*X) - sum_j ||Phi_k(X) (v (x) e_j)||^2 with
+    W0 = vv* (x) I_d, so W0^T (x) I_n = conj(v) v^T (x) I_{dn}."""
+    _, d, n, _ = T4.shape
+    G = (v @ T4.reshape(len(v), -1)).reshape(d * n, n * n)
+    return _kron_identity(np.outer(v.conj(), v), d * n) - dagger(G) @ G
+
+
+def _compress_right(C4: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(I_d (x) V)* C (I_d (x) V) for C4 = C.reshape(d, d, d, d)."""
+    d, k = V.shape
+    CV = (C4.reshape(d**3, d) @ V).reshape(d, d, d * k)  # [a, b, (c, t)]
+    return (V.conj().T @ CV).reshape(d * k, d * k)  # [(a, s), (c, t)]
+
+
+def _compress_left(C4: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """(U (x) I_d)* C (U (x) I_d) for C4 = C.reshape(d, d, d, d)."""
+    d, k = U.shape
+    UC = (U.conj().T @ C4.reshape(d, d**3)).reshape(k * d, d, d)  # [(s, b), c, e]
+    UCU = np.swapaxes(UC, 1, 2) @ U  # [(s, b), e, t]
+    return np.swapaxes(UCU, 1, 2).reshape(k * d, k * d)  # [(s, b), (t, e)]
+
+
+def _check_witness(recheck: float, worst: float) -> None:
+    # explicit raise rather than assert, so the check survives python -O;
+    # written so that a NaN recheck fails too
+    if not abs(recheck - worst) <= WITNESS_RECHECK_TOL:
+        raise WitnessRecheckError(
+            f"witness re-evaluates to {recheck!r}, the search reported {worst!r}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # alternating eigenvector minimization on the HS unit sphere
 # ---------------------------------------------------------------------------
 
@@ -265,7 +345,7 @@ def _falsify_on_sphere(
     if violated:
         # witnesses are self-certifying: re-evaluate away from optimizer state
         recheck = float(np.linalg.eigvalsh(hermitianize(defect(worst_X)))[0])
-        assert abs(recheck - worst) <= WITNESS_RECHECK_TOL
+        _check_witness(recheck, worst)
     return CertificateVerdict(
         verdict="Violated" if violated else "NoViolationFound",
         worst_value=float(worst),
@@ -292,19 +372,11 @@ def falsify_ks(Phi: QuantumMap, k: int = 1, budget: SearchBudget | None = None) 
     d = Phi.d
     n = k * d
     amp = Phi.amplify(k)
-    amp_dual = amp.dual()
-    T_k = amp.transfer_matrix()
-    I_n = np.eye(n)
+    qform = partial(_ks_qform, amp.transfer_matrix().reshape(n, n, n * n), amp.dual())
 
     def defect(X):
         Y = amp(X)
         return amp(dagger(X) @ X) - dagger(Y) @ Y
-
-    def qform(v):
-        # v* defect(X) v = Tr(W X*X) - ||Phi_k(X) v||^2
-        W = hermitianize(amp_dual(np.outer(v, v.conj())))
-        G = np.kron(v[None, :], I_n) @ T_k
-        return np.kron(W.T, I_n) - dagger(G) @ G
 
     def make_witness(X):
         return BlockOperator(k=k, d=d, data=X)
@@ -322,26 +394,11 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> Certif
             stacklevel=2,
         )
     d = Phi.d
-    dual = Phi.dual()
-    I_d = np.eye(d)
-    # commutation matrix: vec(Y^T) = K vec(Y)
-    K = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            K[i * d + j, j * d + i] = 1.0
-    KT = K @ Phi.transfer
+    qform = partial(_co_ks_qform, Phi.transfer.reshape(d, d, d * d), Phi.dual())
 
     def defect(X):
         Y = Phi(X)
         return Phi(dagger(X) @ X) - Y @ dagger(Y)
-
-    def qform(v):
-        # v* defect(X) v = Tr(W X*X) - ||Phi(X)* v||^2, and
-        # Phi(X)* v = conj(Phi(X)^T conj(v)) has the same norm as
-        # Phi(X)^T conj(v), which is linear in vec(X)
-        W = hermitianize(dual(np.outer(v, v.conj())))
-        G = np.kron(v.conj()[None, :], I_d) @ KT
-        return np.kron(W.T, I_d) - dagger(G) @ G
 
     def make_witness(X):
         return BlockOperator(k=1, d=d, data=X)
@@ -363,22 +420,13 @@ def check_phi_k_condition(
     d = Phi.d
     n = k * d
     amp = Phi.amplify(k)
-    T_k = amp.transfer_matrix()
-    I_n = np.eye(n)
+    qform = partial(_phi_k_qform, amp.transfer_matrix().reshape(k, d, n, n * n))
 
     def defect(X):
         Y = amp(X)
         return partial_trace_second(dagger(X) @ X, k, d) - partial_trace_second(
             dagger(Y) @ Y, k, d
         )
-
-    def qform(v):
-        # v* defect(X) v = Tr(W0 X*X) - sum_j ||Phi_k(X) (v (x) e_j)||^2
-        # with W0 = vv* (x) I_d
-        W0 = np.kron(np.outer(v, v.conj()), np.eye(d))
-        Q = np.kron(v[:, None], np.eye(d))  # columns are v (x) e_j
-        G = np.vstack([np.kron(Q[:, j][None, :], I_n) @ T_k for j in range(d)])
-        return np.kron(W0.T, I_n) - dagger(G) @ G
 
     def make_witness(X):
         return BlockOperator(k=k, d=d, data=X)
@@ -407,7 +455,7 @@ def falsify_k_positivity(
             "using the Hermitian part of its Choi matrix",
             stacklevel=2,
         )
-    I_d = np.eye(d)
+    C4 = C.reshape(d, d, d, d)
 
     def orthonormalize(M):
         Q, _ = np.linalg.qr(M)
@@ -428,13 +476,11 @@ def falsify_k_positivity(
             # smallest eigenvector of the compressed Choi is the exact
             # minimizer over U
             V = orthonormalize(V)
-            A = np.kron(I_d, V)
-            _, Q = np.linalg.eigh(dagger(A) @ C @ A)
+            _, Q = np.linalg.eigh(_compress_right(C4, V))
             U = Q[:, 0].reshape(d, k)
             # psi = (U (x) I) x, x = vec_row(V^T); same update for V
             U = orthonormalize(U)
-            B = np.kron(U, I_d)
-            w, Q = np.linalg.eigh(dagger(B) @ C @ B)
+            w, Q = np.linalg.eigh(_compress_left(C4, U))
             V = Q[:, 0].reshape(k, d).T
             val = float(w[0])
             counters["defect_evals"] += 2
@@ -454,7 +500,7 @@ def falsify_k_positivity(
     if violated:
         psi = witness.psi
         recheck = float(np.real(psi.conj() @ C @ psi) / np.vdot(psi, psi).real)
-        assert abs(recheck - worst) <= WITNESS_RECHECK_TOL
+        _check_witness(recheck, worst)
     return CertificateVerdict(
         verdict="Violated" if violated else "NoViolationFound",
         worst_value=float(worst),

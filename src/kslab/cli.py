@@ -11,6 +11,7 @@ contradicts the computed verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,9 @@ def cmd_suite(args, seed: int, t0: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The argument parser; it holds no per-call state, so it is built once."""
     parser = Parser(prog="kslab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)

@@ -21,7 +21,7 @@ IDENTITY_TOL = 1e-14
 
 
 class DecompositionInfeasibleError(RuntimeError):
-    """The parameter search for a KS/co-KS split came up empty."""
+    """No KS/co-KS split exists at the requested parameters."""
 
 
 @dataclass
@@ -138,9 +138,7 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
     midpoint of [alpha d^2/(d+1), alpha d], which maximizes the margin to
     both endpoint constraints.
 
-    At a = 1 the closed-form window degenerates; that case is routed
-    through a numerical feasibility search and reported honestly (see
-    :func:`reduction_feasibility_search`).
+    At a = 1 no split exists, and DecompositionInfeasibleError says why.
     """
     if not 0 <= a <= 1:
         raise ParameterDomainError(f"decompose_reduction needs a in [0, 1], got {a}")
@@ -154,16 +152,13 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
             params={"alpha": 1 / (d - a), "beta": a / (d - a), "gamma": 0.0, "delta": 0.0},
         )
     if a == 1:
-        feasible = reduction_feasibility_search(d, a)
-        if feasible is None:
-            raise DecompositionInfeasibleError(
-                f"no feasible (alpha, lambda) found for d={d}, a=1: the closed-form "
-                "window requires alpha <= (1-a)/(d-a) = 0, incompatible with alpha > 0"
-            )
-        alpha, lam = feasible
-    else:
-        alpha = (1 - a) / (d - a)
-        lam = (alpha * d * d / (d + 1) + alpha * d) / 2
+        raise DecompositionInfeasibleError(
+            f"no KS/co-KS split of R_1 exists for d={d}: at a = 1 the KS condition "
+            "on phi1 needs lambda >= alpha d^2/(d+1) and the co-CP condition on phi2 "
+            "needs lambda <= alpha (d-1), so alpha > 0 would need d^2 <= d^2 - 1"
+        )
+    alpha = (1 - a) / (d - a)
+    lam = (alpha * d * d / (d + 1) + alpha * d) / 2
     p = reduction_split_params(d, a, alpha, lam)
     failing = _check_reduction_split(d, a, lam, p)
     if failing is not None:
@@ -173,19 +168,6 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
         )
     phi1, phi2 = _reduction_components(d, lam, p)
     return _result(lam, phi1, phi2, target, params=p)
-
-
-def reduction_feasibility_search(
-    d: int, a: float, n_alpha: int = 200, n_lam: int = 200
-) -> tuple[float, float] | None:
-    """Grid search for a feasible (alpha, lambda) pair of the reduction
-    split at parameter a; returns None when every grid point fails."""
-    for alpha in np.linspace(1e-6, 1 / (d - a) - 1e-6, n_alpha):
-        for lam in np.linspace(1e-6, 1.0, n_lam):
-            p = reduction_split_params(d, a, float(alpha), float(lam))
-            if _check_reduction_split(d, a, float(lam), p) is None:
-                return float(alpha), float(lam)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +193,13 @@ def jordan_defect(
         raise ValueError("component maps must act on the same dimension")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    Phi = mix([(lam, phi1), (1 - lam, phi2)])
-    Z = Phi(X)
+    # Phi = lam*phi1 + (1-lam)*phi2 is applied term by term, not built as a map
+    Y1, Y2 = phi1(X), phi2(X)
+    Z = lam * Y1 + (1 - lam) * Y2
     D = jordan_product(dagger(X), X)
-    out = Phi(D) - jordan_product(dagger(Z), Z)
+    out = lam * phi1(D) + (1 - lam) * phi2(D) - jordan_product(dagger(Z), Z)
     if lam not in (0.0, 1.0):
-        W = phi1(X) - phi2(X)
+        W = Y1 - Y2
         out = out - lam * (1 - lam) * jordan_product(dagger(W), W)
     return out
 

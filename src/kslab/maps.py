@@ -180,15 +180,14 @@ class AmplifiedMap:
         """(kd)^2 x (kd)^2 transfer matrix of id_k (x) Phi on column-vectorized
         kd x kd operators (built once and cached)."""
         if self._transfer is None:
-            n = self.k * self.d
-            T = np.empty((n * n, n * n), dtype=complex)
-            E = np.zeros((n, n), dtype=complex)
-            for c in range(n):
-                for r in range(n):
-                    E[r, c] = 1.0
-                    T[:, c * n + r] = self(E).flatten(order="F")
-                    E[r, c] = 0.0
-            self._transfer = T
+            k, d = self.k, self.d
+            n = k * d
+            I_k = np.eye(k)
+            # vec index of a kd x kd operator is (block col, col, block row, row);
+            # block (R, C) of the image is Phi of block (R, C) of the input
+            T4 = self.base.transfer.reshape(d, d, d, d)
+            T8 = np.einsum("ac,bd,xyzw->axbyczdw", I_k, I_k, T4)
+            self._transfer = T8.reshape(n * n, n * n)
         return self._transfer
 
 

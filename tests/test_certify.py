@@ -4,6 +4,13 @@ import pytest
 from kslab.certify import (
     SchmidtWitness,
     SearchBudget,
+    WitnessRecheckError,
+    _co_ks_qform,
+    _compress_left,
+    _compress_right,
+    _falsify_on_sphere,
+    _ks_qform,
+    _phi_k_qform,
     amplified_ks_defect,
     block_to_tuple,
     check_kp_implies_kks,
@@ -20,8 +27,8 @@ from kslab.certify import (
     strong_kadison_defects,
     tuple_to_block,
 )
-from kslab.linalg import ginibre, hermitianize, hs_norm, min_eigenvalue
-from kslab.maps import QuantumMap
+from kslab.linalg import ginibre, hermitianize, hs_norm, min_eigenvalue, random_hermitian, vec
+from kslab.maps import BlockOperator, QuantumMap
 from kslab.zoo import (
     ParameterDomainError,
     depolarizing,
@@ -230,6 +237,103 @@ def test_schmidt_witness_psi():
     v = np.eye(2)
     w = SchmidtWitness(u=u, v=v)
     assert np.allclose(w.psi, [1, 0, 0, 1])
+
+
+# -- half-step kernels ------------------------------------------------------
+
+KERNEL_DK = [(2, 1), (3, 2), (2, 3)]
+
+
+def _random_hp_map(d):
+    # hermiticity-preserving but neither positive nor unital, so the
+    # identities below hold for more than the maps the solvers meet
+    return QuantumMap.from_choi(random_hermitian(rng, d * d))
+
+
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _form(M, X):
+    x = vec(X)
+    return complex(x.conj() @ M @ x)
+
+
+@pytest.mark.parametrize("d,k", KERNEL_DK)
+def test_ks_qform_identity(d, k):
+    Phi = _random_hp_map(d)
+    n = k * d
+    amp = Phi.amplify(k)
+    T3 = amp.transfer_matrix().reshape(n, n, n * n)
+    for _ in range(3):
+        X, v = ginibre(rng, n), _unit(ginibre(rng, n, 1)[:, 0])
+        M = _ks_qform(T3, amp.dual(), v)
+        assert hs_norm(M - M.conj().T) < 1e-12
+        expected = complex(v.conj() @ amplified_ks_defect(Phi, k, X) @ v)
+        assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("d", sorted({d for d, _ in KERNEL_DK}))
+def test_co_ks_qform_identity(d):
+    Phi = _random_hp_map(d)
+    T3 = Phi.transfer.reshape(d, d, d * d)
+    for _ in range(3):
+        X, v = ginibre(rng, d), _unit(ginibre(rng, d, 1)[:, 0])
+        M = _co_ks_qform(T3, Phi.dual(), v)
+        expected = complex(v.conj() @ co_ks_defect(Phi, X) @ v)
+        assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("d,k", KERNEL_DK)
+def test_phi_k_qform_identity(d, k):
+    Phi = _random_hp_map(d)
+    n = k * d
+    T4 = Phi.amplify(k).transfer_matrix().reshape(k, d, n, n * n)
+    for _ in range(3):
+        X, v = ginibre(rng, n), _unit(ginibre(rng, k, 1)[:, 0])
+        M = _phi_k_qform(T4, v)
+        expected = complex(v.conj() @ phi_k_defect(Phi, k, X) @ v)
+        assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 3)])
+def test_kpos_compressions(d, k):
+    C = hermitianize(_random_hp_map(d).choi())
+    C4 = C.reshape(d, d, d, d)
+    U, V = ginibre(rng, d, k), ginibre(rng, d, k)
+    r, x = ginibre(rng, d * k, 1)[:, 0], ginibre(rng, k * d, 1)[:, 0]
+    psi = np.kron(np.eye(d), V) @ r
+    assert abs(r.conj() @ _compress_right(C4, V) @ r - psi.conj() @ C @ psi) < 1e-10
+    psi = np.kron(U, np.eye(d)) @ x
+    assert abs(x.conj() @ _compress_left(C4, U) @ x - psi.conj() @ C @ psi) < 1e-10
+
+
+def _drifting_search(drift):
+    # a defect whose value moves by `drift` on every evaluation, so the
+    # final re-evaluation of the witness disagrees with the search by drift
+    calls = []
+
+    def defect(X):
+        calls.append(X)
+        return -(1.0 + drift * len(calls)) * np.eye(2)
+
+    return _falsify_on_sphere(
+        defect,
+        lambda v: np.eye(4),
+        2,
+        SearchBudget(restarts=2, max_iters=5, seed=0),
+        lambda X: BlockOperator(k=1, d=2, data=X),
+    )
+
+
+def test_witness_recheck_passes_when_reproducible():
+    res = _drifting_search(0.0)
+    assert res.violated and res.worst_value == -1.0
+
+
+def test_witness_recheck_mismatch_raises():
+    with pytest.raises(WitnessRecheckError):
+        _drifting_search(0.01)
 
 
 # -- scans and sampled properties -------------------------------------------

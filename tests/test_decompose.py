@@ -9,13 +9,12 @@ from kslab.decompose import (
     jordan_defect,
     jordan_product,
     ks_threshold_depolarized_transpose,
-    reduction_feasibility_search,
     reduction_split_params,
     stormer_defect,
     verify_decomposition,
 )
 from kslab.linalg import ginibre, hs_norm, min_eigenvalue
-from kslab.maps import QuantumMap
+from kslab.maps import QuantumMap, mix
 from kslab.zoo import (
     ParameterDomainError,
     depolarizing,
@@ -94,9 +93,9 @@ def test_reduction_split_parameter_identities(d, a):
 
 
 def test_reduction_a1_infeasible():
-    with pytest.raises(DecompositionInfeasibleError):
-        decompose_reduction(2, 1.0)
-    assert reduction_feasibility_search(2, 1.0, n_alpha=40, n_lam=40) is None
+    for d in range(2, 6):
+        with pytest.raises(DecompositionInfeasibleError, match=r"d\^2 <= d\^2 - 1"):
+            decompose_reduction(d, 1.0)
 
 
 def test_reduction_split_params_formula():
@@ -128,6 +127,22 @@ def test_jordan_defect_equal_components():
     Z = Phi(X)
     expected = Phi(jordan_product(X.conj().T, X)) - jordan_product(Z.conj().T, Z)
     assert np.allclose(D, expected)
+
+
+@pytest.mark.parametrize("d,a", [(2, 0.9), (3, 0.8), (4, 0.95)])
+def test_jordan_defect_matches_mixed_map(d, a):
+    # the termwise evaluation equals the defect of the mixed map built whole
+    r = decompose_reduction(d, a)
+    Phi = mix([(r.lam, r.phi1), (1 - r.lam, r.phi2)])
+    for _ in range(5):
+        X = ginibre(rng, d)
+        Z, W = Phi(X), r.phi1(X) - r.phi2(X)
+        expected = (
+            Phi(jordan_product(X.conj().T, X))
+            - jordan_product(Z.conj().T, Z)
+            - r.lam * (1 - r.lam) * jordan_product(W.conj().T, W)
+        )
+        assert hs_norm(jordan_defect(r.phi1, r.phi2, r.lam, X) - expected) < 1e-12
 
 
 def test_jordan_defect_psd_on_decompositions():

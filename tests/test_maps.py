@@ -117,6 +117,21 @@ def test_amplified_transfer_matrix_consistent():
     assert T is amp.transfer_matrix()  # cached
 
 
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
+def test_amplified_transfer_matrix_matches_unit_vectors(d, k):
+    # reference: column c*n + r is vec of the image of the matrix unit E_rc
+    Phi = QuantumMap(ginibre(rng, d * d))
+    amp = Phi.amplify(k)
+    n = k * d
+    ref = np.empty((n * n, n * n), dtype=complex)
+    for c in range(n):
+        for r in range(n):
+            E = np.zeros((n, n), dtype=complex)
+            E[r, c] = 1.0
+            ref[:, c * n + r] = amp(E).flatten(order="F")
+    assert np.array_equal(amp.transfer_matrix(), ref)
+
+
 def test_amplified_dual():
     Phi = sample_utp_cp(2, seed=13)
     amp = Phi.amplify(2)
