@@ -14,13 +14,22 @@ Hermitian quadratic form in vec(X), so both half-steps are global
 eigenvector computations. The iteration is monotone in f, which avoids the
 flat zero-level plateaus where plain projected gradient descent on
 lambda_min stalls.
+
+For the KS and co-KS defects the X half-step matrix is
+M_v = W^T (x) I_n - G*G, a Kronecker term minus a term of rank at most n.
+From n = SECULAR_MIN_N up its bottom eigenpair is found without forming
+M_v, as the root of an n x n secular equation (Golub 1973; Bunch, Nielsen
+and Sorensen 1978): one n x n eigh of W and a few n x n eighs in Newton
+steps replace one n^2 x n^2 eigh. A residual check guards the result; when
+it fails, and below the crossover, the dense eigh of M_v is used. The Phi_k
+search always takes the dense path, because at its certified points the
+bottom eigenvalue sits on the pole of the secular equation.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -39,6 +48,11 @@ EIG_DEGENERACY_GAP = 1e-8
 STALL_TOL = 1e-12
 STALL_WINDOW = 10
 WITNESS_RECHECK_TOL = 1e-8
+# the KS/co-KS X half-step solves the secular equation from n = SECULAR_MIN_N
+# up; at n <= 6 the dense n^2 x n^2 eigh measured faster, at n = 7 slower
+SECULAR_MIN_N = 7
+SECULAR_MAX_STEPS = 60
+SECULAR_RESIDUAL_RTOL = 1e-10
 
 
 class WitnessRecheckError(RuntimeError):
@@ -50,7 +64,6 @@ class WitnessRecheckError(RuntimeError):
 class SearchBudget:
     restarts: int = 32
     max_iters: int = 500
-    step_init: float = 0.1
     seed: int = 0
     violation_tol: float = 1e-9
 
@@ -59,6 +72,13 @@ class SearchBudget:
             raise ValueError("restarts must be >= 1")
         if self.violation_tol <= 0:
             raise ValueError("violation_tol must be positive")
+
+
+def _derive_seed(seed: int, *key: int) -> int:
+    """Child seed of ``seed`` at ``key``: the first word of
+    SeedSequence(seed, spawn_key=key). Scan points, sampled maps and the
+    suite criteria all take their seeds from here."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 @dataclass
@@ -182,11 +202,13 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # half-step kernels
 #
-# Each qform returns the Hermitian n^2 x n^2 matrix M_v with
+# The X half-step needs the Hermitian n^2 x n^2 matrix M_v with
 # vec(X)* M_v vec(X) = v* defect(X) v. Every defect has the form
 # Tr(W X*X) - ||G vec(X)||^2, where G is the transfer matrix T contracted
 # with v once it is reshaped as T3[q, p, :] = T[q*n + p, :] (output column
-# q, output row p), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X).
+# q, output row p), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X), so
+# M_v = W^T (x) I_n - G*G. The KS and co-KS kernels return (W, G), which is
+# all the secular X half-step reads; the qforms build M_v itself.
 # ---------------------------------------------------------------------------
 
 
@@ -199,24 +221,110 @@ def _kron_identity(A: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(a * m, b * m)
 
 
-def _ks_qform(T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Quadratic form of the KS defect of the map with transfer matrix
+def _ks_parts(
+    T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, G) of the KS defect of the map with transfer matrix
     T = T3.reshape(n*n, n*n) and HS dual ``dual``:
     v* defect(X) v = Tr(W X*X) - ||Phi(X) v||^2 with W = dual(vv*), and
     Phi(X) v = sum_q v_q T3[q] vec(X)."""
     n = len(v)
     W = hermitianize(dual(np.outer(v, v.conj())))
-    G = (v @ T3.reshape(n, -1)).reshape(n, n * n)
-    return _kron_identity(W.T, n) - dagger(G) @ G
+    return W, (v @ T3.reshape(n, -1)).reshape(n, n * n)
 
 
-def _co_ks_qform(T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Quadratic form of the co-KS defect: v* defect(X) v =
+def _co_ks_parts(
+    T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(W, G) of the co-KS defect: v* defect(X) v =
     Tr(W X*X) - ||Phi(X)* v||^2, and Phi(X)* v = conj(Phi(X)^T conj(v)) has
     the norm of Phi(X)^T conj(v) = sum_q conj(v_q) T3[:, q] vec(X)."""
     W = hermitianize(dual(np.outer(v, v.conj())))
-    G = v.conj() @ T3  # batched over the leading axis of T3
-    return _kron_identity(W.T, len(v)) - dagger(G) @ G
+    return W, v.conj() @ T3  # batched over the leading axis of T3
+
+
+def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """M_v = W^T (x) I_n - G*G, Hermitian by construction for Hermitian W."""
+    return _kron_identity(W.T, len(W)) - dagger(G) @ G
+
+
+def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Bottom eigenpair (lambda, x), x of unit norm, of M = W^T (x) I_n - G*G
+    for Hermitian n x n W and n' x n^2 G, found without forming M.
+
+    With W^T = U diag(mu) U* (mu ascending) and H = G (U (x) I_n), M is
+    unitarily similar to D - H*H, D = diag(mu) (x) I_n. Below mu_0, lambda is
+    an eigenvalue iff 1 is an eigenvalue of the n' x n' matrix
+    K(lambda) = H (D - lambda)^-1 H* = sum_b P_b / (mu_b - lambda), with
+    P_b = H_b H_b* over the column block b of H, and then
+    x = (U (x) I_n)(D - lambda)^-1 H* y for K(lambda) y = y. On (-inf, mu_0)
+    f = lambda_max(K) increases, and 1/f is concave (it is the minimum over
+    y of 1/(y* K y), each a reciprocal sum of positive poles), so the
+    bottom eigenvalue is the one root of f = 1 in
+    [mu_0 - ||H||_F^2 - 1, mu_0), and Newton steps on 1/f approach it
+    monotonically from the right. (Such a step fits f by c/(p - lambda);
+    pinning the pole p at mu_0 instead took more steps.) The first point,
+    min_b mu_b - Tr(P_b)/n, lies right of the root whenever it is below
+    mu_0, since there K >= n P_b / Tr(P_b) and P_b has rank <= n. A step
+    that leaves the bracket is replaced by bisection.
+
+    The pair is returned only if ||M x - lambda x|| <= 1e-10 max(|mu|,
+    ||H||_F^2, 1), computed as vec(XW) - G*(G x); otherwise, as when the
+    bottom eigenvalue sits at the pole mu_0 itself, the result is None.
+    """
+    n = len(W)
+    mu, U = np.linalg.eigh(W.T)
+    # Hb[b, r, i] = sum_a U[a, b] G[r, a*n + i]: the column blocks of H
+    Hb = (U.T @ G.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
+    P = Hb @ Hb.conj().swapaxes(1, 2)  # P[b] = H_b H_b*
+    traces = np.trace(P, axis1=1, axis2=2).real
+    h2 = float(traces.sum())
+    if not h2 > 0:
+        return None  # H = 0: M = D is diagonal in the U basis already
+    scale = max(float(np.abs(mu).max()), h2, 1.0)
+    lo, hi = mu[0] - h2 - 1.0, mu[0]
+    lam = float(np.min(mu - traces / n))
+    if not lam < hi:
+        lam = lo
+    tol = 4 * np.finfo(float).eps * scale
+    for _ in range(SECULAR_MAX_STEPS):
+        w = 1.0 / (mu - lam)
+        kappa, Y = np.linalg.eigh((w @ P.reshape(n, -1)).reshape(P.shape[1:]))
+        f, y = float(kappa[-1]), Y[:, -1]
+        Hy = y.conj() @ Hb  # Hy[b, i] = (H_b* y)_i conjugated
+        slope = float((np.abs(Hy) ** 2).sum(axis=1) @ (w * w))  # y* K'(lambda) y
+        step = f * (1.0 - f) / slope
+        if abs(step) <= tol:
+            break
+        if f < 1:
+            lo = lam
+        else:
+            hi = lam
+        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            return None  # the bracket collapsed onto mu_0: no root below the pole
+    else:
+        return None
+    x = (U @ (w[:, None] * Hy.conj())).reshape(-1)
+    x /= np.linalg.norm(x)
+    X = x.reshape(n, n, order="F")
+    residual = np.linalg.norm((X @ W).reshape(-1, order="F") - dagger(G) @ (G @ x) - lam * x)
+    # explicit branch, written so that a NaN residual fails too
+    if not residual <= SECULAR_RESIDUAL_RTOL * scale:
+        return None
+    return lam, x
+
+
+def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """X half-step of the KS and co-KS searches: the bottom eigenvector of
+    M_v = W^T (x) I_n - G*G. From n = SECULAR_MIN_N up it comes from the
+    secular equation; below that, and whenever the secular solve is
+    refused, from a dense eigh of M_v."""
+    if len(W) >= SECULAR_MIN_N:
+        found = _bottom_eigvec(W, G)
+        if found is not None:
+            return found[1]
+    return np.linalg.eigh(_qform(W, G))[1][:, 0]
 
 
 def _phi_k_qform(T4: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -273,7 +381,7 @@ def _min_eig_vector(D: np.ndarray, rng: np.random.Generator) -> tuple[float, np.
 
 def _alternating_restart(
     defect: Callable[[np.ndarray], np.ndarray],
-    qform: Callable[[np.ndarray], np.ndarray],
+    xstep: Callable[[np.ndarray], np.ndarray],
     X0: np.ndarray,
     n: int,
     budget: SearchBudget,
@@ -282,9 +390,9 @@ def _alternating_restart(
     """One run of alternating minimization of g(X, v) = v* defect(X) v from
     X0 on the HS unit sphere.
 
-    ``qform(v)`` must return the Hermitian n^2 x n^2 matrix M_v with
-    vec(X)* M_v vec(X) = v* defect(X) v; the X half-step is then the exact
-    bottom eigenvector of M_v, giving a monotone decrease of
+    ``xstep(v)`` must return vec(X) for a unit bottom eigenvector of the
+    Hermitian n^2 x n^2 matrix M_v with vec(X)* M_v vec(X) = v* defect(X) v;
+    the X half-step is then exact, giving a monotone decrease of
     f(X) = lambda_min(defect(X)). Returns (best value, best X, counters).
     """
     X = X0 / hs_norm(X0)
@@ -296,10 +404,7 @@ def _alternating_restart(
     evals += 1
     best_f, best_X = f, X
     for iters in range(1, budget.max_iters + 1):
-        M = qform(v)
-        w, Q = np.linalg.eigh(hermitianize(M))
-        x = Q[:, 0]
-        X = x.reshape(n, n, order="F")
+        X = xstep(v).reshape(n, n, order="F")
         f, v = _min_eig_vector(defect(X), rng)
         evals += 1
         if f < best_f:
@@ -316,7 +421,7 @@ def _alternating_restart(
 
 def _falsify_on_sphere(
     defect: Callable[[np.ndarray], np.ndarray],
-    qform: Callable[[np.ndarray], np.ndarray],
+    xstep: Callable[[np.ndarray], np.ndarray],
     n: int,
     budget: SearchBudget,
     make_witness: Callable[[np.ndarray], BlockOperator | SchmidtWitness],
@@ -332,7 +437,7 @@ def _falsify_on_sphere(
     for ss in children:
         rng = np.random.default_rng(ss)
         X0 = ginibre(rng, n)
-        f, X, used = _alternating_restart(defect, qform, X0, n, budget, rng)
+        f, X, used = _alternating_restart(defect, xstep, X0, n, budget, rng)
         counters["restarts"] += 1
         counters["iterations"] += used["iterations"]
         counters["defect_evals"] += used["defect_evals"]
@@ -372,7 +477,10 @@ def falsify_ks(Phi: QuantumMap, k: int = 1, budget: SearchBudget | None = None) 
     d = Phi.d
     n = k * d
     amp = Phi.amplify(k)
-    qform = partial(_ks_qform, amp.transfer_matrix().reshape(n, n, n * n), amp.dual())
+    T3, dual = amp.transfer_matrix().reshape(n, n, n * n), amp.dual()
+
+    def xstep(v):
+        return _ks_xstep(*_ks_parts(T3, dual, v))
 
     def defect(X):
         Y = amp(X)
@@ -381,7 +489,7 @@ def falsify_ks(Phi: QuantumMap, k: int = 1, budget: SearchBudget | None = None) 
     def make_witness(X):
         return BlockOperator(k=k, d=d, data=X)
 
-    return _falsify_on_sphere(defect, qform, n, budget, make_witness)
+    return _falsify_on_sphere(defect, xstep, n, budget, make_witness)
 
 
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> CertificateVerdict:
@@ -394,7 +502,10 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> Certif
             stacklevel=2,
         )
     d = Phi.d
-    qform = partial(_co_ks_qform, Phi.transfer.reshape(d, d, d * d), Phi.dual())
+    T3, dual = Phi.transfer.reshape(d, d, d * d), Phi.dual()
+
+    def xstep(v):
+        return _ks_xstep(*_co_ks_parts(T3, dual, v))
 
     def defect(X):
         Y = Phi(X)
@@ -403,7 +514,7 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> Certif
     def make_witness(X):
         return BlockOperator(k=1, d=d, data=X)
 
-    return _falsify_on_sphere(defect, qform, d, budget, make_witness)
+    return _falsify_on_sphere(defect, xstep, d, budget, make_witness)
 
 
 def check_phi_k_condition(
@@ -420,7 +531,12 @@ def check_phi_k_condition(
     d = Phi.d
     n = k * d
     amp = Phi.amplify(k)
-    qform = partial(_phi_k_qform, amp.transfer_matrix().reshape(k, d, n, n * n))
+    T4 = amp.transfer_matrix().reshape(k, d, n, n * n)
+
+    def xstep(v):
+        # dense always: at certified points the bottom eigenvalue 0 is the
+        # pole mu_0 of the secular equation
+        return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
 
     def defect(X):
         Y = amp(X)
@@ -431,7 +547,7 @@ def check_phi_k_condition(
     def make_witness(X):
         return BlockOperator(k=k, d=d, data=X)
 
-    return _falsify_on_sphere(defect, qform, n, budget, make_witness)
+    return _falsify_on_sphere(defect, xstep, n, budget, make_witness)
 
 
 def falsify_k_positivity(
@@ -571,14 +687,7 @@ def scan_threshold(
     a_certified = None
     for idx, a in enumerate(grid):
         Phi = build_family(family, d, a=a, base=base)
-        point_budget = SearchBudget(
-            restarts=budget.restarts,
-            max_iters=budget.max_iters,
-            step_init=budget.step_init,
-            seed=int(np.random.SeedSequence(budget.seed, spawn_key=(idx,)).generate_state(1)[0]),
-            violation_tol=budget.violation_tol,
-        )
-        res = falsify_ks(Phi, k, point_budget)
+        res = falsify_ks(Phi, k, replace(budget, seed=_derive_seed(budget.seed, idx)))
         points.append(ScanPoint(a=a, verdict=res.verdict, worst_value=res.worst_value))
         if res.violated:
             if a_first_violation is None:
@@ -624,14 +733,7 @@ def check_kp_implies_kks(
 
     verdicts = []
     for i in range(n_samples):
-        sample_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+        sample_seed = _derive_seed(seed, i)
         Phi = sample_utp_cp(d, seed=sample_seed, n_kraus=n_kraus)
-        point_budget = SearchBudget(
-            restarts=budget.restarts,
-            max_iters=budget.max_iters,
-            step_init=budget.step_init,
-            seed=sample_seed,
-            violation_tol=budget.violation_tol,
-        )
-        verdicts.append(falsify_ks(Phi, k, point_budget))
+        verdicts.append(falsify_ks(Phi, k, replace(budget, seed=sample_seed)))
     return SampledPropertyReport(d=d, k=k, n_samples=n_samples, verdicts=verdicts)

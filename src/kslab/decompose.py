@@ -79,9 +79,10 @@ def decompose_lambda_plus_T(d: int, a: float) -> DecompositionResult:
     else:
         lam = a / t
         beta = t
+        if not abs(lam * beta - a) <= IDENTITY_TOL:
+            raise RuntimeError(f"split weights give lambda*beta = {lam * beta!r}, not a = {a!r}")
         phi1 = _psi(d, beta)
         phi2 = transpose_map(d)
-        assert abs(lam * beta - a) <= IDENTITY_TOL
     return _result(lam, phi1, phi2, target, params={"lambda": lam, "beta": beta})
 
 

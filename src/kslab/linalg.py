@@ -79,7 +79,8 @@ def blocks(X: np.ndarray, k: int, d: int) -> np.ndarray:
 def from_blocks(B: np.ndarray) -> np.ndarray:
     """Inverse of :func:`blocks`."""
     k, k2, d, d2 = B.shape
-    assert k == k2 and d == d2
+    if k != k2 or d != d2:
+        raise ValueError(f"block array shape {B.shape} is not (k, k, d, d)")
     return B.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import serialize
 from .certify import (
     SearchBudget,
+    _derive_seed,
     check_kp_implies_kks,
     check_phi_k_condition,
     falsify_k_positivity,
@@ -44,10 +45,6 @@ from .zoo import (
     sample_utp_cp,
     transpose_map,
 )
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 def _budget(seed: int, restarts: int, max_iters: int) -> SearchBudget:
@@ -126,7 +123,7 @@ def _criterion_3_samples(seed: int, d: int, n_samples: int = 20):
     seed_d = _derive_seed(seed, 3, d)
     maps = []
     for i in range(n_samples):
-        s = int(np.random.SeedSequence(seed_d, spawn_key=(i,)).generate_state(1)[0])
+        s = _derive_seed(seed_d, i)
         maps.append((s, sample_utp_cp(d, seed=s)))
     return seed_d, maps
 

@@ -31,6 +31,15 @@ def _require_utp(base: QuantumMap, who: str) -> None:
         )
 
 
+def _check_utp(out: QuantumMap) -> None:
+    """A constructor's result must be unital and trace-preserving."""
+    if not (out.unital and out.trace_preserving):
+        raise RuntimeError(
+            f"'{out.label}' came out unital={out.unital}, "
+            f"trace_preserving={out.trace_preserving}"
+        )
+
+
 def depolarizing(d: int) -> QuantumMap:
     """Completely depolarizing channel X -> Tr(X) I / d."""
     if d < 1:
@@ -67,7 +76,7 @@ def lambda_minus(base: QuantumMap, a: float) -> QuantumMap:
         [(d / (d - a), depolarizing(d)), (-a / (d - a), base)],
         label=f"lambda_minus(a={a}, base={base.label})",
     )
-    assert out.unital and out.trace_preserving
+    _check_utp(out)
     return out
 
 
@@ -83,7 +92,7 @@ def lambda_plus(base: QuantumMap, a: float) -> QuantumMap:
         [(a, depolarizing(d)), (1 - a, base)],
         label=f"lambda_plus(a={a}, base={base.label})",
     )
-    assert out.unital and out.trace_preserving
+    _check_utp(out)
     return out
 
 
@@ -159,7 +168,7 @@ def sample_utp_cp(d: int, seed: int, n_kraus: int = 3) -> QuantumMap:
             f"doubly-stochastic projection did not converge (residuals {r_tp:.2e}, {r_un:.2e})"
         )
     out = QuantumMap.from_choi(C, label=f"random-utp(d={d}, seed={seed}, n_kraus={n_kraus})")
-    assert out.unital and out.trace_preserving
+    _check_utp(out)
     return out
 
 

@@ -10,7 +10,7 @@ acquires a negatively-weighted term and both an independent random-search
 oracle and the falsifier exhibit witnesses at the upper endpoint (e.g.
 transposition base at d = 3: violations for every a > 1.5, while the
 upper endpoint sits at ~1.77). The criterion is implemented exactly as
-stated and fails honestly; see the decisions ledger for the analysis.
+stated and fails honestly.
 """
 
 import json
@@ -59,7 +59,7 @@ def test_criterion_3_sufficiency_on_random_bases(report):
     assert rec["passed"], (
         f"{details['n_failures']}/{details['n_checks']} checks violated, all at "
         "the upper endpoint — the claimed sufficiency interval above a = 1 is "
-        "refuted numerically (see module docstring and the decisions ledger)"
+        "refuted numerically (see the module docstring)"
     )
 
 

@@ -1,16 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
+from kslab import certify
 from kslab.certify import (
     SchmidtWitness,
     SearchBudget,
     WitnessRecheckError,
-    _co_ks_qform,
+    _bottom_eigvec,
+    _co_ks_parts,
     _compress_left,
     _compress_right,
     _falsify_on_sphere,
-    _ks_qform,
+    _ks_parts,
+    _ks_xstep,
     _phi_k_qform,
+    _qform,
     amplified_ks_defect,
     block_to_tuple,
     check_kp_implies_kks,
@@ -29,6 +35,7 @@ from kslab.certify import (
 )
 from kslab.linalg import ginibre, hermitianize, hs_norm, min_eigenvalue, random_hermitian, vec
 from kslab.maps import BlockOperator, QuantumMap
+from kslab.serialize import verdict_to_json
 from kslab.zoo import (
     ParameterDomainError,
     depolarizing,
@@ -267,7 +274,7 @@ def test_ks_qform_identity(d, k):
     T3 = amp.transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
         X, v = ginibre(rng, n), _unit(ginibre(rng, n, 1)[:, 0])
-        M = _ks_qform(T3, amp.dual(), v)
+        M = _qform(*_ks_parts(T3, amp.dual(), v))
         assert hs_norm(M - M.conj().T) < 1e-12
         expected = complex(v.conj() @ amplified_ks_defect(Phi, k, X) @ v)
         assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
@@ -279,7 +286,8 @@ def test_co_ks_qform_identity(d):
     T3 = Phi.transfer.reshape(d, d, d * d)
     for _ in range(3):
         X, v = ginibre(rng, d), _unit(ginibre(rng, d, 1)[:, 0])
-        M = _co_ks_qform(T3, Phi.dual(), v)
+        M = _qform(*_co_ks_parts(T3, Phi.dual(), v))
+        assert hs_norm(M - M.conj().T) < 1e-12
         expected = complex(v.conj() @ co_ks_defect(Phi, X) @ v)
         assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
 
@@ -292,6 +300,7 @@ def test_phi_k_qform_identity(d, k):
     for _ in range(3):
         X, v = ginibre(rng, n), _unit(ginibre(rng, k, 1)[:, 0])
         M = _phi_k_qform(T4, v)
+        assert hs_norm(M - M.conj().T) < 1e-12
         expected = complex(v.conj() @ phi_k_defect(Phi, k, X) @ v)
         assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
 
@@ -308,6 +317,88 @@ def test_kpos_compressions(d, k):
     assert abs(x.conj() @ _compress_left(C4, U) @ x - psi.conj() @ C @ psi) < 1e-10
 
 
+# -- structured X half-step ---------------------------------------------------
+
+
+def _dense_bottom(W, G):
+    M = _qform(W, G)
+    return M, float(np.linalg.eigvalsh(M)[0])
+
+
+def _secular_scale(W, G):
+    return max(float(np.abs(np.linalg.eigvalsh(W)).max()), hs_norm(G) ** 2, 1.0)
+
+
+@pytest.mark.parametrize("kind,d,k", [("ks", 4, 2), ("ks", 3, 3), ("ks", 2, 4), ("ks", 4, 4), ("co-ks", 8, 1)])
+def test_bottom_eigvec_matches_dense(kind, d, k):
+    Phi = _random_hp_map(d)
+    n = k * d
+    amp = Phi.amplify(k)
+    T3 = amp.transfer_matrix().reshape(n, n, n * n)
+    parts = _ks_parts if kind == "ks" else _co_ks_parts
+    for _ in range(3):
+        W, G = parts(T3, amp.dual(), _unit(ginibre(rng, n, 1)[:, 0]))
+        M, lam_min = _dense_bottom(W, G)
+        found = _bottom_eigvec(W, G)
+        assert found is not None
+        lam, x = found
+        tol = 1e-10 * _secular_scale(W, G)
+        assert abs(np.linalg.norm(x) - 1) < 1e-12
+        assert abs(lam - lam_min) < tol
+        assert abs((x.conj() @ M @ x).real - lam_min) < tol
+        assert np.linalg.norm(M @ x - lam * x) < tol
+
+
+def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
+    # H_0 = 0: the columns of the mu_0 block of G vanish, so lambda* = mu_0 is
+    # the pole of the secular equation, and G is small enough that nothing
+    # lies below it
+    n = 8
+    W = np.diag(np.arange(1.0, n + 1))
+    G = 0.1 * ginibre(rng, n, n * n)
+    G[:, :n] = 0
+    M, lam_min = _dense_bottom(W, G)
+    assert abs(lam_min - 1.0) < 1e-12
+    found = _bottom_eigvec(W, G)
+    tol = 1e-10 * _secular_scale(W, G)
+    if found is not None:
+        assert abs(found[0] - lam_min) < tol
+    x = _ks_xstep(W, G)
+    assert abs(np.linalg.norm(x) - 1) < 1e-12
+    assert abs((x.conj() @ M @ x).real - lam_min) < tol
+    assert np.linalg.norm(M @ x - lam_min * x) < tol
+
+
+def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
+    # a negative tolerance fails every residual check: the secular solve is
+    # refused and the dense eigh gives the half-step
+    d, k = 4, 2
+    amp = _random_hp_map(d).amplify(k)
+    W, G = _ks_parts(amp.transfer_matrix().reshape(8, 8, 64), amp.dual(), _unit(ginibre(rng, 8, 1)[:, 0]))
+    M, lam_min = _dense_bottom(W, G)
+    monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
+    assert _bottom_eigvec(W, G) is None
+    x = _ks_xstep(W, G)
+    assert abs((x.conj() @ M @ x).real - lam_min) < 1e-10 * _secular_scale(W, G)
+
+
+def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
+    # (d, k) = (4, 4): n = 16 is above the crossover, so the X half-steps
+    # solve the secular equation
+    d, k = 4, 4
+    bound = d / (k * d + 1)
+    budget = SearchBudget(restarts=2, max_iters=200, seed=3)
+    clean = falsify_ks(lambda_minus(QuantumMap.identity(d), bound - 0.02), k, budget)
+    assert clean.verdict == "NoViolationFound"
+    Phi = lambda_minus(QuantumMap.identity(d), bound + 0.05)
+    runs = [falsify_ks(Phi, k, budget) for _ in range(2)]
+    res = runs[0]
+    assert res.violated  # reaching the verdict means the witness recheck passed
+    assert min_eigenvalue(amplified_ks_defect(Phi, k, res.witness)) <= res.worst_value + 1e-8
+    first, second = (json.dumps(verdict_to_json(r), sort_keys=True) for r in runs)
+    assert first == second
+
+
 def _drifting_search(drift):
     # a defect whose value moves by `drift` on every evaluation, so the
     # final re-evaluation of the witness disagrees with the search by drift
@@ -319,7 +410,7 @@ def _drifting_search(drift):
 
     return _falsify_on_sphere(
         defect,
-        lambda v: np.eye(4),
+        lambda v: np.eye(4)[:, 0],  # the bottom eigenvector eigh gives for M_v = I
         2,
         SearchBudget(restarts=2, max_iters=5, seed=0),
         lambda X: BlockOperator(k=1, d=2, data=X),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kslab import decompose
 from kslab.certify import SearchBudget
 from kslab.decompose import (
     DecompositionInfeasibleError,
@@ -40,6 +41,13 @@ def test_lambda_plus_T_below_threshold():
     assert abs(r.lam * r.params["beta"] - 0.2) < 1e-14
     target = lambda_plus(transpose_map(2), 0.2)
     assert hs_norm(r.reconstruction().transfer - target.transfer) < 1e-12
+
+
+def test_lambda_plus_T_identity_check_raises(monkeypatch):
+    # the lambda*beta = a identity is an explicit check, not an assert
+    monkeypatch.setattr(decompose, "IDENTITY_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="lambda\\*beta"):
+        decompose_lambda_plus_T(2, 0.2)
 
 
 def test_lambda_plus_T_above_threshold_trivial():

@@ -94,6 +94,11 @@ def test_blocks_round_trip():
     assert np.array_equal(from_blocks(B), X)
 
 
+def test_from_blocks_rejects_non_square_block_grid():
+    with pytest.raises(ValueError, match="not \\(k, k, d, d\\)"):
+        from_blocks(np.zeros((2, 3, 2, 2)))
+
+
 def test_spectral_reconstruction_bulk():
     # 1000 random Hermitians up to size 12, residual must stay tiny
     worst = 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kslab import maps, zoo
 from kslab.linalg import ginibre, haar_unitary, hs_norm
 from kslab.maps import QuantumMap
 from kslab.zoo import (
@@ -57,6 +58,14 @@ def test_lambda_plus_endpoints():
     assert hs_norm(lambda_plus(base, 1.0).transfer - depolarizing(2).transfer) < 1e-14
 
 
+@pytest.mark.parametrize("family", [lambda_minus, lambda_plus])
+def test_lambda_families_check_their_result(monkeypatch, family):
+    # a mixture that comes out non-unital raises, also under python -O
+    monkeypatch.setattr(zoo, "depolarizing", lambda d: QuantumMap(2 * np.eye(d * d)))
+    with pytest.raises(RuntimeError, match="unital=False"):
+        family(QuantumMap.identity(2), 0.5)
+
+
 def test_lambda_families_require_utp_base():
     T = np.zeros((4, 4))
     T[0, 0] = 1.0
@@ -102,6 +111,13 @@ def test_sample_utp_cp_is_utp_and_cp(d, n_kraus):
     assert np.linalg.eigvalsh((Phi.choi() + Phi.choi().conj().T) / 2)[0] > -1e-10
     # unital TP CP maps are HS contractions
     assert Phi.hs_norm() <= 1 + 1e-9
+
+
+def test_sample_utp_cp_checks_its_result(monkeypatch):
+    # with a negative structure tolerance no map counts as unital
+    monkeypatch.setattr(maps, "STRUCT_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="unital=False"):
+        sample_utp_cp(2, seed=1)
 
 
 def test_sample_utp_cp_deterministic():
