@@ -1,16 +1,20 @@
 """Defect operators and optimization-based falsifiers for the
-Kadison-Schwarz inequality and its variants.
+Kadison-Schwarz inequality and its variants, and for k-positivity.
 
-A falsifier searches for a witness X making the smallest eigenvalue of a
-defect operator negative. Its verdicts are one-sided: ``Violated`` comes
-with a self-certifying witness, ``NoViolationFound`` is evidence that the
-property holds, not a proof.
+A falsifier searches for a witness making a defect negative. Its verdicts
+are one-sided: ``Violated`` comes with a self-certifying witness,
+``NoViolationFound`` is evidence that the property holds, not a proof.
 
-The search minimizes f(X) = lambda_min(defect(X)) over the Hilbert-Schmidt
-unit sphere by random-restart alternating minimization of the bilinear
-objective g(X, v) = v* defect(X) v: for fixed X the optimal v is the bottom
-eigenvector of the defect, and for fixed v the objective is an exact
-Hermitian quadratic form in vec(X), so both half-steps are global
+All four falsifiers (KS, co-KS, Phi_k domination and k-positivity) run on
+one random-restart driver, ``_falsify``, which seeds every restart from the
+budget seed, stops at the first violation and re-checks the violating point.
+The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
+vectors by alternating least squares over the two Schmidt factors. The
+others minimize f(X) = lambda_min(defect(X)), for the module-level defects,
+over the Hilbert-Schmidt unit sphere by alternating minimization of the
+bilinear objective g(X, v) = v* defect(X) v: for fixed X the optimal v is
+the bottom eigenvector of the defect, and for fixed v the objective is an
+exact Hermitian quadratic form in vec(X), so both half-steps are global
 eigenvector computations. The iteration is monotone in f, which avoids the
 flat zero-level plateaus where plain projected gradient descent on
 lambda_min stalls.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,6 +47,7 @@ from .zoo import (
     bound_lambda_minus,
     bounds_lambda_plus,
     build_family,
+    sample_utp_cp,
 )
 
 EIG_DEGENERACY_GAP = 1e-8
@@ -60,7 +66,7 @@ class WitnessRecheckError(RuntimeError):
     not reproduce the value the search reported."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     restarts: int = 32
     max_iters: int = 500
@@ -70,7 +76,9 @@ class SearchBudget:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.violation_tol <= 0:
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not self.violation_tol > 0:  # NaN fails too
             raise ValueError("violation_tol must be positive")
 
 
@@ -352,6 +360,11 @@ def _compress_left(C4: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.swapaxes(UCU, 1, 2).reshape(k * d, k * d)  # [(s, b), (t, e)]
 
 
+# ---------------------------------------------------------------------------
+# the restart driver
+# ---------------------------------------------------------------------------
+
+
 def _check_witness(recheck: float, worst: float) -> None:
     # explicit raise rather than assert, so the check survives python -O;
     # written so that a NaN recheck fails too
@@ -361,8 +374,46 @@ def _check_witness(recheck: float, worst: float) -> None:
         )
 
 
+def _falsify(
+    restart: Callable[[np.random.Generator], tuple[float, object, dict]],
+    value: Callable[[object], float],
+    make_witness: Callable[[object], BlockOperator | SchmidtWitness],
+    budget: SearchBudget,
+) -> CertificateVerdict:
+    """Random-restart driver shared by all four falsifiers.
+
+    ``restart(rng)`` runs one search and returns (best value, best point,
+    counters). Restarts are seeded independently from the budget seed so the
+    result is deterministic; the loop stops early once a violation is
+    certain. A violating point is re-evaluated by ``value``, away from the
+    optimizer state, and ``make_witness`` turns it into the witness.
+    """
+    worst, worst_point = np.inf, None
+    counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
+    for ss in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
+        f, point, used = restart(np.random.default_rng(ss))
+        counters["restarts"] += 1
+        counters["iterations"] += used["iterations"]
+        counters["defect_evals"] += used["defect_evals"]
+        if f < worst:
+            worst, worst_point = f, point
+        if worst < -budget.violation_tol:
+            break
+    violated = worst < -budget.violation_tol
+    if violated:
+        _check_witness(value(worst_point), worst)
+    return CertificateVerdict(
+        verdict="Violated" if violated else "NoViolationFound",
+        worst_value=float(worst),
+        witness=make_witness(worst_point) if violated else None,
+        budget_used=counters,
+        seed=budget.seed,
+    )
+
+
 # ---------------------------------------------------------------------------
-# alternating eigenvector minimization on the HS unit sphere
+# restarts: alternating minimization on the HS unit sphere and over the
+# Schmidt factors of psi
 # ---------------------------------------------------------------------------
 
 
@@ -379,34 +430,35 @@ def _min_eig_vector(D: np.ndarray, rng: np.random.Generator) -> tuple[float, np.
     return float(w[0]), V[:, cluster] @ c
 
 
+def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
+    """f(X) = lambda_min(defect(X)), the value a sphere witness re-checks."""
+    return float(np.linalg.eigvalsh(hermitianize(defect(X)))[0])
+
+
 def _alternating_restart(
     defect: Callable[[np.ndarray], np.ndarray],
     xstep: Callable[[np.ndarray], np.ndarray],
-    X0: np.ndarray,
     n: int,
     budget: SearchBudget,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, dict]:
     """One run of alternating minimization of g(X, v) = v* defect(X) v from
-    X0 on the HS unit sphere.
+    a Ginibre start on the HS unit sphere.
 
     ``xstep(v)`` must return vec(X) for a unit bottom eigenvector of the
     Hermitian n^2 x n^2 matrix M_v with vec(X)* M_v vec(X) = v* defect(X) v;
     the X half-step is then exact, giving a monotone decrease of
     f(X) = lambda_min(defect(X)). Returns (best value, best X, counters).
     """
-    X = X0 / hs_norm(X0)
-    evals = 0
+    X = ginibre(rng, n)
+    X /= hs_norm(X)
     stall = 0
     recent_best = np.inf
-    iters = 0
     f, v = _min_eig_vector(defect(X), rng)
-    evals += 1
     best_f, best_X = f, X
     for iters in range(1, budget.max_iters + 1):
         X = xstep(v).reshape(n, n, order="F")
         f, v = _min_eig_vector(defect(X), rng)
-        evals += 1
         if f < best_f:
             best_f, best_X = f, X
         if recent_best - best_f < STALL_TOL:
@@ -416,48 +468,45 @@ def _alternating_restart(
         else:
             stall = 0
             recent_best = best_f
-    return best_f, best_X, {"iterations": iters, "defect_evals": evals}
+    # one defect evaluation at the start and one per iteration
+    return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1}
 
 
-def _falsify_on_sphere(
-    defect: Callable[[np.ndarray], np.ndarray],
-    xstep: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    budget: SearchBudget,
-    make_witness: Callable[[np.ndarray], BlockOperator | SchmidtWitness],
-) -> CertificateVerdict:
-    """Random-restart driver shared by all sphere-search falsifiers.
+def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
+    """<psi|C|psi> / <psi|psi>, the value a Schmidt witness re-checks."""
+    psi = w.psi
+    return float(np.real(psi.conj() @ C @ psi) / np.vdot(psi, psi).real)
 
-    Restarts are seeded independently from the budget seed so the result
-    is deterministic; the loop stops early once a violation is certain.
-    """
-    children = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    worst, worst_X = np.inf, None
-    counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
-    for ss in children:
-        rng = np.random.default_rng(ss)
-        X0 = ginibre(rng, n)
-        f, X, used = _alternating_restart(defect, xstep, X0, n, budget, rng)
-        counters["restarts"] += 1
-        counters["iterations"] += used["iterations"]
-        counters["defect_evals"] += used["defect_evals"]
-        if f < worst:
-            worst, worst_X = f, X
-        if worst < -budget.violation_tol:
+
+def _kpos_restart(
+    C4: np.ndarray, k: int, budget: SearchBudget, rng: np.random.Generator
+) -> tuple[float, SchmidtWitness, dict]:
+    """One run of alternating least squares over the two Schmidt factor
+    stacks of psi from random orthonormal starts, for C4 = C.reshape(d, d,
+    d, d); each half-step is an exact eigenvector update, so the value is
+    non-increasing. Returns (value, witness, counters)."""
+    d = len(C4)
+    U = np.linalg.qr(ginibre(rng, d, k))[0]
+    V = np.linalg.qr(ginibre(rng, d, k))[0]
+    prev = np.inf
+    for it in range(1, budget.max_iters + 1):
+        # psi = (I (x) V) r, r = vec_row(U); with V orthonormal the
+        # smallest eigenvector of the compressed Choi is the exact
+        # minimizer over U
+        V = np.linalg.qr(V)[0]
+        _, Q = np.linalg.eigh(_compress_right(C4, V))
+        U = Q[:, 0].reshape(d, k)
+        # psi = (U (x) I) x, x = vec_row(V^T); same update for V
+        U = np.linalg.qr(U)[0]
+        w, Q = np.linalg.eigh(_compress_left(C4, U))
+        V = Q[:, 0].reshape(k, d).T
+        val = float(w[0])
+        if prev - val < STALL_TOL:
             break
-    violated = worst < -budget.violation_tol
-    witness = make_witness(worst_X) if violated else None
-    if violated:
-        # witnesses are self-certifying: re-evaluate away from optimizer state
-        recheck = float(np.linalg.eigvalsh(hermitianize(defect(worst_X)))[0])
-        _check_witness(recheck, worst)
-    return CertificateVerdict(
-        verdict="Violated" if violated else "NoViolationFound",
-        worst_value=float(worst),
-        witness=witness,
-        budget_used=counters,
-        seed=budget.seed,
-    )
+        prev = val
+    # U orthonormal and the V-slices come from a unit eigenvector, so psi
+    # already has unit norm
+    return val, SchmidtWitness(U, V), {"iterations": it, "defect_evals": 2 * it}
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +514,10 @@ def _falsify_on_sphere(
 # ---------------------------------------------------------------------------
 
 
-def falsify_ks(Phi: QuantumMap, k: int = 1, budget: SearchBudget | None = None) -> CertificateVerdict:
+def falsify_ks(
+    Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
+) -> CertificateVerdict:
     """Search for a violation of the k-KS inequality of Phi."""
-    if budget is None:
-        budget = SearchBudget()
     if not Phi.unital:
         warnings.warn(
             f"map '{Phi.label}' is not unital; the KS inequality is stated for unital maps",
@@ -478,24 +527,17 @@ def falsify_ks(Phi: QuantumMap, k: int = 1, budget: SearchBudget | None = None) 
     n = k * d
     amp = Phi.amplify(k)
     T3, dual = amp.transfer_matrix().reshape(n, n, n * n), amp.dual()
+    defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
         return _ks_xstep(*_ks_parts(T3, dual, v))
 
-    def defect(X):
-        Y = amp(X)
-        return amp(dagger(X) @ X) - dagger(Y) @ Y
-
-    def make_witness(X):
-        return BlockOperator(k=k, d=d, data=X)
-
-    return _falsify_on_sphere(defect, xstep, n, budget, make_witness)
+    restart = partial(_alternating_restart, defect, xstep, n, budget)
+    return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
-def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> CertificateVerdict:
+def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
     """Search for a violation of the co-KS inequality of Phi."""
-    if budget is None:
-        budget = SearchBudget()
     if not Phi.unital:
         warnings.warn(
             f"map '{Phi.label}' is not unital; the co-KS inequality is stated for unital maps",
@@ -503,22 +545,17 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget | None = None) -> Certif
         )
     d = Phi.d
     T3, dual = Phi.transfer.reshape(d, d, d * d), Phi.dual()
+    defect = partial(co_ks_defect, Phi)
 
     def xstep(v):
         return _ks_xstep(*_co_ks_parts(T3, dual, v))
 
-    def defect(X):
-        Y = Phi(X)
-        return Phi(dagger(X) @ X) - Y @ dagger(Y)
-
-    def make_witness(X):
-        return BlockOperator(k=1, d=d, data=X)
-
-    return _falsify_on_sphere(defect, xstep, d, budget, make_witness)
+    restart = partial(_alternating_restart, defect, xstep, d, budget)
+    return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, 1, d), budget)
 
 
 def check_phi_k_condition(
-    Phi: QuantumMap, k: int, budget: SearchBudget | None = None
+    Phi: QuantumMap, k: int, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
     """Search for a violation of the amplified depolarizing-domination
     condition Delta_k(Phi_k(X)* Phi_k(X)) <= Delta_k(X*X).
@@ -526,41 +563,25 @@ def check_phi_k_condition(
     The Delta_k form reduces to a k x k partial-trace inequality, which is
     what gets minimized.
     """
-    if budget is None:
-        budget = SearchBudget()
     d = Phi.d
     n = k * d
-    amp = Phi.amplify(k)
-    T4 = amp.transfer_matrix().reshape(k, d, n, n * n)
+    T4 = Phi.amplify(k).transfer_matrix().reshape(k, d, n, n * n)
+    defect = partial(phi_k_defect, Phi, k)
 
     def xstep(v):
         # dense always: at certified points the bottom eigenvalue 0 is the
         # pole mu_0 of the secular equation
         return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
 
-    def defect(X):
-        Y = amp(X)
-        return partial_trace_second(dagger(X) @ X, k, d) - partial_trace_second(
-            dagger(Y) @ Y, k, d
-        )
-
-    def make_witness(X):
-        return BlockOperator(k=k, d=d, data=X)
-
-    return _falsify_on_sphere(defect, xstep, n, budget, make_witness)
+    restart = partial(_alternating_restart, defect, xstep, n, budget)
+    return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
 def falsify_k_positivity(
-    Phi: QuantumMap, k: int, budget: SearchBudget | None = None
+    Phi: QuantumMap, k: int, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
-    """Search for a Schmidt-rank-<=k unit vector psi with <psi|C_Phi|psi> < 0.
-
-    Alternating least squares over the two Schmidt factor stacks; each
-    half-step is an exact eigenvector update, so the objective is
-    monotonically non-increasing within a restart.
-    """
-    if budget is None:
-        budget = SearchBudget()
+    """Search for a Schmidt-rank-<=k unit vector psi with <psi|C_Phi|psi> < 0
+    by alternating least squares over the two Schmidt factor stacks."""
     d = Phi.d
     if not 1 <= k <= d:
         raise ParameterDomainError(f"k-positivity needs 1 <= k <= d, got k={k}, d={d}")
@@ -571,59 +592,9 @@ def falsify_k_positivity(
             "using the Hermitian part of its Choi matrix",
             stacklevel=2,
         )
-    C4 = C.reshape(d, d, d, d)
-
-    def orthonormalize(M):
-        Q, _ = np.linalg.qr(M)
-        return Q
-
-    children = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    worst = np.inf
-    worst_UV = None
-    counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
-    for ss in children:
-        rng = np.random.default_rng(ss)
-        U = orthonormalize(ginibre(rng, d, k))
-        V = orthonormalize(ginibre(rng, d, k))
-        prev = np.inf
-        val = np.inf
-        for it in range(1, budget.max_iters + 1):
-            # psi = (I (x) V) r, r = vec_row(U); with V orthonormal the
-            # smallest eigenvector of the compressed Choi is the exact
-            # minimizer over U
-            V = orthonormalize(V)
-            _, Q = np.linalg.eigh(_compress_right(C4, V))
-            U = Q[:, 0].reshape(d, k)
-            # psi = (U (x) I) x, x = vec_row(V^T); same update for V
-            U = orthonormalize(U)
-            w, Q = np.linalg.eigh(_compress_left(C4, U))
-            V = Q[:, 0].reshape(k, d).T
-            val = float(w[0])
-            counters["defect_evals"] += 2
-            if prev - val < STALL_TOL:
-                break
-            prev = val
-        counters["restarts"] += 1
-        counters["iterations"] += it
-        # U orthonormal and the V-slices come from a unit eigenvector, so
-        # psi already has unit norm
-        if val < worst:
-            worst, worst_UV = val, (U.copy(), V.copy())
-        if worst < -budget.violation_tol:
-            break
-    violated = worst < -budget.violation_tol
-    witness = SchmidtWitness(*worst_UV) if violated else None
-    if violated:
-        psi = witness.psi
-        recheck = float(np.real(psi.conj() @ C @ psi) / np.vdot(psi, psi).real)
-        _check_witness(recheck, worst)
-    return CertificateVerdict(
-        verdict="Violated" if violated else "NoViolationFound",
-        worst_value=float(worst),
-        witness=witness,
-        budget_used=counters,
-        seed=budget.seed,
-    )
+    restart = partial(_kpos_restart, C.reshape(d, d, d, d), k, budget)
+    # the point a restart returns is the witness already
+    return _falsify(restart, partial(_schmidt_value, C), lambda w: w, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -725,15 +696,12 @@ def check_kp_implies_kks(
     seed: int,
     budget: SearchBudget,
     n_samples: int = 20,
-    n_kraus: int = 3,
 ) -> SampledPropertyReport:
     """Sampled check that unital TP CP maps (in particular (k+1)-positive
     ones) pass the k-KS falsifier; any Violated verdict is a hard failure."""
-    from .zoo import sample_utp_cp
-
     verdicts = []
     for i in range(n_samples):
         sample_seed = _derive_seed(seed, i)
-        Phi = sample_utp_cp(d, seed=sample_seed, n_kraus=n_kraus)
+        Phi = sample_utp_cp(d, seed=sample_seed)
         verdicts.append(falsify_ks(Phi, k, replace(budget, seed=sample_seed)))
     return SampledPropertyReport(d=d, k=k, n_samples=n_samples, verdicts=verdicts)

@@ -169,10 +169,13 @@ def check_expect(expect: str | None, verdict: str) -> int:
 
 
 def budget_from(args, seed: int) -> SearchBudget:
-    return SearchBudget(
-        restarts=args.restarts, max_iters=args.max_iters,
-        seed=seed, violation_tol=args.tol,
-    )
+    try:
+        return SearchBudget(
+            restarts=args.restarts, max_iters=args.max_iters,
+            seed=seed, violation_tol=args.tol,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .maps import QuantumMap, mix
 from .zoo import ParameterDomainError, depolarizing, lambda_plus, reduction, transpose_map
 
 RECONSTRUCTION_TOL = 1e-10
+JORDAN_TOL = 1e-9
 IDENTITY_TOL = 1e-14
 
 
@@ -242,15 +243,12 @@ class VerificationReport:
 def verify_decomposition(
     result: DecompositionResult,
     target: QuantumMap,
-    budget: SearchBudget | None = None,
+    budget: SearchBudget = SearchBudget(),
     n_jordan_samples: int = 100,
-    jordan_tol: float = 1e-9,
 ) -> VerificationReport:
     """Independent checks of a claimed KS/co-KS decomposition:
     reconstruction residual, falsifier runs on both components, and the
     Jordan-product defect on random inputs."""
-    if budget is None:
-        budget = SearchBudget()
     residual = hs_norm(
         result.lam * result.phi1.transfer
         + (1 - result.lam) * result.phi2.transfer
@@ -273,6 +271,6 @@ def verify_decomposition(
         phi1_ks=phi1_verdict,
         phi2_co_ks=phi2_verdict,
         jordan_min_eigenvalue=float(jmin),
-        jordan_ok=jmin >= -jordan_tol,
+        jordan_ok=jmin >= -JORDAN_TOL,
         n_jordan_samples=n_jordan_samples,
     )

@@ -153,9 +153,6 @@ class QuantumMap:
     def __matmul__(self, other: "QuantumMap") -> "QuantumMap":
         return self.compose(other)
 
-    def scale(self, c: float, label: str = "") -> "QuantumMap":
-        return QuantumMap(c * self.transfer, label=label or f"{c}·{self.label}")
-
 
 class AmplifiedMap:
     """id_k (x) Phi acting on M_k(B(H_d))."""

@@ -47,10 +47,6 @@ from .zoo import (
 )
 
 
-def _budget(seed: int, restarts: int, max_iters: int) -> SearchBudget:
-    return SearchBudget(restarts=restarts, max_iters=max_iters, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -67,7 +63,7 @@ def criterion_1(seed: int):
         a_max = round(bound + 0.08, 2)
         scan = scan_threshold(
             "lambda-minus", d, k, a_min, a_max, 0.01,
-            _budget(_derive_seed(seed, 1, d, k), restarts=32, max_iters=500),
+            SearchBudget(restarts=32, max_iters=500, seed=_derive_seed(seed, 1, d, k)),
         )
         first = scan.a_first_violation
         first_ok = first is not None and bound < first <= bound + 0.05 + 1e-12
@@ -96,7 +92,7 @@ def criterion_2(seed: int):
         a_min = round(lo, 2) - 0.06
         scan = scan_threshold(
             "lambda-plus", d, 1, a_min, 1.0, 0.01,
-            _budget(_derive_seed(seed, 2, d), restarts=16, max_iters=300),
+            SearchBudget(restarts=16, max_iters=300, seed=_derive_seed(seed, 2, d)),
             base=transpose_map(d),
             direction="descending",
         )
@@ -117,17 +113,6 @@ def criterion_2(seed: int):
     return ok, {"cases": cases}
 
 
-def _criterion_3_samples(seed: int, d: int, n_samples: int = 20):
-    """The shared random UTP CP sample of criteria 3 and 6 (same seed
-    derivation as check_kp_implies_kks, so the maps coincide)."""
-    seed_d = _derive_seed(seed, 3, d)
-    maps = []
-    for i in range(n_samples):
-        s = _derive_seed(seed_d, i)
-        maps.append((s, sample_utp_cp(d, seed=s)))
-    return seed_d, maps
-
-
 def criterion_3(seed: int):
     """Sufficiency at the closed-form boundaries over random unital TP CP
     bases: Lambda^-_a at a = bound and Lambda^+_a at both endpoints of the
@@ -136,8 +121,12 @@ def criterion_3(seed: int):
     n_checks = 0
     max_norm = 0.0
     for d in (2, 3):
-        _, maps = _criterion_3_samples(seed, d)
-        for s, Phi in maps:
+        # the random UTP CP sample criterion 6 certifies too: its seeds derive
+        # as in check_kp_implies_kks, so the maps coincide
+        seed_d = _derive_seed(seed, 3, d)
+        for i in range(20):
+            s = _derive_seed(seed_d, i)
+            Phi = sample_utp_cp(d, seed=s)
             # unital TP CP maps are HS contractions; record the norm so a
             # sample needing rescaling would be caught rather than silently used
             max_norm = max(max_norm, Phi.hs_norm())
@@ -149,7 +138,7 @@ def criterion_3(seed: int):
                     ("lambda-plus@upper", lambda_plus(Phi, hi)),
                 ]
                 for name, M in checks:
-                    v = falsify_ks(M, k, _budget(s, restarts=8, max_iters=200))
+                    v = falsify_ks(M, k, SearchBudget(restarts=8, max_iters=200, seed=s))
                     n_checks += 1
                     if v.violated:
                         failures.append(
@@ -208,14 +197,16 @@ def criterion_5(seed: int):
         d = 2 if i % 2 == 0 else 3
         Phi = rand_map(d, 0.99)
         for k in (1, 2, 3):
-            v = check_phi_k_condition(Phi, k, _budget(_derive_seed(seed, 5, i, k), 4, 100))
+            b = SearchBudget(restarts=4, max_iters=100, seed=_derive_seed(seed, 5, i, k))
+            v = check_phi_k_condition(Phi, k, b)
             if v.violated:
                 contraction_failures += 1
     violated_count = 0
     for i in range(20):
         d = 2 if i % 2 == 0 else 3
         Phi = rand_map(d, 1.05)
-        v = check_phi_k_condition(Phi, 1, _budget(_derive_seed(seed, 5, 100 + i, 1), 8, 200))
+        b = SearchBudget(restarts=8, max_iters=200, seed=_derive_seed(seed, 5, 100 + i, 1))
+        v = check_phi_k_condition(Phi, 1, b)
         if v.violated:
             violated_count += 1
     ok = contraction_failures == 0 and violated_count >= 15
@@ -235,7 +226,7 @@ def criterion_6(seed: int):
         seed_d = _derive_seed(seed, 3, d)
         for k in (1, 2):
             rep = check_kp_implies_kks(
-                d, k, seed_d, _budget(seed_d, restarts=8, max_iters=200)
+                d, k, seed_d, SearchBudget(restarts=8, max_iters=200, seed=seed_d)
             )
             ok = ok and rep.all_pass
             reports.append(
@@ -257,9 +248,8 @@ def criterion_7(seed: int):
     for k in (1, 2, 3):
         for sign, expect in ((+1, "Violated"), (-1, "NoViolationFound")):
             a = 1 / k + sign * 0.05
-            v = falsify_k_positivity(
-                reduction(d, a), k, _budget(_derive_seed(seed, 7, k, sign + 1), 16, 300)
-            )
+            b = SearchBudget(restarts=16, max_iters=300, seed=_derive_seed(seed, 7, k, sign + 1))
+            v = falsify_k_positivity(reduction(d, a), k, b)
             good = v.verdict == expect
             ok = ok and good
             cases.append(
@@ -304,7 +294,9 @@ def criterion_8(seed: int):
             n_points += 1
             rep = verify_decomposition(
                 r, target,
-                _budget(_derive_seed(seed, 8, d, int(round(a * 100))), 8, 200),
+                SearchBudget(
+                    restarts=8, max_iters=200, seed=_derive_seed(seed, 8, d, int(round(a * 100)))
+                ),
                 n_jordan_samples=100,
             )
             if not rep.all_ok:

@@ -1,22 +1,32 @@
 import json
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kslab
 from kslab import certify
 from kslab.certify import (
     SchmidtWitness,
     SearchBudget,
     WitnessRecheckError,
+    _alternating_restart,
     _bottom_eigvec,
     _co_ks_parts,
     _compress_left,
     _compress_right,
-    _falsify_on_sphere,
+    _falsify,
+    _kpos_restart,
     _ks_parts,
     _ks_xstep,
+    _min_eig_value,
     _phi_k_qform,
     _qform,
+    _schmidt_value,
     amplified_ks_defect,
     block_to_tuple,
     check_kp_implies_kks,
@@ -218,6 +228,9 @@ def test_k_positivity_transpose_not_2_positive():
     res = falsify_k_positivity(transpose_map(2), 2, FAST)
     assert res.violated
     assert res.worst_value == pytest.approx(-1.0, abs=1e-8)
+    # the first restart finds it; each iteration is two eigh half-steps
+    assert res.budget_used["restarts"] == 1
+    assert res.budget_used["defect_evals"] == 2 * res.budget_used["iterations"]
     psi = res.witness.psi
     C = hermitianize(transpose_map(2).choi())
     assert (psi.conj() @ C @ psi).real < -0.9
@@ -408,12 +421,13 @@ def _drifting_search(drift):
         calls.append(X)
         return -(1.0 + drift * len(calls)) * np.eye(2)
 
-    return _falsify_on_sphere(
-        defect,
-        lambda v: np.eye(4)[:, 0],  # the bottom eigenvector eigh gives for M_v = I
-        2,
-        SearchBudget(restarts=2, max_iters=5, seed=0),
-        lambda X: BlockOperator(k=1, d=2, data=X),
+    budget = SearchBudget(restarts=2, max_iters=5, seed=0)
+    # the X half-step returns the bottom eigenvector eigh gives for M_v = I
+    return _falsify(
+        partial(_alternating_restart, defect, lambda v: np.eye(4)[:, 0], 2, budget),
+        partial(_min_eig_value, defect),
+        partial(BlockOperator, 1, 2),
+        budget,
     )
 
 
@@ -425,6 +439,45 @@ def test_witness_recheck_passes_when_reproducible():
 def test_witness_recheck_mismatch_raises():
     with pytest.raises(WitnessRecheckError):
         _drifting_search(0.01)
+
+
+def _drifting_kpos_search(drift):
+    # the 2-positivity search of the transposition at d = 2, whose witness
+    # re-checks `drift` away from the value the search reported
+    C = hermitianize(transpose_map(2).choi())
+    budget = SearchBudget(restarts=2, max_iters=50, seed=0)
+    return _falsify(
+        partial(_kpos_restart, C.reshape(2, 2, 2, 2), 2, budget),
+        lambda w: _schmidt_value(C, w) + drift,
+        lambda w: w,
+        budget,
+    )
+
+
+def test_kpos_witness_recheck():
+    assert _drifting_kpos_search(0.0).violated
+    with pytest.raises(WitnessRecheckError):
+        _drifting_kpos_search(0.01)
+
+
+def test_witness_recheck_survives_python_O():
+    # the recheck is an explicit raise, not an assert that -O would strip
+    code = (
+        "import sys\n"
+        "from test_certify import _drifting_kpos_search\n"
+        "from kslab.certify import WitnessRecheckError\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        "try:\n"
+        "    _drifting_kpos_search(0.01)\n"
+        "except WitnessRecheckError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = [str(Path(kslab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # -- scans and sampled properties -------------------------------------------
@@ -472,5 +525,9 @@ def test_check_kp_implies_kks_small():
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(restarts=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SearchBudget(max_iters=0)
     with pytest.raises(ValueError):
         SearchBudget(violation_tol=0)
+    with pytest.raises(ValueError):
+        SearchBudget(violation_tol=float("nan"))

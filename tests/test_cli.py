@@ -73,6 +73,20 @@ def test_kpos(capsys):
     assert obj["result"]["witness"]["kind"] == "schmidt"
 
 
+@pytest.mark.parametrize(
+    "flag", [("--restarts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "nan")]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["certify", "--family", "transpose", "--d", "2"], ["kpos", "--family", "transpose", "--d", "2", "--k", "2"]],
+)
+def test_bad_budget_exits_1(capsys, command, flag):
+    rc, _, err = run(capsys, *command, *flag)
+    assert rc == 1
+    assert "kslab: error:" in err
+    assert "Traceback" not in err
+
+
 def test_kpos_domain_error(capsys):
     rc, _, err = run(capsys, "kpos", "--family", "delta", "--d", "2", "--k", "3")
     assert rc == 1
