@@ -190,6 +190,8 @@ def cmd_construct(args, seed: int, t0: float) -> int:
 
 
 def cmd_certify(args, seed: int, t0: float) -> int:
+    if args.k < 1 or (args.property == "co-ks" and args.k != 1):
+        raise CliError(f"--property {args.property} does not take --k {args.k} (co-ks: k = 1; ks, phi-k: k >= 1)")
     Phi = resolve_map(args, seed)
     budget = budget_from(args, seed)
     if args.property == "ks":
@@ -302,7 +304,9 @@ def build_parser() -> Parser:
     p = sub.add_parser("certify", help="falsifier run for KS-type inequalities")
     add_map_source(p)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--property", choices=("ks", "co-ks", "phi-k"), default="ks")
+    p.add_argument("--property", choices=("ks", "co-ks", "phi-k"), default="ks",
+                   help="co-ks takes k = 1 only; phi-k is decided in closed form: it ignores "
+                        "--restarts and --max-iters, and still reads and records --tol and --seed")
     add_budget(p)
     p.add_argument("--expect", choices=("no-violation", "violation"))
     add_output(p)

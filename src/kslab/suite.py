@@ -184,8 +184,8 @@ def criterion_4(seed: int):
 
 def criterion_5(seed: int):
     """HS contraction implies the partial-trace domination condition:
-    maps at norm 0.99 never violate; maps inflated to 1.05 usually do
-    (statistical — the rate is recorded, threshold 15/20)."""
+    maps at norm 0.99 never violate; maps inflated to 1.05 are violated,
+    as the closed form decides (the rate is recorded, threshold 15/20)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
 
     def rand_map(d, norm):

@@ -24,7 +24,6 @@ from kslab.certify import (
     _ks_parts,
     _ks_xstep,
     _min_eig_value,
-    _phi_k_qform,
     _qform,
     _schmidt_value,
     amplified_ks_defect,
@@ -208,6 +207,41 @@ def test_falsify_co_ks_finds_violation():
 # -- partial-trace domination condition -------------------------------------
 
 
+def _phi_k_qform(T4, v):
+    """Quadratic form of the k x k partial-trace defect, with
+    T4 = T_k.reshape(k, d, n, n*n) for the amplified transfer matrix T_k:
+    v* defect(X) v = Tr(W0 X*X) - sum_j ||Phi_k(X) (v (x) e_j)||^2 with
+    W0 = vv* (x) I_d, so W0^T (x) I_n = conj(v) v^T (x) I_{dn}."""
+    _, d, n, _ = T4.shape
+    G = (v @ T4.reshape(len(v), -1)).reshape(d * n, n * n)
+    return np.kron(np.outer(v.conj(), v), np.eye(d * n)) - G.conj().T @ G
+
+
+def _phi_k_search(Phi, k, budget):
+    """Reference for check_phi_k_condition: the alternating search over the
+    HS unit sphere, with a dense eigh of the Phi_k quadratic form as the X
+    half-step."""
+    d = Phi.d
+    n = k * d
+    T4 = Phi.amplify(k).transfer_matrix().reshape(k, d, n, n * n)
+    defect = partial(phi_k_defect, Phi, k)
+
+    def xstep(v):
+        return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
+
+    return _falsify(
+        partial(_alternating_restart, defect, xstep, n, budget),
+        partial(_min_eig_value, defect),
+        partial(BlockOperator, k, d),
+        budget,
+    )
+
+
+def _map_of_norm(rng, d, norm):
+    G = ginibre(rng, d * d)
+    return QuantumMap(G * (norm / np.linalg.norm(G, 2)))
+
+
 def test_phi_k_condition_contraction_passes():
     Phi = sample_utp_cp(2, seed=12)
     for k in (1, 2, 3):
@@ -219,6 +253,95 @@ def test_phi_k_condition_expansion_fails():
     res = check_phi_k_condition(Phi, 2, FAST)
     assert res.violated
     assert res.worst_value < -1.0
+
+
+@pytest.mark.parametrize("norm", [0.99, 1.05])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_phi_k_search_agrees_with_closed_form(d, k, norm):
+    # criterion 5's smaller budget; the largest gap measured on these twelve
+    # maps was 1.7e-15, and 2.0e-15 on five more random draws of the grid
+    budget = SearchBudget(restarts=4, max_iters=100, seed=d * 10 + k)
+    Phi = _map_of_norm(np.random.default_rng([d, k, int(norm * 100)]), d, norm)
+    closed = check_phi_k_condition(Phi, k, budget)
+    search = _phi_k_search(Phi, k, budget)
+    assert search.verdict == closed.verdict
+    # the closed form is the infimum: no search gets below it
+    assert search.worst_value >= closed.worst_value - 1e-9
+    assert abs(search.worst_value - closed.worst_value) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_phi_k_violated_iff_not_contraction(d):
+    # the "only if" direction: every map with ||T||_2 >= 1.001 is violated at
+    # every k, with the witness the closed form names
+    r = np.random.default_rng(d)
+    maps = [_map_of_norm(r, d, norm) for norm in (1.001, 1.01, 1.5, 3.0)]
+    maps += [QuantumMap(1.001 * np.eye(d * d)), QuantumMap(1.001 * transpose_map(d).transfer)]
+    for Phi in maps:
+        s2 = Phi.hs_norm() ** 2
+        for k in (1, 2, 3):
+            res = check_phi_k_condition(Phi, k, FAST)
+            assert res.violated
+            assert res.worst_value == pytest.approx(1 - s2, rel=1e-12)
+            assert (res.witness.k, res.witness.d) == (k, d)
+            # unit norm, all of it in the top-left block
+            assert hs_norm(res.witness.data[:d, :d]) == pytest.approx(1.0)
+            assert hs_norm(res.witness.data) == pytest.approx(1.0)
+            D = phi_k_defect(Phi, k, res.witness.data)
+            assert abs(min_eigenvalue(D) - res.worst_value) <= 1e-12 * s2
+            assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 1}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_phi_k_identity_is_exactly_clean(d):
+    for k in (1, 2, 3):
+        res = check_phi_k_condition(QuantumMap.identity(d), k, FAST)
+        assert res.verdict == "NoViolationFound"
+        assert res.worst_value == 0.0
+        assert res.witness is None
+        assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 0}
+        assert res.seed == FAST.seed
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("norm", [1e4, 1e5])
+def test_phi_k_large_norm_rechecks_relative(d, k, norm):
+    # SVD and eigvalsh disagree by ~1e-5 at norm 1e5; an absolute 1e-8
+    # recheck would refuse the witness
+    Phi = _map_of_norm(np.random.default_rng(7), d, norm)
+    res = check_phi_k_condition(Phi, k, FAST)
+    assert res.violated
+    assert res.worst_value == pytest.approx(1 - norm**2, rel=1e-12)
+
+
+def test_phi_k_recheck_tolerance_scales_with_norm(monkeypatch):
+    # at ||T||_2^2 = 1e8 the recheck allows 1e-8 * 1e8 = 1; an offset beyond
+    # that, or a NaN, raises
+    Phi = _map_of_norm(np.random.default_rng(8), 2, 1e4)
+
+    def shifted(offset):
+        monkeypatch.setattr(certify, "phi_k_defect", lambda P, k, X: phi_k_defect(P, k, X) + offset)
+        return check_phi_k_condition(Phi, 1, FAST)
+
+    assert shifted(0.5).violated
+    for offset in (2.0, np.nan):
+        with pytest.raises(WitnessRecheckError):
+            shifted(offset)
+
+
+def test_phi_k_rejects_k_below_1():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_phi_k_condition(QuantumMap.identity(2), 0, FAST)
+
+
+@pytest.mark.parametrize("norm", [0.99, 1.05])
+def test_phi_k_bytes_ignore_restarts_and_iters(norm):
+    Phi = _map_of_norm(np.random.default_rng(9), 3, norm)
+    budgets = [SearchBudget(restarts=r, max_iters=m, seed=5) for r, m in ((1, 1), (32, 500), (7, 3))]
+    runs = [json.dumps(verdict_to_json(check_phi_k_condition(Phi, 2, b)), sort_keys=True) for b in budgets]
+    runs.append(json.dumps(verdict_to_json(check_phi_k_condition(Phi, 2, budgets[0])), sort_keys=True))
+    assert len(set(runs)) == 1
 
 
 # -- k-positivity -----------------------------------------------------------

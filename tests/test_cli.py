@@ -87,6 +87,29 @@ def test_bad_budget_exits_1(capsys, command, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("--k", "0"), ("--k", "0", "--property", "phi-k"), ("--k", "-1", "--property", "ks"),
+     ("--k", "2", "--property", "co-ks"), ("--k", "0", "--property", "co-ks")],
+)
+def test_certify_bad_k_exits_1(capsys, args):
+    rc, _, err = run(capsys, "certify", "--family", "identity", "--d", "2", *args)
+    assert rc == 1
+    assert "kslab: error:" in err
+    assert "Traceback" not in err
+
+
+def test_certify_phi_k_records_tol_and_seed(capsys):
+    rc, out, _ = run(
+        capsys, "certify", "--family", "identity", "--d", "2", "--k", "2",
+        "--property", "phi-k", "--tol", "1e-6", "--seed", "3", "--expect", "no-violation",
+    )
+    assert rc == 0
+    obj = json.loads(out)
+    assert obj["config"]["tol"] == 1e-6 and obj["seed"] == obj["result"]["seed"] == 3
+    assert obj["result"]["worst_value"] == 0.0
+
+
 def test_kpos_domain_error(capsys):
     rc, _, err = run(capsys, "kpos", "--family", "delta", "--d", "2", "--k", "3")
     assert rc == 1
