@@ -10,18 +10,24 @@ are one-sided: ``Violated`` comes with a self-certifying witness,
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
 budget seed, stops at the first violation and re-checks the violating point.
+Its schedule has two stages: restart 1 runs alone, and only when it finds
+no violation do restarts 2..R run, in lockstep as one batch through stacked
+kernels. A batch member computes bit for bit what it would compute alone,
+so the verdicts do not depend on the schedule.
+
 The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
-vectors by alternating least squares over the two Schmidt factors. The
-others minimize f(X) = lambda_min(defect(X)), for the module-level defects,
-over the Hilbert-Schmidt unit sphere by alternating minimization of the
-bilinear objective g(X, v) = v* defect(X) v: for fixed X the optimal v is
-the bottom eigenvector of the defect, and for fixed v the objective is an
-exact Hermitian quadratic form in vec(X), so both half-steps are global
+vectors by alternating least squares over the two Schmidt factors. The KS
+restart minimizes f(X) = lambda_min(defect(X)) over the Hilbert-Schmidt
+unit sphere by alternating minimization of the bilinear objective
+g(X, v) = v* defect(X) v: for fixed X the optimal v is the bottom
+eigenvector of the defect, and for fixed v the objective is an exact
+Hermitian quadratic form in vec(X), so both half-steps are global
 eigenvector computations. The iteration is monotone in f, which avoids the
 flat zero-level plateaus where plain projected gradient descent on
-lambda_min stalls.
+lambda_min stalls. The co-KS defect of Phi is the transposed KS defect of
+tau o Phi, tau the transposition, so co-KS runs the KS search of tau o Phi.
 
-For the KS and co-KS defects the X half-step matrix is
+For the KS defect the X half-step matrix is
 M_v = W^T (x) I_n - G*G, a Kronecker term minus a term of rank at most n.
 From n = SECULAR_MIN_N up its bottom eigenpair is found without forming
 M_v, as the root of an n x n secular equation (Golub 1973; Bunch, Nielsen
@@ -48,13 +54,14 @@ from .zoo import (
     bounds_lambda_plus,
     build_family,
     sample_utp_cp,
+    transpose_map,
 )
 
 EIG_DEGENERACY_GAP = 1e-8
 STALL_TOL = 1e-12
 STALL_WINDOW = 10
 WITNESS_RECHECK_TOL = 1e-8
-# the KS/co-KS X half-step solves the secular equation from n = SECULAR_MIN_N
+# the KS X half-step solves the secular equation from n = SECULAR_MIN_N
 # up; at n <= 6 the dense n^2 x n^2 eigh measured faster, at n = 7 slower
 SECULAR_MIN_N = 7
 SECULAR_MAX_STEPS = 60
@@ -211,12 +218,13 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # half-step kernels
 #
 # The X half-step needs the Hermitian n^2 x n^2 matrix M_v with
-# vec(X)* M_v vec(X) = v* defect(X) v. Every defect has the form
+# vec(X)* M_v vec(X) = v* defect(X) v. The KS defect has the form
 # Tr(W X*X) - ||G vec(X)||^2, where G is the transfer matrix T contracted
 # with v once it is reshaped as T3[q, p, :] = T[q*n + p, :] (output column
 # q, output row p), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X), so
-# M_v = W^T (x) I_n - G*G. The KS and co-KS kernels return (W, G), which is
-# all the secular X half-step reads; _qform builds M_v itself.
+# M_v = W^T (x) I_n - G*G. _ks_parts returns (W, G), which is all the
+# secular X half-step reads; _qform builds M_v itself. The kernels work on
+# stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
 
@@ -224,31 +232,24 @@ def _ks_parts(
     T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(W, G) of the KS defect of the map with transfer matrix
-    T = T3.reshape(n*n, n*n) and HS dual ``dual``:
-    v* defect(X) v = Tr(W X*X) - ||Phi(X) v||^2 with W = dual(vv*), and
-    Phi(X) v = sum_q v_q T3[q] vec(X)."""
-    n = len(v)
-    W = hermitianize(dual(np.outer(v, v.conj())))
-    return W, (v @ T3.reshape(n, -1)).reshape(n, n * n)
-
-
-def _co_ks_parts(
-    T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(W, G) of the co-KS defect: v* defect(X) v =
-    Tr(W X*X) - ||Phi(X)* v||^2, and Phi(X)* v = conj(Phi(X)^T conj(v)) has
-    the norm of Phi(X)^T conj(v) = sum_q conj(v_q) T3[:, q] vec(X)."""
-    W = hermitianize(dual(np.outer(v, v.conj())))
-    return W, v.conj() @ T3  # batched over the leading axis of T3
+    T = T3.reshape(n*n, n*n) and HS dual ``dual``, for each vector of the
+    stack v: v* defect(X) v = Tr(W X*X) - ||Phi(X) v||^2 with W = dual(vv*),
+    and Phi(X) v = sum_q v_q T3[q] vec(X)."""
+    n = v.shape[-1]
+    W = hermitianize(dual(v[..., :, None] * v[..., None, :].conj()))
+    return W, (v[..., None, :] @ T3.reshape(n, -1)).reshape(v.shape[:-1] + (n, n * n))
 
 
 def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """M_v = W^T (x) I_n - G*G, Hermitian by construction for Hermitian W;
-    W^T is written straight into the diagonal of the I_n factor."""
-    n = len(W)
-    M = np.zeros((n, n, n, n), dtype=complex)
-    M[:, np.arange(n), :, np.arange(n)] = W.T
-    return M.reshape(n * n, n * n) - dagger(G) @ G
+    """M_v = W^T (x) I_n - G*G for each (W, G) of a stack, Hermitian by
+    construction for Hermitian W; W^T is written straight into the diagonal
+    of the I_n factor."""
+    n = W.shape[-1]
+    M = np.zeros(W.shape[:-2] + (n, n, n, n), dtype=complex)
+    M[..., :, np.arange(n), :, np.arange(n)] = np.swapaxes(W, -1, -2)
+    M = M.reshape(W.shape[:-2] + (n * n, n * n))
+    M -= dagger(G) @ G  # in place: a batch holds a stack of these
+    return M
 
 
 def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -319,30 +320,36 @@ def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | N
 
 
 def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """X half-step of the KS and co-KS searches: the bottom eigenvector of
-    M_v = W^T (x) I_n - G*G. From n = SECULAR_MIN_N up it comes from the
-    secular equation; below that, and whenever the secular solve is
-    refused, from a dense eigh of M_v."""
-    if len(W) >= SECULAR_MIN_N:
-        found = _bottom_eigvec(W, G)
-        if found is not None:
-            return found[1]
-    return np.linalg.eigh(_qform(W, G))[1][:, 0]
+    """X half-steps of the KS search for stacks W, G: the bottom eigenvector
+    of each M_v = W^T (x) I_n - G*G. From n = SECULAR_MIN_N up it comes from
+    the secular equation, member by member since their Newton step counts
+    differ; below that, and whenever the secular solve is refused, from a
+    dense eigh of M_v."""
+    if W.shape[-1] < SECULAR_MIN_N:
+        # a copy, so that the n^2 x n^2 eigenvector stacks are freed
+        return np.linalg.eigh(_qform(W, G))[1][:, :, 0].copy()
+    xs = np.empty((len(G), G.shape[2]), dtype=complex)
+    for b in range(len(W)):
+        found = _bottom_eigvec(W[b], G[b])
+        xs[b] = found[1] if found is not None else np.linalg.eigh(_qform(W[b], G[b]))[1][:, 0]
+    return xs
 
 
 def _compress_right(C4: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(I_d (x) V)* C (I_d (x) V) for C4 = C.reshape(d, d, d, d)."""
-    d, k = V.shape
-    CV = (C4.reshape(d**3, d) @ V).reshape(d, d, d * k)  # [a, b, (c, t)]
-    return (V.conj().T @ CV).reshape(d * k, d * k)  # [(a, s), (c, t)]
+    """(I_d (x) V)* C (I_d (x) V) for C4 = C.reshape(d, d, d, d), for each V
+    of a stack."""
+    d, k = V.shape[-2:]
+    CV = (C4.reshape(d**3, d) @ V).reshape(-1, d, d, d * k)  # [., a, b, (c, t)]
+    return (dagger(V)[..., None, :, :] @ CV).reshape(V.shape[:-2] + (d * k, d * k))  # [(a, s), (c, t)]
 
 
 def _compress_left(C4: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """(U (x) I_d)* C (U (x) I_d) for C4 = C.reshape(d, d, d, d)."""
-    d, k = U.shape
-    UC = (U.conj().T @ C4.reshape(d, d**3)).reshape(k * d, d, d)  # [(s, b), c, e]
-    UCU = np.swapaxes(UC, 1, 2) @ U  # [(s, b), e, t]
-    return np.swapaxes(UCU, 1, 2).reshape(k * d, k * d)  # [(s, b), (t, e)]
+    """(U (x) I_d)* C (U (x) I_d) for C4 = C.reshape(d, d, d, d), for each U
+    of a stack."""
+    d, k = U.shape[-2:]
+    UC = (dagger(U) @ C4.reshape(d, d**3)).reshape(-1, k * d, d, d)  # [., (s, b), c, e]
+    UCU = np.swapaxes(UC, -1, -2) @ U[..., None, :, :]  # [., (s, b), e, t]
+    return np.swapaxes(UCU, -1, -2).reshape(U.shape[:-2] + (k * d, k * d))  # [(s, b), (t, e)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +367,31 @@ def _check_witness(recheck: float, worst: float, scale: float = 1.0) -> None:
 
 
 def _falsify(
-    restart: Callable[[np.random.Generator], tuple[float, object, dict]],
+    restart: Callable[[list[np.random.Generator]], list[tuple[float, object, dict]]],
     value: Callable[[object], float],
     make_witness: Callable[[object], BlockOperator | SchmidtWitness],
     budget: SearchBudget,
 ) -> CertificateVerdict:
     """Random-restart driver shared by the three falsifiers.
 
-    ``restart(rng)`` runs one search and returns (best value, best point,
-    counters). Restarts are seeded independently from the budget seed so the
-    result is deterministic; the loop stops early once a violation is
-    certain. A violating point is re-evaluated by ``value``, away from the
-    optimizer state, and ``make_witness`` turns it into the witness.
+    ``restart(rngs)`` runs one search per generator, in lockstep, and
+    returns for each the (best value, best point, counters) of a run with
+    that generator alone. Restarts are seeded independently from the budget
+    seed so the result is deterministic. Restart 1 runs alone; only when it
+    finds no violation do restarts 2..R run, as one batch. The results are
+    folded in restart order up to the first violation, as if the restarts
+    had run one by one and stopped there: the counters are summed over that
+    prefix and the worst value is its minimum. A violating point is
+    re-evaluated by ``value``, away from the optimizer state, and
+    ``make_witness`` turns it into the witness.
     """
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+    runs = restart([np.random.default_rng(seeds[0])])
+    if len(seeds) > 1 and not runs[0][0] < -budget.violation_tol:
+        runs += restart([np.random.default_rng(ss) for ss in seeds[1:]])
     worst, worst_point = np.inf, None
     counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
-    for ss in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
-        f, point, used = restart(np.random.default_rng(ss))
+    for f, point, used in runs:
         counters["restarts"] += 1
         counters["iterations"] += used["iterations"]
         counters["defect_evals"] += used["defect_evals"]
@@ -398,21 +413,33 @@ def _falsify(
 
 # ---------------------------------------------------------------------------
 # restarts: alternating minimization on the HS unit sphere and over the
-# Schmidt factors of psi
+# Schmidt factors of psi, in lockstep over a batch of generators. Each member
+# draws its start and its cluster combinations from its own generator and
+# leaves the batch by its own stall rule; every stacked kernel gives on each
+# member what the unstacked call gives.
 # ---------------------------------------------------------------------------
 
 
-def _min_eig_vector(D: np.ndarray, rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a vector from its eigenspace; inside a
-    near-degenerate bottom cluster a random unit combination is taken
-    (subgradient choice)."""
+def _min_eig_vectors(
+    D: np.ndarray, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of each matrix of the stack D, and a vector from
+    its eigenspace; inside a near-degenerate bottom cluster a random unit
+    combination is taken (subgradient choice), drawn from that member's rng.
+
+    Returns (f, V, drawn): column 0 of V[b] holds the vector, and drawn[b]
+    says it was drawn rather than being the bottom eigenvector column.
+    """
     w, V = np.linalg.eigh(hermitianize(D))
-    cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
-    if len(cluster) == 1:
-        return float(w[0]), V[:, 0]
-    c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
-    c /= np.linalg.norm(c)
-    return float(w[0]), V[:, cluster] @ c
+    cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
+    sizes = cluster.sum(axis=1)
+    drawn = sizes != 1
+    for b in drawn.nonzero()[0].tolist():
+        m = int(sizes[b])
+        c = rngs[b].standard_normal(m) + 1j * rngs[b].standard_normal(m)
+        c /= np.linalg.norm(c)
+        V[b, :, 0] = V[b][:, cluster[b]] @ c
+    return w[:, 0], V, drawn
 
 
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
@@ -420,41 +447,65 @@ def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) ->
     return float(np.linalg.eigvalsh(hermitianize(defect(X)))[0])
 
 
+def _xsteps(xstep: Callable[[np.ndarray], np.ndarray], V: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """xstep on the vectors in column 0 of V. BLAS reads a strided vector
+    (an eigh column) and a contiguous one (a cluster draw) in different
+    orders, so the two kinds go through xstep apart, each in its own
+    layout, as in a run alone."""
+    if not drawn.any():
+        return xstep(V[:, :, 0])
+    if drawn.all():
+        return xstep(V[:, :, 0].copy())
+    xs = np.empty((len(V), V.shape[1] ** 2), dtype=complex)
+    xs[~drawn] = xstep(V[~drawn][:, :, 0])
+    xs[drawn] = xstep(V[drawn][:, :, 0].copy())
+    return xs
+
+
 def _alternating_restart(
     defect: Callable[[np.ndarray], np.ndarray],
     xstep: Callable[[np.ndarray], np.ndarray],
     n: int,
     budget: SearchBudget,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, dict]:
-    """One run of alternating minimization of g(X, v) = v* defect(X) v from
-    a Ginibre start on the HS unit sphere.
+    rngs: list[np.random.Generator],
+) -> list[tuple[float, np.ndarray, dict]]:
+    """Alternating minimization of g(X, v) = v* defect(X) v from a Ginibre
+    start on the HS unit sphere, one run per generator.
 
-    ``xstep(v)`` must return vec(X) for a unit bottom eigenvector of the
-    Hermitian n^2 x n^2 matrix M_v with vec(X)* M_v vec(X) = v* defect(X) v;
-    the X half-step is then exact, giving a monotone decrease of
-    f(X) = lambda_min(defect(X)). Returns (best value, best X, counters).
+    ``defect`` maps a stack of n x n matrices to the stack of their defects.
+    ``xstep`` maps a stack of vectors v to the stack of vec(X) for a unit
+    bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
+    vec(X)* M_v vec(X) = v* defect(X) v; the X half-step is then exact,
+    giving a monotone decrease of f(X) = lambda_min(defect(X)). Returns
+    (best value, best X, counters) per generator.
     """
-    X = ginibre(rng, n)
-    X /= hs_norm(X)
-    stall = 0
-    recent_best = np.inf
-    f, v = _min_eig_vector(defect(X), rng)
-    best_f, best_X = f, X
-    for iters in range(1, budget.max_iters + 1):
-        X = xstep(v).reshape(n, n, order="F")
-        f, v = _min_eig_vector(defect(X), rng)
-        if f < best_f:
-            best_f, best_X = f, X
-        if recent_best - best_f < STALL_TOL:
-            stall += 1
-            if stall >= STALL_WINDOW:
+    X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
+    f, V, drawn = _min_eig_vectors(defect(X), rngs)
+    best_f, best_X = f.tolist(), list(X)
+    recent_best, stall = [np.inf] * len(rngs), [0] * len(rngs)
+    live = list(range(len(rngs)))  # the members still iterating
+    out: list = [None] * len(rngs)
+    for it in range(1, budget.max_iters + 1):
+        X = _xsteps(xstep, V, drawn).reshape(-1, n, n).swapaxes(1, 2)  # unvec
+        f, V, drawn = _min_eig_vectors(defect(X), [rngs[b] for b in live])
+        going = []
+        for j, (b, fj) in enumerate(zip(live, f.tolist())):
+            if fj < best_f[b]:
+                best_f[b], best_X[b] = fj, X[j].copy()
+            if recent_best[b] - best_f[b] < STALL_TOL:
+                stall[b] += 1
+            else:
+                stall[b], recent_best[b] = 0, best_f[b]
+            if stall[b] >= STALL_WINDOW or it == budget.max_iters:
+                # one defect evaluation at the start and one per iteration
+                out[b] = (best_f[b], best_X[b], {"iterations": it, "defect_evals": it + 1})
+            else:
+                going.append(j)
+        if len(going) < len(live):
+            if not going:
                 break
-        else:
-            stall = 0
-            recent_best = best_f
-    # one defect evaluation at the start and one per iteration
-    return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1}
+            live, V, drawn = [live[j] for j in going], V[going], drawn[going]
+    return out
 
 
 def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
@@ -464,34 +515,44 @@ def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
 
 
 def _kpos_restart(
-    C4: np.ndarray, k: int, budget: SearchBudget, rng: np.random.Generator
-) -> tuple[float, SchmidtWitness, dict]:
-    """One run of alternating least squares over the two Schmidt factor
-    stacks of psi from random orthonormal starts, for C4 = C.reshape(d, d,
-    d, d); each half-step is an exact eigenvector update, so the value is
-    non-increasing. Returns (value, witness, counters)."""
+    C4: np.ndarray, k: int, budget: SearchBudget, rngs: list[np.random.Generator]
+) -> list[tuple[float, SchmidtWitness, dict]]:
+    """Alternating least squares over the two Schmidt factor stacks of psi
+    from random orthonormal starts, for C4 = C.reshape(d, d, d, d), one run
+    per generator; each half-step is an exact eigenvector update, so the
+    value is non-increasing. Returns (value, witness, counters) per
+    generator."""
     d = len(C4)
-    U = np.linalg.qr(ginibre(rng, d, k))[0]
-    V = np.linalg.qr(ginibre(rng, d, k))[0]
-    prev = np.inf
+    # U is set by the first half-step; its start only advances the rng
+    starts = np.array([[ginibre(rng, d, k), ginibre(rng, d, k)] for rng in rngs])
+    V = np.linalg.qr(starts[:, 1])[0]
+    prev = [np.inf] * len(rngs)
+    live = list(range(len(rngs)))  # the members still iterating
+    out: list = [None] * len(rngs)
     for it in range(1, budget.max_iters + 1):
         # psi = (I (x) V) r, r = vec_row(U); with V orthonormal the
         # smallest eigenvector of the compressed Choi is the exact
         # minimizer over U
         V = np.linalg.qr(V)[0]
-        _, Q = np.linalg.eigh(_compress_right(C4, V))
-        U = Q[:, 0].reshape(d, k)
+        U = np.linalg.eigh(_compress_right(C4, V))[1][:, :, 0].reshape(-1, d, k)
         # psi = (U (x) I) x, x = vec_row(V^T); same update for V
         U = np.linalg.qr(U)[0]
         w, Q = np.linalg.eigh(_compress_left(C4, U))
-        V = Q[:, 0].reshape(k, d).T
-        val = float(w[0])
-        if prev - val < STALL_TOL:
-            break
-        prev = val
-    # U orthonormal and the V-slices come from a unit eigenvector, so psi
-    # already has unit norm
-    return val, SchmidtWitness(U, V), {"iterations": it, "defect_evals": 2 * it}
+        V = Q[:, :, 0].reshape(-1, k, d).swapaxes(1, 2)
+        going = []
+        for j, (b, val) in enumerate(zip(live, w[:, 0].tolist())):
+            if prev[b] - val < STALL_TOL or it == budget.max_iters:
+                # U orthonormal and the V-slices come from a unit
+                # eigenvector, so psi already has unit norm
+                out[b] = (val, SchmidtWitness(U[j].copy(), V[j].copy()), {"iterations": it, "defect_evals": 2 * it})
+            else:
+                prev[b] = val
+                going.append(j)
+        if len(going) < len(live):
+            if not going:
+                break
+            live, V = [live[j] for j in going], V[going]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +560,8 @@ def _kpos_restart(
 # ---------------------------------------------------------------------------
 
 
-def falsify_ks(
-    Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
-) -> CertificateVerdict:
-    """Search for a violation of the k-KS inequality of Phi."""
-    if not Phi.unital:
-        warnings.warn(
-            f"map '{Phi.label}' is not unital; the KS inequality is stated for unital maps",
-            stacklevel=2,
-        )
+def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
+    """The k-KS search of Phi, shared by the KS and co-KS falsifiers."""
     d = Phi.d
     n = k * d
     amp = Phi.amplify(k)
@@ -521,22 +575,29 @@ def falsify_ks(
     return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
+def falsify_ks(
+    Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
+) -> CertificateVerdict:
+    """Search for a violation of the k-KS inequality of Phi."""
+    if not Phi.unital:
+        warnings.warn(
+            f"map '{Phi.label}' is not unital; the KS inequality is stated for unital maps",
+            stacklevel=2,
+        )
+    return _ks_search(Phi, k, budget)
+
+
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
-    """Search for a violation of the co-KS inequality of Phi."""
+    """Search for a violation of the co-KS inequality of Phi. With tau the
+    transposition, the co-KS defect of Phi at X is the transpose of the KS
+    defect of tau o Phi at X, so this is the KS search of tau o Phi, and a
+    witness X serves both."""
     if not Phi.unital:
         warnings.warn(
             f"map '{Phi.label}' is not unital; the co-KS inequality is stated for unital maps",
             stacklevel=2,
         )
-    d = Phi.d
-    T3, dual = Phi.transfer.reshape(d, d, d * d), Phi.dual()
-    defect = partial(co_ks_defect, Phi)
-
-    def xstep(v):
-        return _ks_xstep(*_co_ks_parts(T3, dual, v))
-
-    restart = partial(_alternating_restart, defect, xstep, d, budget)
-    return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, 1, d), budget)
+    return _ks_search(transpose_map(Phi.d) @ Phi, 1, budget)
 
 
 def check_phi_k_condition(

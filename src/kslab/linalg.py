@@ -33,12 +33,12 @@ def unvec(x: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose A*."""
-    return np.asarray(A).conj().T
+    """Conjugate transpose A*, of each matrix of a stack."""
+    return np.asarray(A).conj().swapaxes(-1, -2)
 
 
 def hermitianize(A: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A*)/2."""
+    """Hermitian part (A + A*)/2, of each matrix of a stack."""
     return (A + dagger(A)) / 2
 
 

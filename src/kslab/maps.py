@@ -70,15 +70,20 @@ class QuantumMap:
         return unvec(self.transfer @ vec(X), self.d)
 
     def apply_amplified(self, X: np.ndarray, k: int) -> np.ndarray:
-        """(id_k (x) Phi)(X) for a kd x kd matrix X, applied block-wise."""
+        """(id_k (x) Phi)(X) for a kd x kd matrix X, or for each matrix of a
+        stack, applied block-wise."""
         d = self.d
+        X = np.asarray(X)
+        if X.shape[-2:] != (k * d, k * d):
+            raise ValueError(f"matrix of shape {X.shape} does not match block structure k={k}, d={d}")
         if k == 1:
-            return self(X)
-        linalg.check_dimensions(X, k, d)
+            # vec(X) as a column: a matrix-vector product, as in __call__
+            Y = self.transfer @ X.swapaxes(-1, -2).reshape(-1, d * d, 1)
+            return Y.reshape(X.shape).swapaxes(-1, -2)
         # columns of V are vec's of the d x d blocks X_ij
-        V = np.asarray(X).reshape(k, d, k, d).transpose(3, 1, 0, 2).reshape(d * d, k * k)
+        V = X.reshape(-1, k, d, k, d).transpose(0, 4, 2, 1, 3).reshape(-1, d * d, k * k)
         W = self.transfer @ V
-        return W.reshape(d, d, k, k).transpose(2, 1, 3, 0).reshape(k * d, k * d)
+        return W.reshape(-1, d, d, k, k).transpose(0, 3, 2, 4, 1).reshape(X.shape)
 
     def amplify(self, k: int) -> "AmplifiedMap":
         return AmplifiedMap(self, k)

@@ -197,16 +197,14 @@ def criterion_5(seed: int):
         d = 2 if i % 2 == 0 else 3
         Phi = rand_map(d, 0.99)
         for k in (1, 2, 3):
-            b = SearchBudget(restarts=4, max_iters=100, seed=_derive_seed(seed, 5, i, k))
-            v = check_phi_k_condition(Phi, k, b)
+            v = check_phi_k_condition(Phi, k, SearchBudget(seed=_derive_seed(seed, 5, i, k)))
             if v.violated:
                 contraction_failures += 1
     violated_count = 0
     for i in range(20):
         d = 2 if i % 2 == 0 else 3
         Phi = rand_map(d, 1.05)
-        b = SearchBudget(restarts=8, max_iters=200, seed=_derive_seed(seed, 5, 100 + i, 1))
-        v = check_phi_k_condition(Phi, 1, b)
+        v = check_phi_k_condition(Phi, 1, SearchBudget(seed=_derive_seed(seed, 5, 100 + i, 1)))
         if v.violated:
             violated_count += 1
     ok = contraction_failures == 0 and violated_count >= 15

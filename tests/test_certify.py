@@ -11,12 +11,16 @@ import pytest
 import kslab
 from kslab import certify
 from kslab.certify import (
+    EIG_DEGENERACY_GAP,
+    SECULAR_MIN_N,
+    STALL_TOL,
+    STALL_WINDOW,
     SchmidtWitness,
     SearchBudget,
     WitnessRecheckError,
     _alternating_restart,
     _bottom_eigvec,
-    _co_ks_parts,
+    _check_witness,
     _compress_left,
     _compress_right,
     _falsify,
@@ -42,7 +46,7 @@ from kslab.certify import (
     strong_kadison_defects,
     tuple_to_block,
 )
-from kslab.linalg import ginibre, hermitianize, hs_norm, min_eigenvalue, random_hermitian, vec
+from kslab.linalg import dagger, ginibre, hermitianize, hs_norm, min_eigenvalue, random_hermitian, vec
 from kslab.maps import BlockOperator, QuantumMap
 from kslab.serialize import verdict_to_json
 from kslab.zoo import (
@@ -204,6 +208,246 @@ def test_falsify_co_ks_finds_violation():
     assert min_eigenvalue(D) <= res.worst_value + 1e-8
 
 
+# -- sequential oracle --------------------------------------------------------
+#
+# _falsify and the restart kernels as they were before restarts ran in
+# lockstep: one restart at a time, each on unstacked arrays. The lockstep
+# versions must reproduce them bit for bit.
+
+
+def _solo_falsify(restart, value, make_witness, budget):
+    worst, worst_point = np.inf, None
+    counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
+    for ss in np.random.SeedSequence(budget.seed).spawn(budget.restarts):
+        f, point, used = restart(np.random.default_rng(ss))
+        counters["restarts"] += 1
+        counters["iterations"] += used["iterations"]
+        counters["defect_evals"] += used["defect_evals"]
+        if f < worst:
+            worst, worst_point = f, point
+        if worst < -budget.violation_tol:
+            break
+    violated = worst < -budget.violation_tol
+    if violated:
+        _check_witness(value(worst_point), worst)
+    return certify.CertificateVerdict(
+        verdict="Violated" if violated else "NoViolationFound",
+        worst_value=float(worst),
+        witness=make_witness(worst_point) if violated else None,
+        budget_used=counters,
+        seed=budget.seed,
+    )
+
+
+def _solo_min_eig_vector(D, rng):
+    w, V = np.linalg.eigh(hermitianize(D))
+    cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
+    if len(cluster) == 1:
+        return float(w[0]), V[:, 0]
+    c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
+    c /= np.linalg.norm(c)
+    return float(w[0]), V[:, cluster] @ c
+
+
+def _solo_alternating_restart(defect, xstep, n, budget, rng):
+    X = ginibre(rng, n)
+    X /= hs_norm(X)
+    stall = 0
+    recent_best = np.inf
+    f, v = _solo_min_eig_vector(defect(X), rng)
+    best_f, best_X = f, X
+    for iters in range(1, budget.max_iters + 1):
+        X = xstep(v).reshape(n, n, order="F")
+        f, v = _solo_min_eig_vector(defect(X), rng)
+        if f < best_f:
+            best_f, best_X = f, X
+        if recent_best - best_f < STALL_TOL:
+            stall += 1
+            if stall >= STALL_WINDOW:
+                break
+        else:
+            stall = 0
+            recent_best = best_f
+    return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1}
+
+
+def _solo_ks_parts(T3, dual, v):
+    n = len(v)
+    W = hermitianize(dual(np.outer(v, v.conj())))
+    return W, (v @ T3.reshape(n, -1)).reshape(n, n * n)
+
+
+def _solo_qform(W, G):
+    n = len(W)
+    M = np.zeros((n, n, n, n), dtype=complex)
+    M[:, np.arange(n), :, np.arange(n)] = W.T
+    return M.reshape(n * n, n * n) - dagger(G) @ G
+
+
+def _solo_ks_xstep(W, G):
+    if len(W) >= SECULAR_MIN_N:
+        found = _bottom_eigvec(W, G)
+        if found is not None:
+            return found[1]
+    return np.linalg.eigh(_solo_qform(W, G))[1][:, 0]
+
+
+def _solo_kpos_restart(C4, k, budget, rng):
+    d = len(C4)
+    U = np.linalg.qr(ginibre(rng, d, k))[0]
+    V = np.linalg.qr(ginibre(rng, d, k))[0]
+    prev = np.inf
+    for it in range(1, budget.max_iters + 1):
+        V = np.linalg.qr(V)[0]
+        _, Q = np.linalg.eigh(_compress_right(C4, V))
+        U = Q[:, 0].reshape(d, k)
+        U = np.linalg.qr(U)[0]
+        w, Q = np.linalg.eigh(_compress_left(C4, U))
+        V = Q[:, 0].reshape(k, d).T
+        val = float(w[0])
+        if prev - val < STALL_TOL:
+            break
+        prev = val
+    return val, SchmidtWitness(U, V), {"iterations": it, "defect_evals": 2 * it}
+
+
+def _solo_ks(Phi, k, budget):
+    d = Phi.d
+    n = k * d
+    amp = Phi.amplify(k)
+    T3, dual = amp.transfer_matrix().reshape(n, n, n * n), amp.dual()
+    defect = partial(amplified_ks_defect, Phi, k)
+
+    def xstep(v):
+        return _solo_ks_xstep(*_solo_ks_parts(T3, dual, v))
+
+    restart = partial(_solo_alternating_restart, defect, xstep, n, budget)
+    return _solo_falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
+
+
+def _solo_kpos(Phi, k, budget):
+    d = Phi.d
+    C = hermitianize(Phi.choi())
+    restart = partial(_solo_kpos_restart, C.reshape(d, d, d, d), k, budget)
+    return _solo_falsify(restart, partial(_schmidt_value, C), lambda w: w, budget)
+
+
+def _bytes(res):
+    return json.dumps(verdict_to_json(res), sort_keys=True)
+
+
+# (d, k) below SECULAR_MIN_N = 7 take the dense X half-step, the rest the
+# secular one; each at a clean and a violated Lambda^-(id) point
+@pytest.mark.parametrize("offset", [-0.02, 0.05])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3)])
+def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
+    Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + offset)
+    budget = SearchBudget(restarts=5, max_iters=120 if k * d < 7 else 60, seed=d + 10 * k)
+    assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
+    # the identity has a zero defect, so every vector step draws from a
+    # degenerate cluster; a random UTP CP map mixes drawn and plain steps
+    budget = SearchBudget(restarts=6, max_iters=80, seed=7)
+    for Phi in (QuantumMap.identity(d), sample_utp_cp(d, seed=3), reduction(d, 0.9)):
+        assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
+
+
+def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws(monkeypatch):
+    # the defect vanishes, so the vector step draws from a degenerate
+    # cluster, exactly for the members with Re X_00 > 0: one batch then
+    # holds drawn and plain vectors, which BLAS reads in different layouts
+    Phi = sample_utp_cp(3, seed=5)
+    T3, dual = Phi.transfer.reshape(3, 3, 9), Phi.amplify(1).dual()
+
+    def defect(X):
+        D = amplified_ks_defect(Phi, 1, X)
+        return np.where(X[..., :1, :1].real > 0, 0 * D, D)
+
+    kinds, xsteps = [], certify._xsteps
+
+    def spy(xstep, V, drawn):
+        kinds.append((bool(drawn.any()), bool(drawn.all())))
+        return xsteps(xstep, V, drawn)
+
+    monkeypatch.setattr(certify, "_xsteps", spy)
+    budget = SearchBudget(restarts=1, max_iters=40, seed=0)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    batch = _alternating_restart(defect, lambda v: _ks_xstep(*_ks_parts(T3, dual, v)), 3, budget, rngs)
+    assert (True, False) in kinds  # some batch mixed drawn and plain vectors
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    xstep = lambda v: _solo_ks_xstep(*_solo_ks_parts(T3, dual, v))  # noqa: E731
+    for (f, X, used), rng in zip(batch, rngs):
+        g, Y, solo_used = _solo_alternating_restart(defect, xstep, 3, budget, rng)
+        assert f == g and np.array_equal(X, Y) and used == solo_used
+
+
+@pytest.mark.parametrize("a", [0.45, 0.55])
+@pytest.mark.parametrize("d", [3, 4])
+def test_lockstep_kpos_matches_sequential_oracle(d, a):
+    # reduction is 2-positive iff a <= 1/2
+    budget = SearchBudget(restarts=8, max_iters=150, seed=d)
+    res = falsify_k_positivity(reduction(d, a), 2, budget)
+    assert res.violated == (a > 0.5)
+    assert _bytes(res) == _bytes(_solo_kpos(reduction(d, a), 2, budget))
+
+
+def _scripted_search(values, budget, drift=0.0):
+    """_falsify over a synthetic kernel whose i-th restart reports
+    values[i] after i + 1 iterations, and whose points re-check `drift` away
+    from it; returns the verdict and the batch sizes the kernel was called
+    with."""
+    calls = []
+    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
+
+    def restart(rngs):
+        first = sum(calls)
+        calls.append(len(rngs))
+        runs = []
+        for i, rng in enumerate(rngs, start=first):
+            # each member gets the generator of its own restart
+            assert rng.integers(1 << 62) == np.random.default_rng(seeds[i]).integers(1 << 62)
+            runs.append((values[i], i, {"iterations": i + 1, "defect_evals": 2 * i + 3}))
+        return runs
+
+    return _falsify(restart, lambda i: values[i] + drift, lambda i: i, budget), calls
+
+
+def test_late_violation_folds_the_prefix():
+    # restart 4 is the first violator; restart 5 is worse but comes later
+    values = [0.3, -1e-12, 0.1, -0.25, -0.9, 0.2]
+    res, calls = _scripted_search(values, SearchBudget(restarts=6, seed=3))
+    assert calls == [1, 5]
+    assert res.violated and res.worst_value == -0.25 and res.witness == 3
+    assert res.budget_used == {"restarts": 4, "iterations": 1 + 2 + 3 + 4, "defect_evals": 3 + 5 + 7 + 9}
+
+
+def test_clean_run_folds_every_restart():
+    values = [0.3, -1e-12, 0.1, 0.2]
+    res, calls = _scripted_search(values, SearchBudget(restarts=4, seed=3))
+    assert calls == [1, 3]
+    assert res.verdict == "NoViolationFound" and res.worst_value == -1e-12
+    assert res.budget_used == {"restarts": 4, "iterations": 10, "defect_evals": 24}
+
+
+def test_late_violation_is_rechecked():
+    values = [0.3, 0.1, -0.25]
+    assert _scripted_search(values, SearchBudget(restarts=3, seed=3), drift=1e-9)[0].violated
+    with pytest.raises(WitnessRecheckError):
+        _scripted_search(values, SearchBudget(restarts=3, seed=3), drift=0.01)
+
+
+def test_violation_at_restart_1_never_runs_the_batch():
+    res, calls = _scripted_search([-0.5, -0.9, -0.9], SearchBudget(restarts=3, seed=0))
+    assert calls == [1]
+    assert res.worst_value == -0.5
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 3}
+    _, calls = _scripted_search([0.5], SearchBudget(restarts=1, seed=0))
+    assert calls == [1]
+
+
 # -- partial-trace domination condition -------------------------------------
 
 
@@ -229,8 +473,8 @@ def _phi_k_search(Phi, k, budget):
     def xstep(v):
         return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
 
-    return _falsify(
-        partial(_alternating_restart, defect, xstep, n, budget),
+    return _solo_falsify(
+        partial(_solo_alternating_restart, defect, xstep, n, budget),
         partial(_min_eig_value, defect),
         partial(BlockOperator, k, d),
         budget,
@@ -416,16 +660,24 @@ def test_ks_qform_identity(d, k):
         assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
 
 
-@pytest.mark.parametrize("d", sorted({d for d, _ in KERNEL_DK}))
-def test_co_ks_qform_identity(d):
-    Phi = _random_hp_map(d)
-    T3 = Phi.transfer.reshape(d, d, d * d)
-    for _ in range(3):
-        X, v = ginibre(rng, d), _unit(ginibre(rng, d, 1)[:, 0])
-        M = _qform(*_co_ks_parts(T3, Phi.dual(), v))
-        assert hs_norm(M - M.conj().T) < 1e-12
-        expected = complex(v.conj() @ co_ks_defect(Phi, X) @ v)
-        assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+@pytest.mark.parametrize("d", [2, 3])
+def test_co_ks_is_ks_of_transposed_map(d):
+    # co-KS of Phi runs the KS search of tau o Phi: the verdicts are the same
+    # bytes, and the witness certifies the co-KS defect of Phi itself
+    for Phi in (transpose_map(d), QuantumMap.identity(d), sample_utp_cp(d, seed=1),
+                transpose_map(d) @ reduction(d, 0.9)):
+        co = falsify_co_ks(Phi, FAST)
+        assert _bytes(co) == _bytes(falsify_ks(transpose_map(d) @ Phi, 1, FAST))
+        if co.violated:
+            assert abs(min_eigenvalue(co_ks_defect(Phi, co.witness.data)) - co.worst_value) < 1e-12
+
+
+def test_falsify_co_ks_warns_on_non_unital():
+    T = np.zeros((4, 4))
+    T[0, 0] = 1.0
+    with pytest.warns(UserWarning, match="co-KS inequality") as record:
+        falsify_co_ks(QuantumMap(T), SearchBudget(restarts=2, max_iters=20, seed=0))
+    assert len(record) == 1
 
 
 @pytest.mark.parametrize("d,k", KERNEL_DK)
@@ -467,13 +719,15 @@ def _secular_scale(W, G):
 
 @pytest.mark.parametrize("kind,d,k", [("ks", 4, 2), ("ks", 3, 3), ("ks", 2, 4), ("ks", 4, 4), ("co-ks", 8, 1)])
 def test_bottom_eigvec_matches_dense(kind, d, k):
+    # the co-KS search is the KS search of the transposed map
     Phi = _random_hp_map(d)
+    if kind == "co-ks":
+        Phi = transpose_map(d) @ Phi
     n = k * d
     amp = Phi.amplify(k)
     T3 = amp.transfer_matrix().reshape(n, n, n * n)
-    parts = _ks_parts if kind == "ks" else _co_ks_parts
     for _ in range(3):
-        W, G = parts(T3, amp.dual(), _unit(ginibre(rng, n, 1)[:, 0]))
+        W, G = _ks_parts(T3, amp.dual(), _unit(ginibre(rng, n, 1)[:, 0]))
         M, lam_min = _dense_bottom(W, G)
         found = _bottom_eigvec(W, G)
         assert found is not None
@@ -499,7 +753,7 @@ def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
     tol = 1e-10 * _secular_scale(W, G)
     if found is not None:
         assert abs(found[0] - lam_min) < tol
-    x = _ks_xstep(W, G)
+    x = _ks_xstep(W[None], G[None])[0]
     assert abs(np.linalg.norm(x) - 1) < 1e-12
     assert abs((x.conj() @ M @ x).real - lam_min) < tol
     assert np.linalg.norm(M @ x - lam_min * x) < tol
@@ -514,7 +768,7 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
     M, lam_min = _dense_bottom(W, G)
     monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
     assert _bottom_eigvec(W, G) is None
-    x = _ks_xstep(W, G)
+    x = _ks_xstep(W[None], G[None])[0]
     assert abs((x.conj() @ M @ x).real - lam_min) < 1e-10 * _secular_scale(W, G)
 
 
@@ -542,12 +796,15 @@ def _drifting_search(drift):
 
     def defect(X):
         calls.append(X)
-        return -(1.0 + drift * len(calls)) * np.eye(2)
+        return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
+
+    def xstep(v):
+        # the bottom eigenvector eigh gives for M_v = I, for each member
+        return np.eye(4)[np.zeros(len(v), dtype=int)]
 
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
-    # the X half-step returns the bottom eigenvector eigh gives for M_v = I
     return _falsify(
-        partial(_alternating_restart, defect, lambda v: np.eye(4)[:, 0], 2, budget),
+        partial(_alternating_restart, defect, xstep, 2, budget),
         partial(_min_eig_value, defect),
         partial(BlockOperator, 1, 2),
         budget,
