@@ -54,7 +54,6 @@ from .zoo import (
     bounds_lambda_plus,
     build_family,
     sample_utp_cp,
-    transpose_map,
 )
 
 EIG_DEGENERACY_GAP = 1e-8
@@ -597,7 +596,11 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> Cer
             f"map '{Phi.label}' is not unital; the co-KS inequality is stated for unital maps",
             stacklevel=2,
         )
-    return _ks_search(transpose_map(Phi.d) @ Phi, 1, budget)
+    d = Phi.d
+    # vec(X^T) is vec(X) with its row and column indices swapped, so the
+    # transfer matrix of tau o Phi is T with its rows permuted
+    tau_phi = Phi.transfer.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
+    return _ks_search(QuantumMap(tau_phi, label=f"transpose∘{Phi.label}"), 1, budget)
 
 
 def check_phi_k_condition(

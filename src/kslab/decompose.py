@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import dagger, ginibre, hs_norm
+from .linalg import dagger, hs_norm, unit_ginibre
 from .certify import CertificateVerdict, SearchBudget, falsify_co_ks, falsify_ks
 from .maps import QuantumMap, mix
 from .zoo import ParameterDomainError, depolarizing, lambda_plus, reduction, transpose_map
@@ -189,17 +189,23 @@ def jordan_defect(
     (1-lam)*phi2:
 
     Phi(X* o X) - Phi(X)* o Phi(X)
-        - lam(1-lam) (phi1(X) - phi2(X))* o (phi1(X) - phi2(X)).
+        - lam(1-lam) (phi1(X) - phi2(X))* o (phi1(X) - phi2(X)),
+
+    of one d x d X, or of each matrix of a (B, d, d) stack.
     """
     if phi1.d != phi2.d:
         raise ValueError("component maps must act on the same dimension")
     if not 0 <= lam <= 1:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     # Phi = lam*phi1 + (1-lam)*phi2 is applied term by term, not built as a map
-    Y1, Y2 = phi1(X), phi2(X)
+    Y1, Y2 = phi1.apply_amplified(X, 1), phi2.apply_amplified(X, 1)
     Z = lam * Y1 + (1 - lam) * Y2
     D = jordan_product(dagger(X), X)
-    out = lam * phi1(D) + (1 - lam) * phi2(D) - jordan_product(dagger(Z), Z)
+    out = (
+        lam * phi1.apply_amplified(D, 1)
+        + (1 - lam) * phi2.apply_amplified(D, 1)
+        - jordan_product(dagger(Z), Z)
+    )
     if lam not in (0.0, 1.0):
         W = Y1 - Y2
         out = out - lam * (1 - lam) * jordan_product(dagger(W), W)
@@ -207,12 +213,14 @@ def jordan_defect(
 
 
 def stormer_defect(Phi: QuantumMap, X: np.ndarray, tol: float = linalg.PSD_TOL) -> np.ndarray:
-    """Phi(X* o X) - Phi(X)* o Phi(X) for sub-unital positive Phi."""
+    """Phi(X* o X) - Phi(X)* o Phi(X) for sub-unital positive Phi, of one
+    d x d X or of each matrix of a (B, d, d) stack; the Phi(I) <= I
+    precondition is checked once per call."""
     d = Phi.d
     if not linalg.is_psd(np.eye(d) - Phi(np.eye(d)), tol):
         raise ValueError("precondition failed: Phi(I) <= I does not hold")
-    Z = Phi(X)
-    return Phi(jordan_product(dagger(X), X)) - jordan_product(dagger(Z), Z)
+    Z = Phi.apply_amplified(X, 1)
+    return Phi.apply_amplified(jordan_product(dagger(X), X), 1) - jordan_product(dagger(Z), Z)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +256,11 @@ def verify_decomposition(
 ) -> VerificationReport:
     """Independent checks of a claimed KS/co-KS decomposition:
     reconstruction residual, falsifier runs on both components, and the
-    Jordan-product defect on random inputs."""
+    Jordan-product defect on n_jordan_samples random unit-HS-norm inputs,
+    evaluated as one stack; jordan_min_eigenvalue is the smallest
+    eigenvalue over all of them."""
+    if n_jordan_samples < 1:
+        raise ValueError(f"n_jordan_samples must be >= 1, got {n_jordan_samples}")
     residual = hs_norm(
         result.lam * result.phi1.transfer
         + (1 - result.lam) * result.phi2.transfer
@@ -257,20 +269,14 @@ def verify_decomposition(
     phi1_verdict = falsify_ks(result.phi1, 1, budget)
     phi2_verdict = falsify_co_ks(result.phi2, budget)
     rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(97,)))
-    jmin = np.inf
-    for _ in range(n_jordan_samples):
-        X = ginibre(rng, target.d)
-        X /= hs_norm(X)
-        jmin = min(
-            jmin,
-            linalg.min_eigenvalue(jordan_defect(result.phi1, result.phi2, result.lam, X)),
-        )
+    X = unit_ginibre(rng, n_jordan_samples, target.d)
+    jmin = linalg.min_eigenvalue(jordan_defect(result.phi1, result.phi2, result.lam, X))
     return VerificationReport(
         reconstruction_ok=residual <= RECONSTRUCTION_TOL,
         reconstruction_residual=residual,
         phi1_ks=phi1_verdict,
         phi2_co_ks=phi2_verdict,
-        jordan_min_eigenvalue=float(jmin),
+        jordan_min_eigenvalue=jmin,
         jordan_ok=jmin >= -JORDAN_TOL,
         n_jordan_samples=n_jordan_samples,
     )

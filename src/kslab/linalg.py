@@ -85,12 +85,21 @@ def from_blocks(B: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+    """Hermitian part of A, or of each matrix of a stack, after checking that
+    each matrix is Hermitian within rtol * max(its own HS norm, 1)."""
     A = np.asarray(A)
-    scale = hs_norm(A)
-    defect = hs_norm(A - dagger(A))
+    if A.ndim == 2:
+        scale, defect, what = hs_norm(A), hs_norm(A - dagger(A)), "matrix"
+    else:
+        # per member, so a large member's norm cannot hide a small member's defect
+        S = A.reshape(-1, *A.shape[-2:])
+        scales = np.linalg.norm(S, axis=(1, 2))
+        defects = np.linalg.norm(S - dagger(S), axis=(1, 2))
+        i = int(np.argmax(defects / np.maximum(scales, 1.0)))
+        scale, defect, what = scales[i], defects[i], f"stack member {i}"
     if defect > rtol * max(scale, 1.0):
         raise HermiticityError(
-            f"matrix is not Hermitian: ||A - A*||_HS = {defect:.3e} "
+            f"{what} is not Hermitian: ||A - A*||_HS = {defect:.3e} "
             f"exceeds {rtol:.1e} * max(||A||_HS, 1) = {rtol * max(scale, 1.0):.3e}"
         )
     return hermitianize(A)
@@ -108,16 +117,18 @@ def spectral_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def min_eigenvalue(A: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitianized input.
+    """Smallest eigenvalue of the Hermitianized input; for a stack, the
+    smallest over all its matrices.
 
-    Rejects inputs that are not Hermitian within tolerance.
+    Rejects inputs of which any matrix is not Hermitian within tolerance.
     """
-    H = _require_hermitian(A)
-    return float(np.linalg.eigvalsh(H)[0])
+    w = np.linalg.eigvalsh(_require_hermitian(A))
+    return float(w[0] if w.ndim == 1 else w[..., 0].min())
 
 
 def is_psd(A: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff min_eigenvalue(A) >= -tol."""
+    """True iff min_eigenvalue(A) >= -tol: for a stack, iff every matrix
+    of it is PSD within tol."""
     return min_eigenvalue(A) >= -tol
 
 
@@ -126,6 +137,21 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.
     if cols is None:
         cols = rows
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def unit_ginibre(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """Stack of ``count`` d x d complex Ginibre matrices, each scaled to unit
+    HS norm. Member i equals the i-th of ``count`` successive
+    ``X = ginibre(rng, d); X /= hs_norm(X)`` draws bit for bit."""
+    G = rng.standard_normal((count, 2, d, d))
+    X = G[:, 0] + 1j * G[:, 1]
+    # hs_norm's arithmetic per member, so each quotient matches bit for bit:
+    # strided BLAS dots of the real and the imaginary parts (a 1 x n @ n x 1
+    # matmul; np.linalg.norm over axes sums in another order), and a complex
+    # divisor (numpy divides by a real array in another way)
+    re, im = (P.reshape(count, 1, d * d) for P in (X.real, X.imag))
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return X / np.sqrt(sq).astype(complex)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

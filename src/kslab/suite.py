@@ -33,7 +33,7 @@ from .decompose import (
     stormer_defect,
     verify_decomposition,
 )
-from .linalg import dagger, ginibre, hs_norm, min_eigenvalue
+from .linalg import dagger, ginibre, hs_norm, min_eigenvalue, unit_ginibre
 from .maps import QuantumMap
 from .zoo import (
     bound_lambda_minus,
@@ -330,14 +330,10 @@ def criterion_9(seed: int):
     for d in (2, 3):
         for _, _, target, r in _decompositions(d):
             n_decomps += 1
-            for _ in range(100):
-                X = ginibre(rng, d)
-                X /= hs_norm(X)
-                jordan_min = min(
-                    jordan_min, min_eigenvalue(jordan_defect(r.phi1, r.phi2, r.lam, X))
-                )
-                for Phi in (r.phi1, r.phi2, target):
-                    stormer_min = min(stormer_min, min_eigenvalue(stormer_defect(Phi, X)))
+            X = unit_ginibre(rng, 100, d)
+            jordan_min = min(jordan_min, min_eigenvalue(jordan_defect(r.phi1, r.phi2, r.lam, X)))
+            for Phi in (r.phi1, r.phi2, target):
+                stormer_min = min(stormer_min, min_eigenvalue(stormer_defect(Phi, X)))
     ok = jordan_min >= -1e-9 and stormer_min >= -1e-9
     return ok, {
         "n_decompositions": n_decomps,

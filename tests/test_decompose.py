@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslab import decompose
-from kslab.certify import SearchBudget
+from kslab.certify import SearchBudget, _derive_seed
 from kslab.decompose import (
     DecompositionInfeasibleError,
     decompose_lambda_plus_T,
@@ -14,8 +14,9 @@ from kslab.decompose import (
     stormer_defect,
     verify_decomposition,
 )
-from kslab.linalg import ginibre, hs_norm, min_eigenvalue
+from kslab.linalg import ginibre, hs_norm, min_eigenvalue, unit_ginibre
 from kslab.maps import QuantumMap, mix
+from kslab.suite import _decompositions
 from kslab.zoo import (
     ParameterDomainError,
     depolarizing,
@@ -200,3 +201,59 @@ def test_verify_decomposition_detects_tampering():
     rep = verify_decomposition(r, reduction(2, 0.9), FAST, n_jordan_samples=10)
     assert not rep.reconstruction_ok
     assert not rep.all_ok
+
+
+def test_verify_decomposition_rejects_vacuous_jordan_check():
+    # no samples would report jordan_ok on no evidence, with an inf minimum
+    r = decompose_reduction(2, 0.9)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_jordan_samples"):
+            verify_decomposition(r, reduction(2, 0.9), FAST, n_jordan_samples=n)
+
+
+def _loop_jordan(result, d, seed, n):
+    """The per-sample Jordan check verify_decomposition ran before it took
+    the samples as one stack: the samples drawn and the minimum eigenvalue."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(97,)))
+    samples, jmin = [], np.inf
+    for _ in range(n):
+        X = ginibre(rng, d)
+        X /= hs_norm(X)
+        samples.append(X)
+        jmin = min(jmin, min_eigenvalue(jordan_defect(result.phi1, result.phi2, result.lam, X)))
+    return np.array(samples), jmin
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_jordan_check_matches_loop_oracle(d, seed):
+    # every criterion-8 decomposition, with criterion 8's budgets
+    for _, a, target, r in _decompositions(d):
+        budget = SearchBudget(restarts=8, max_iters=200, seed=_derive_seed(seed, 8, d, int(round(a * 100))))
+        rep = verify_decomposition(r, target, budget, n_jordan_samples=100)
+        samples, jmin = _loop_jordan(r, d, budget.seed, 100)
+        rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(97,)))
+        assert np.array_equal(unit_ginibre(rng, 100, d), samples)
+        assert abs(rep.jordan_min_eigenvalue - jmin) <= 1e-15
+        assert rep.jordan_ok == (jmin >= -decompose.JORDAN_TOL)
+        loop_all_ok = (
+            rep.reconstruction_ok
+            and rep.phi1_ks.verdict == rep.phi2_co_ks.verdict == "NoViolationFound"
+            and jmin >= -decompose.JORDAN_TOL
+        )
+        assert rep.all_ok == loop_all_ok
+
+
+@pytest.mark.parametrize("d,a", [(2, 0.9), (3, 0.95), (4, 0.8)])
+def test_stacked_defects_equal_per_member_calls(d, a):
+    r = decompose_reduction(d, a)
+    X = unit_ginibre(rng, 7, d)
+    J = jordan_defect(r.phi1, r.phi2, r.lam, X)
+    assert J.shape == X.shape
+    for Phi in (r.phi1, r.phi2, reduction(d, a)):
+        S = stormer_defect(Phi, X)
+        assert S.shape == X.shape
+        for i in range(len(X)):
+            assert np.array_equal(S[i], stormer_defect(Phi, X[i]))
+    for i in range(len(X)):
+        assert np.array_equal(J[i], jordan_defect(r.phi1, r.phi2, r.lam, X[i]))

@@ -17,6 +17,7 @@ from kslab.linalg import (
     partial_trace_second,
     random_hermitian,
     spectral_decomposition,
+    unit_ginibre,
     unvec,
     vec,
 )
@@ -127,6 +128,42 @@ def test_min_eigenvalue_and_psd():
     assert not is_psd(H)
     assert is_psd(H + 0.5 * np.eye(3))
     assert is_psd(np.diag([1.0, -1e-10]))  # inside the default slack
+
+
+def test_min_eigenvalue_of_a_stack_is_the_smallest_over_members():
+    S = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    assert min_eigenvalue(S) == min(min_eigenvalue(H) for H in S)
+    P = np.array([np.diag([1.0, 2.0]), np.diag([0.5, -0.1]), np.eye(2)])
+    assert not is_psd(P)
+    P[1] = np.diag([0.5, 0.1])
+    assert is_psd(P)
+
+
+def test_stack_hermiticity_is_checked_per_member():
+    # the large member's norm must not set the tolerance of the small one:
+    # against the whole stack's norm the small member's defect would pass
+    big = 1e6 * random_hermitian(rng, 3)
+    small = random_hermitian(rng, 3) + 1e-6 * ginibre(rng, 3)
+    stack = np.array([big, small, big])
+    assert hs_norm(small - dagger(small)) <= 1e-10 * hs_norm(stack)
+    with pytest.raises(HermiticityError, match="stack member 1 "):
+        min_eigenvalue(stack)
+    with pytest.raises(HermiticityError, match="stack member 1 "):
+        is_psd(stack)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_unit_ginibre_matches_successive_draws(d):
+    # bit for bit the draws and the HS normalization of a ginibre loop,
+    # leaving the generator in the same state
+    a, b = np.random.default_rng(d), np.random.default_rng(d)
+    loop = []
+    for _ in range(60):
+        X = ginibre(b, d)
+        X /= hs_norm(X)
+        loop.append(X)
+    assert np.array_equal(unit_ginibre(a, 60, d), np.array(loop))
+    assert a.standard_normal() == b.standard_normal()
 
 
 def test_hermitianize_fixed_point():
