@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .linalg import dagger, ginibre, hermitianize, hs_norm, partial_trace_second
+from .linalg import _derive_seed, dagger, ginibre, hermitianize, hs_norm, partial_trace_second
 from .maps import BlockOperator, QuantumMap
 from .zoo import (
     ParameterDomainError,
@@ -54,6 +54,7 @@ from .zoo import (
     bounds_lambda_plus,
     build_family,
     sample_utp_cp,
+    transpose_rows,
 )
 
 EIG_DEGENERACY_GAP = 1e-8
@@ -88,13 +89,6 @@ class SearchBudget:
             raise ValueError("violation_tol must be positive")
 
 
-def _derive_seed(seed: int, *key: int) -> int:
-    """Child seed of ``seed`` at ``key``: the first word of
-    SeedSequence(seed, spawn_key=key). Scan points, sampled maps and the
-    suite criteria all take their seeds from here."""
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
 @dataclass
 class SchmidtWitness:
     """Schmidt-rank-k witness vector psi = sum_i u_i (x) v_i for the
@@ -127,9 +121,8 @@ class CertificateVerdict:
 
 
 def ks_defect(Phi: QuantumMap, X: np.ndarray) -> np.ndarray:
-    """Phi(X*X) - Phi(X)*Phi(X)."""
-    Y = Phi(X)
-    return Phi(dagger(X) @ X) - dagger(Y) @ Y
+    """Phi(X*X) - Phi(X)*Phi(X): the amplified KS defect at k = 1."""
+    return amplified_ks_defect(Phi, 1, X)
 
 
 def co_ks_defect(Phi: QuantumMap, X: np.ndarray) -> np.ndarray:
@@ -153,14 +146,11 @@ def amplified_ks_defect(Phi: QuantumMap, k: int, X: np.ndarray | BlockOperator) 
 def kks_block_defect(Phi: QuantumMap, ops: list[np.ndarray]) -> np.ndarray:
     """Block criterion for the k-KS property: the kd x kd matrix with
     (i, j)-block Phi(X_i* X_j) - Phi(X_i)* Phi(X_j)."""
-    k, d = len(ops), Phi.d
-    out = np.zeros((k * d, k * d), dtype=complex)
     images = [Phi(X) for X in ops]
-    for i in range(k):
-        for j in range(k):
-            block = Phi(dagger(ops[i]) @ ops[j]) - dagger(images[i]) @ images[j]
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-    return out
+    return linalg.from_blocks(np.array([
+        [Phi(dagger(Xi) @ Xj) - dagger(Yi) @ Yj for Xj, Yj in zip(ops, images)]
+        for Xi, Yi in zip(ops, images)
+    ]))
 
 
 def phi_k_defect(Phi: QuantumMap, k: int, X: np.ndarray) -> np.ndarray:
@@ -174,13 +164,13 @@ def phi_k_defect(Phi: QuantumMap, k: int, X: np.ndarray) -> np.ndarray:
 
 
 def strong_kadison_defects(
-    Phi: QuantumMap, X: np.ndarray, Y: np.ndarray, tol: float = linalg.PSD_TOL
+    Phi: QuantumMap, X: np.ndarray, Y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Phi(Y) - Phi(X)*Phi(X), Phi(Y) - Phi(X)Phi(X)*) for Y dominating
     both X*X and XX*."""
-    if not linalg.is_psd(Y - dagger(X) @ X, tol):
+    if not linalg.is_psd(Y - dagger(X) @ X):
         raise ValueError("precondition failed: Y - X*X is not positive semidefinite")
-    if not linalg.is_psd(Y - X @ dagger(X), tol):
+    if not linalg.is_psd(Y - X @ dagger(X)):
         raise ValueError("precondition failed: Y - XX* is not positive semidefinite")
     PY = Phi(Y)
     Z = Phi(X)
@@ -205,11 +195,7 @@ def tuple_to_block(ops: list[np.ndarray], d: int) -> BlockOperator:
 def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
     """Extract from a block witness the row tuple with the most negative
     block-criterion defect (the full defect is the sum over row tuples)."""
-    d = Phi.d
-    rows = [
-        [X[i * d : (i + 1) * d, j * d : (j + 1) * d] for j in range(k)]
-        for i in range(k)
-    ]
+    rows = [list(row) for row in linalg.blocks(X, k, Phi.d)]
     return min(rows, key=lambda t: linalg.min_eigenvalue(kks_block_defect(Phi, t)))
 
 
@@ -375,19 +361,19 @@ def _falsify(
 
     ``restart(rngs)`` runs one search per generator, in lockstep, and
     returns for each the (best value, best point, counters) of a run with
-    that generator alone. Restarts are seeded independently from the budget
-    seed so the result is deterministic. Restart 1 runs alone; only when it
-    finds no violation do restarts 2..R run, as one batch. The results are
+    that generator alone. Restart r of 1..R draws from
+    linalg.rng(budget.seed, r - 1), so the result is deterministic. Restart
+    1 runs alone; only when it finds no violation do restarts 2..R run, as
+    one batch. The results are
     folded in restart order up to the first violation, as if the restarts
     had run one by one and stopped there: the counters are summed over that
     prefix and the worst value is its minimum. A violating point is
     re-evaluated by ``value``, away from the optimizer state, and
     ``make_witness`` turns it into the witness.
     """
-    seeds = np.random.SeedSequence(budget.seed).spawn(budget.restarts)
-    runs = restart([np.random.default_rng(seeds[0])])
-    if len(seeds) > 1 and not runs[0][0] < -budget.violation_tol:
-        runs += restart([np.random.default_rng(ss) for ss in seeds[1:]])
+    runs = restart([linalg.rng(budget.seed, 0)])
+    if budget.restarts > 1 and not runs[0][0] < -budget.violation_tol:
+        runs += restart([linalg.rng(budget.seed, i) for i in range(1, budget.restarts)])
     worst, worst_point = np.inf, None
     counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
     for f, point, used in runs:
@@ -443,7 +429,7 @@ def _min_eig_vectors(
 
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
     """f(X) = lambda_min(defect(X)), the value a sphere witness re-checks."""
-    return float(np.linalg.eigvalsh(hermitianize(defect(X)))[0])
+    return linalg.min_eigenvalue(defect(X))
 
 
 def _xsteps(xstep: Callable[[np.ndarray], np.ndarray], V: np.ndarray, drawn: np.ndarray) -> np.ndarray:
@@ -574,15 +560,19 @@ def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
     return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
+def _warn_unless_unital(Phi: QuantumMap, inequality: str) -> None:
+    if not Phi.unital:
+        warnings.warn(
+            f"map '{Phi.label}' is not unital; the {inequality} inequality is stated for unital maps",
+            stacklevel=3,
+        )
+
+
 def falsify_ks(
     Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
     """Search for a violation of the k-KS inequality of Phi."""
-    if not Phi.unital:
-        warnings.warn(
-            f"map '{Phi.label}' is not unital; the KS inequality is stated for unital maps",
-            stacklevel=2,
-        )
+    _warn_unless_unital(Phi, "KS")
     return _ks_search(Phi, k, budget)
 
 
@@ -591,16 +581,9 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> Cer
     transposition, the co-KS defect of Phi at X is the transpose of the KS
     defect of tau o Phi at X, so this is the KS search of tau o Phi, and a
     witness X serves both."""
-    if not Phi.unital:
-        warnings.warn(
-            f"map '{Phi.label}' is not unital; the co-KS inequality is stated for unital maps",
-            stacklevel=2,
-        )
-    d = Phi.d
-    # vec(X^T) is vec(X) with its row and column indices swapped, so the
-    # transfer matrix of tau o Phi is T with its rows permuted
-    tau_phi = Phi.transfer.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
-    return _ks_search(QuantumMap(tau_phi, label=f"transpose∘{Phi.label}"), 1, budget)
+    _warn_unless_unital(Phi, "co-KS")
+    tau_phi = QuantumMap(transpose_rows(Phi.transfer), label=f"transpose∘{Phi.label}")
+    return _ks_search(tau_phi, 1, budget)
 
 
 def check_phi_k_condition(
@@ -626,7 +609,7 @@ def check_phi_k_condition(
     X[:d, :d] = linalg.unvec(Vh[0].conj(), d)
     if violated:
         # SVD against eigvalsh: their gap grows with the size of the defect
-        _check_witness(_min_eig_value(partial(phi_k_defect, Phi, k), X), worst, max(1.0, s2))
+        _check_witness(linalg.min_eigenvalue(phi_k_defect(Phi, k, X)), worst, max(1.0, s2))
     return CertificateVerdict(
         verdict="Violated" if violated else "NoViolationFound",
         worst_value=worst,
@@ -711,6 +694,8 @@ def scan_threshold(
         grid = grid[::-1]
     elif direction != "ascending":
         raise ValueError("direction must be 'ascending' or 'descending'")
+    # before the grid, so a family or (d, k) without a bound fails at once
+    paper_bound = paper_bound_for(family, d, k)
 
     points: list[ScanPoint] = []
     a_first_violation = None
@@ -731,7 +716,7 @@ def scan_threshold(
         direction=direction,
         a_certified_ks=a_certified,
         a_first_violation=a_first_violation,
-        paper_bound=paper_bound_for(family, d, k),
+        paper_bound=paper_bound,
         grid_step=grid_step,
         points=points,
     )

@@ -33,6 +33,7 @@ from .decompose import (
     decompose_reduction,
     verify_decomposition,
 )
+from .linalg import HermiticityError
 from .maps import QuantumMap
 from .suite import format_table, run_suite
 from .zoo import FAMILY_NAMES, HypothesisError, ParameterDomainError, build_family, reduction, transpose_map, lambda_plus
@@ -60,14 +61,13 @@ def default_seed() -> int:
     return 0
 
 
-def add_map_source(p: Parser, with_a: bool = True):
+def add_map_source(p: Parser):
     p.add_argument("--family", choices=FAMILY_NAMES, help="named map family")
     p.add_argument("--map", metavar="PATH", help="JSON map file (alternative to --family)")
     p.add_argument("--base", default="identity",
                    help="base family name or JSON map path for lambda-minus/lambda-plus")
     p.add_argument("--d", type=int, help="Hilbert-space dimension")
-    if with_a:
-        p.add_argument("--a", type=float, help="family parameter")
+    p.add_argument("--a", type=float, help="family parameter")
     p.add_argument("--n-kraus", type=int, default=3, help="Kraus rank for random-utp")
 
 
@@ -84,27 +84,32 @@ def add_output(p: Parser):
                    help="RNG seed (default: $KSLAB_SEED or 0)")
 
 
-def load_map_file(path: str) -> QuantumMap:
+def read_artifact(path: str, key: str, parse):
+    """parse() of the JSON in path, out of the artifact envelope (under key)
+    that `construct` ("map") and `decompose --out` ("decomposition") write."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read map file: {exc}")
+        raise CliError(f"cannot read {key} file: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in '{path}': {exc}")
-    if isinstance(obj, dict) and "map" in obj and "d" not in obj:
-        obj = obj["map"]  # artifact envelope produced by `construct`
+    if isinstance(obj, dict) and key in obj:
+        obj = obj[key]
     try:
-        return serialize.map_from_json(obj)
-    except ValueError as exc:
-        raise CliError(f"bad map in '{path}': {exc}")
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {key} in '{path}': {type(exc).__name__}: {exc}")
 
 
-def resolve_base(name_or_path: str, d: int, seed: int, n_kraus: int) -> QuantumMap:
-    if name_or_path.endswith(".json") or os.path.sep in name_or_path:
-        return load_map_file(name_or_path)
+def resolve_base(args, seed: int) -> QuantumMap | None:
+    """The --base map of a lambda-minus/lambda-plus family, else None."""
+    if args.family not in ("lambda-minus", "lambda-plus"):
+        return None
+    if args.base.endswith(".json") or os.path.sep in args.base:
+        return read_artifact(args.base, "map", serialize.map_from_json)
     try:
-        return build_family(name_or_path, d, seed=seed, n_kraus=n_kraus)
+        return build_family(args.base, args.d, seed=seed, n_kraus=args.n_kraus)
     except ParameterDomainError as exc:
         raise CliError(f"bad --base: {exc}")
 
@@ -113,14 +118,12 @@ def resolve_map(args, seed: int) -> QuantumMap:
     if args.map and args.family:
         raise CliError("give either --family or --map, not both")
     if args.map:
-        return load_map_file(args.map)
+        return read_artifact(args.map, "map", serialize.map_from_json)
     if not args.family:
         raise CliError("a map source is required: --family or --map")
     if args.d is None:
         raise CliError("--d is required with --family")
-    base = None
-    if args.family in ("lambda-minus", "lambda-plus"):
-        base = resolve_base(args.base, args.d, seed, args.n_kraus)
+    base = resolve_base(args, seed)
     try:
         return build_family(
             args.family, args.d, a=getattr(args, "a", None), base=base,
@@ -217,9 +220,7 @@ def cmd_kpos(args, seed: int, t0: float) -> int:
 
 
 def cmd_scan(args, seed: int, t0: float) -> int:
-    base = None
-    if args.family in ("lambda-minus", "lambda-plus"):
-        base = resolve_base(args.base, args.d, seed, args.n_kraus)
+    base = resolve_base(args, seed)
     try:
         scan = scan_threshold(
             args.family, args.d, args.k, args.a_min, args.a_max, args.step,
@@ -262,13 +263,12 @@ def cmd_decompose(args, seed: int, t0: float) -> int:
 
 
 def cmd_verify(args, seed: int, t0: float) -> int:
-    try:
-        with open(args.decomposition) as fh:
-            result = serialize.decomposition_from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load decomposition '{args.decomposition}': {exc}")
+    result = read_artifact(args.decomposition, "decomposition", serialize.decomposition_from_json)
     target = resolve_map(args, seed)
-    report = verify_decomposition(result, target, budget_from(args, seed))
+    try:
+        report = verify_decomposition(result, target, budget_from(args, seed))
+    except ValueError as exc:
+        raise CliError(str(exc))
     emit(args, seed, {"verification": serialize.verification_to_json(report)}, t0)
     if args.expect == "pass" and not report.all_ok:
         sys.stderr.write("expectation failed: verification did not pass\n")
@@ -366,9 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if getattr(args, "d", None) is not None and args.d < 1:
+            raise CliError(f"--d must be >= 1, got {args.d}")
         seed = args.seed if getattr(args, "seed", None) is not None else default_seed()
         return args.func(args, seed, t0)
-    except CliError as exc:
+    # a witness of a map that is not Hermiticity-preserving fails its recheck
+    except (CliError, HermiticityError) as exc:
         sys.stderr.write(f"kslab: error: {exc}\n")
         return 1
 

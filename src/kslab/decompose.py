@@ -6,7 +6,7 @@ the Jordan-product defect inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from . import linalg
 from .linalg import dagger, hs_norm, unit_ginibre
 from .certify import CertificateVerdict, SearchBudget, falsify_co_ks, falsify_ks
 from .maps import QuantumMap, mix
-from .zoo import ParameterDomainError, depolarizing, lambda_plus, reduction, transpose_map
+from .zoo import ParameterDomainError, lambda_plus, reduction, transpose_map
 
 RECONSTRUCTION_TOL = 1e-10
 JORDAN_TOL = 1e-9
@@ -37,10 +37,15 @@ class DecompositionResult:
         return mix([(self.lam, self.phi1), (1 - self.lam, self.phi2)], label="reconstruction")
 
 
+def _residual(lam: float, phi1: QuantumMap, phi2: QuantumMap, target: QuantumMap) -> float:
+    """HS norm of lam*phi1 + (1-lam)*phi2 - target on transfer matrices."""
+    if not phi1.d == phi2.d == target.d:
+        raise ValueError(f"components act on d={phi1.d} and d={phi2.d}, the target on d={target.d}")
+    return hs_norm(lam * phi1.transfer + (1 - lam) * phi2.transfer - target.transfer)
+
+
 def _result(lam: float, phi1: QuantumMap, phi2: QuantumMap, target: QuantumMap, params: dict) -> DecompositionResult:
-    residual = hs_norm(
-        lam * phi1.transfer + (1 - lam) * phi2.transfer - target.transfer
-    )
+    residual = _residual(lam, phi1, phi2, target)
     if residual > RECONSTRUCTION_TOL:
         raise AssertionError(f"reconstruction residual {residual:.3e} exceeds tolerance")
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
@@ -76,15 +81,14 @@ def decompose_lambda_plus_T(d: int, a: float) -> DecompositionResult:
     if a >= t:
         lam, beta = 1.0, a
         phi1 = target
-        phi2 = transpose_map(d)  # inert (weight 0) but still co-KS
     else:
         lam = a / t
         beta = t
         if not abs(lam * beta - a) <= IDENTITY_TOL:
             raise RuntimeError(f"split weights give lambda*beta = {lam * beta!r}, not a = {a!r}")
         phi1 = _psi(d, beta)
-        phi2 = transpose_map(d)
-    return _result(lam, phi1, phi2, target, params={"lambda": lam, "beta": beta})
+    # at lambda = 1 the co-KS component has weight 0 but is still co-KS
+    return _result(lam, phi1, transpose_map(d), target, params={"lambda": lam, "beta": beta})
 
 
 def reduction_split_params(d: int, a: float, alpha: float, lam: float) -> dict:
@@ -212,12 +216,12 @@ def jordan_defect(
     return out
 
 
-def stormer_defect(Phi: QuantumMap, X: np.ndarray, tol: float = linalg.PSD_TOL) -> np.ndarray:
+def stormer_defect(Phi: QuantumMap, X: np.ndarray) -> np.ndarray:
     """Phi(X* o X) - Phi(X)* o Phi(X) for sub-unital positive Phi, of one
     d x d X or of each matrix of a (B, d, d) stack; the Phi(I) <= I
     precondition is checked once per call."""
     d = Phi.d
-    if not linalg.is_psd(np.eye(d) - Phi(np.eye(d)), tol):
+    if not linalg.is_psd(np.eye(d) - Phi(np.eye(d))):
         raise ValueError("precondition failed: Phi(I) <= I does not hold")
     Z = Phi.apply_amplified(X, 1)
     return Phi.apply_amplified(jordan_product(dagger(X), X), 1) - jordan_product(dagger(Z), Z)
@@ -258,18 +262,14 @@ def verify_decomposition(
     reconstruction residual, falsifier runs on both components, and the
     Jordan-product defect on n_jordan_samples random unit-HS-norm inputs,
     evaluated as one stack; jordan_min_eigenvalue is the smallest
-    eigenvalue over all of them."""
+    eigenvalue over all of them. A target of another dimension than the
+    components is a ValueError."""
     if n_jordan_samples < 1:
         raise ValueError(f"n_jordan_samples must be >= 1, got {n_jordan_samples}")
-    residual = hs_norm(
-        result.lam * result.phi1.transfer
-        + (1 - result.lam) * result.phi2.transfer
-        - target.transfer
-    )
+    residual = _residual(result.lam, result.phi1, result.phi2, target)
     phi1_verdict = falsify_ks(result.phi1, 1, budget)
     phi2_verdict = falsify_co_ks(result.phi2, budget)
-    rng = np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(97,)))
-    X = unit_ginibre(rng, n_jordan_samples, target.d)
+    X = unit_ginibre(linalg.rng(budget.seed, 97), n_jordan_samples, target.d)
     jmin = linalg.min_eigenvalue(jordan_defect(result.phi1, result.phi2, result.lam, X))
     return VerificationReport(
         reconstruction_ok=residual <= RECONSTRUCTION_TOL,

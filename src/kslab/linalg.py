@@ -25,11 +25,9 @@ def vec(X: np.ndarray) -> np.ndarray:
     return np.asarray(X).flatten(order="F")
 
 
-def unvec(x: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    if cols is None:
-        cols = rows
-    return np.asarray(x).reshape(rows, cols, order="F")
+def unvec(x: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`vec` for a d x d matrix."""
+    return np.asarray(x).reshape(d, d, order="F")
 
 
 def dagger(A: np.ndarray) -> np.ndarray:
@@ -84,24 +82,26 @@ def from_blocks(B: np.ndarray) -> np.ndarray:
     return B.transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
-def _require_hermitian(A: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def _require_hermitian(A: np.ndarray) -> np.ndarray:
     """Hermitian part of A, or of each matrix of a stack, after checking that
-    each matrix is Hermitian within rtol * max(its own HS norm, 1)."""
+    each matrix is Hermitian within HERMITICITY_RTOL * max(its own HS norm, 1);
+    a single matrix is checked as a one-member stack."""
     A = np.asarray(A)
-    if A.ndim == 2:
-        scale, defect, what = hs_norm(A), hs_norm(A - dagger(A)), "matrix"
-    else:
+    D = A - dagger(A)
+    # no member's defect exceeds the whole input's, and no bound is below
+    # HERMITICITY_RTOL: one norm clears a Hermitian input
+    if hs_norm(D) > HERMITICITY_RTOL:
         # per member, so a large member's norm cannot hide a small member's defect
-        S = A.reshape(-1, *A.shape[-2:])
-        scales = np.linalg.norm(S, axis=(1, 2))
-        defects = np.linalg.norm(S - dagger(S), axis=(1, 2))
-        i = int(np.argmax(defects / np.maximum(scales, 1.0)))
-        scale, defect, what = scales[i], defects[i], f"stack member {i}"
-    if defect > rtol * max(scale, 1.0):
-        raise HermiticityError(
-            f"{what} is not Hermitian: ||A - A*||_HS = {defect:.3e} "
-            f"exceeds {rtol:.1e} * max(||A||_HS, 1) = {rtol * max(scale, 1.0):.3e}"
-        )
+        S, D = (M.reshape(-1, *A.shape[-2:]) for M in (A, D))
+        defects = np.linalg.norm(D, axis=(1, 2))
+        bounds = HERMITICITY_RTOL * np.maximum(np.linalg.norm(S, axis=(1, 2)), 1.0)
+        i = int(np.argmax(defects / bounds))
+        if defects[i] > bounds[i]:
+            what = "matrix" if A.ndim == 2 else f"stack member {i}"
+            raise HermiticityError(
+                f"{what} is not Hermitian: ||A - A*||_HS = {defects[i]:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.1e} * max(||A||_HS, 1) = {bounds[i]:.3e}"
+            )
     return hermitianize(A)
 
 
@@ -111,9 +111,7 @@ def spectral_decomposition(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues ascending, unitary of column eigenvectors) of the
     Hermitianized input.
     """
-    H = _require_hermitian(A)
-    w, U = np.linalg.eigh(H)
-    return w, U
+    return np.linalg.eigh(_require_hermitian(A))
 
 
 def min_eigenvalue(A: np.ndarray) -> float:
@@ -122,14 +120,26 @@ def min_eigenvalue(A: np.ndarray) -> float:
 
     Rejects inputs of which any matrix is not Hermitian within tolerance.
     """
-    w = np.linalg.eigvalsh(_require_hermitian(A))
-    return float(w[0] if w.ndim == 1 else w[..., 0].min())
+    return float(np.linalg.eigvalsh(_require_hermitian(A))[..., 0].min())
 
 
-def is_psd(A: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """True iff min_eigenvalue(A) >= -tol: for a stack, iff every matrix
-    of it is PSD within tol."""
-    return min_eigenvalue(A) >= -tol
+def is_psd(A: np.ndarray) -> bool:
+    """True iff min_eigenvalue(A) >= -PSD_TOL: for a stack, iff every matrix
+    of it is PSD within PSD_TOL."""
+    return min_eigenvalue(A) >= -PSD_TOL
+
+
+def rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of SeedSequence(seed, spawn_key=key), the source of every
+    seeded draw; at key (i,) it is child i of SeedSequence(seed).spawn(n)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _derive_seed(seed: int, *key: int) -> int:
+    """Child seed of ``seed`` at ``key``: the first word of
+    SeedSequence(seed, spawn_key=key). Scan points, sampled maps and the
+    suite criteria all take their seeds from here."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
@@ -160,8 +170,7 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix."""
-    Q, R = np.linalg.qr(ginibre(rng, n))
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    return haar_isometry(rng, n, n)
 
 
 def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

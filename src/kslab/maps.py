@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import dagger, hs_norm, unvec, vec
+from .linalg import dagger, hs_norm, vec
 
 STRUCT_TOL = 1e-10
 
@@ -67,7 +67,7 @@ class QuantumMap:
         X = np.asarray(X)
         if X.shape != (self.d, self.d):
             raise ValueError(f"operand shape {X.shape} does not match d={self.d}")
-        return unvec(self.transfer @ vec(X), self.d)
+        return self.apply_amplified(X, 1)
 
     def apply_amplified(self, X: np.ndarray, k: int) -> np.ndarray:
         """(id_k (x) Phi)(X) for a kd x kd matrix X, or for each matrix of a
@@ -77,7 +77,7 @@ class QuantumMap:
         if X.shape[-2:] != (k * d, k * d):
             raise ValueError(f"matrix of shape {X.shape} does not match block structure k={k}, d={d}")
         if k == 1:
-            # vec(X) as a column: a matrix-vector product, as in __call__
+            # vec(X) as a column: a matrix-vector product
             Y = self.transfer @ X.swapaxes(-1, -2).reshape(-1, d * d, 1)
             return Y.reshape(X.shape).swapaxes(-1, -2)
         # columns of V are vec's of the d x d blocks X_ij
@@ -113,28 +113,28 @@ class QuantumMap:
         T = sum(np.kron(K.conj(), K) for K in kraus)
         return cls(T, label=label)
 
-    def kraus(self, tol: float = 1e-10) -> list[np.ndarray]:
-        """Kraus operators from the Choi eigendecomposition.
+    def kraus(self) -> list[np.ndarray]:
+        """Kraus operators from the Choi eigenvalues above STRUCT_TOL.
 
         Requires the map to be CP within tolerance (Choi PSD).
         """
         d = self.d
         C = linalg.hermitianize(self.choi())
         w, U = np.linalg.eigh(C)
-        if w[0] < -tol * max(w[-1], 1.0):
+        if w[0] < -STRUCT_TOL * max(w[-1], 1.0):
             raise ValueError(
                 f"map is not completely positive: Choi eigenvalue {w[0]:.3e}"
             )
         ops = []
         for lam, v in zip(w, U.T):
-            if lam > tol:
+            if lam > STRUCT_TOL:
                 # v[(i, p)] = K[p, i] / sqrt(lam)
                 ops.append(np.sqrt(lam) * v.reshape(d, d).T)
         return ops
 
     @classmethod
-    def identity(cls, d: int, label: str = "identity") -> "QuantumMap":
-        return cls(np.eye(d * d), label=label)
+    def identity(cls, d: int) -> "QuantumMap":
+        return cls(np.eye(d * d), label="identity")
 
     # -- algebra -------------------------------------------------------
 

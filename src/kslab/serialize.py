@@ -121,12 +121,12 @@ def scan_to_csv(s: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def decomposition_to_json(r: DecompositionResult, repr_: str = "transfer") -> dict:
+def decomposition_to_json(r: DecompositionResult) -> dict:
     return {
         "lambda": r.lam,
         "params": dict(r.params),
-        "phi1": map_to_json(r.phi1, repr_),
-        "phi2": map_to_json(r.phi2, repr_),
+        "phi1": map_to_json(r.phi1),
+        "phi2": map_to_json(r.phi2),
         "residual": r.reconstruction_residual,
     }
 

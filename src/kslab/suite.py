@@ -16,10 +16,9 @@ import time
 
 import numpy as np
 
-from . import serialize
+from . import linalg, serialize
 from .certify import (
     SearchBudget,
-    _derive_seed,
     check_kp_implies_kks,
     check_phi_k_condition,
     falsify_k_positivity,
@@ -33,7 +32,7 @@ from .decompose import (
     stormer_defect,
     verify_decomposition,
 )
-from .linalg import dagger, ginibre, hs_norm, min_eigenvalue, unit_ginibre
+from .linalg import _derive_seed, dagger, ginibre, hs_norm, min_eigenvalue, unit_ginibre
 from .maps import QuantumMap
 from .zoo import (
     bound_lambda_minus,
@@ -160,20 +159,17 @@ def criterion_4(seed: int):
     """Depolarizing-projection identities on random block operators:
     (i) Delta_k is a projector; (ii) it fixes Delta_k(X)*Delta_k(X);
     (iii) Delta_k(Y) = 0 implies Delta_k(Y Delta_k(X)) = 0."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
+    rng = linalg.rng(seed, 4)
     worst = {"i": 0.0, "ii": 0.0, "iii": 0.0}
     for d in (2, 3):
         D = depolarizing(d)
         for k in (1, 2, 3):
-            for _ in range(200):
-                X = ginibre(rng, k * d)
-                X /= hs_norm(X)
+            # X and Z of each of the 200 trials, drawn in turn
+            for X, Z in unit_ginibre(rng, 400, k * d).reshape(200, 2, k * d, k * d):
                 DX = D.apply_amplified(X, k)
                 worst["i"] = max(worst["i"], hs_norm(D.apply_amplified(DX, k) - DX))
                 P = dagger(DX) @ DX
                 worst["ii"] = max(worst["ii"], hs_norm(D.apply_amplified(P, k) - P))
-                Z = ginibre(rng, k * d)
-                Z /= hs_norm(Z)
                 Y = Z - D.apply_amplified(Z, k)
                 worst["iii"] = max(
                     worst["iii"], hs_norm(D.apply_amplified(Y @ DX, k))
@@ -186,7 +182,7 @@ def criterion_5(seed: int):
     """HS contraction implies the partial-trace domination condition:
     maps at norm 0.99 never violate; maps inflated to 1.05 are violated,
     as the closed form decides (the rate is recorded, threshold 15/20)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
+    rng = linalg.rng(seed, 5)
 
     def rand_map(d, norm):
         T = ginibre(rng, d * d)
@@ -260,8 +256,9 @@ def criterion_7(seed: int):
     return ok, {"cases": cases}
 
 
-def _reduction_grid(d: int, step: float = 0.02):
-    """Grid over the open interval (d/(d+1), 1) aligned to multiples of step."""
+def _reduction_grid(d: int):
+    """Grid over the open interval (d/(d+1), 1) aligned to multiples of 0.02."""
+    step = 0.02
     lo = d / (d + 1)
     start = (int(lo / step) + 1) * step
     return [round(start + i * step, 10) for i in range(int((1 - start) / step) + 1)
@@ -323,7 +320,7 @@ def criterion_9(seed: int):
     """Jordan-product and sub-unital defect inequalities: minimal
     eigenvalue >= -1e-9 over 100 random X for every criterion-8
     decomposition (components and target are all positive and unital)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(9,)))
+    rng = linalg.rng(seed, 9)
     jordan_min = np.inf
     stormer_min = np.inf
     n_decomps = 0

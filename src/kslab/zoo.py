@@ -48,13 +48,16 @@ def depolarizing(d: int) -> QuantumMap:
     return QuantumMap(np.outer(v, v) / d, label=f"delta(d={d})")
 
 
+def transpose_rows(T: np.ndarray) -> np.ndarray:
+    """Transfer matrix of tau o Phi, tau the transposition, from that of Phi:
+    vec(X^T) is vec(X) with its row and column indices swapped."""
+    d = int(round(np.sqrt(len(T))))
+    return T.reshape(d, d, -1).swapaxes(0, 1).reshape(d * d, -1)
+
+
 def transpose_map(d: int) -> QuantumMap:
     """Transposition X -> X^T."""
-    T = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            T[i * d + j, j * d + i] = 1.0  # vec(E_ij) -> vec(E_ji)
-    return QuantumMap(T, label=f"transpose(d={d})")
+    return QuantumMap(transpose_rows(np.eye(d * d)), label=f"transpose(d={d})")
 
 
 def reduction(d: int, a: float) -> QuantumMap:
@@ -136,8 +139,7 @@ def sample_utp_cp(d: int, seed: int, n_kraus: int = 3) -> QuantumMap:
     """
     if n_kraus < 1:
         raise ParameterDomainError("n_kraus must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    V = haar_isometry(rng, n_kraus * d, d)
+    V = haar_isometry(linalg.rng(seed), n_kraus * d, d)
     kraus = [V[i * d : (i + 1) * d, :] for i in range(n_kraus)]
     Phi = QuantumMap.from_kraus(kraus)
     if n_kraus == 1:

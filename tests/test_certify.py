@@ -896,6 +896,16 @@ def test_paper_bound_for_unknown_family():
         paper_bound_for("delta", 2, 1)
 
 
+@pytest.mark.parametrize("family,d,k", [("delta", 3, 1), ("lambda-minus", 2, 3)])
+def test_scan_threshold_without_a_bound_runs_no_falsifier(monkeypatch, family, d, k):
+    # the bound is computed before the grid, so these fail at once
+    calls = []
+    monkeypatch.setattr(certify, "falsify_ks", lambda *args: calls.append(args))
+    with pytest.raises(ParameterDomainError):
+        scan_threshold(family, d, k, 0.1, 0.5, 0.1, FAST)
+    assert calls == []
+
+
 def test_check_kp_implies_kks_small():
     rep = check_kp_implies_kks(2, 1, seed=0, budget=SearchBudget(restarts=4, max_iters=100, seed=0), n_samples=3)
     assert rep.n_samples == 3

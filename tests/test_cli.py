@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kslab import certify, serialize
 from kslab.cli import main
+from kslab.maps import QuantumMap
 
 
 def run(capsys, *argv):
@@ -204,6 +206,84 @@ def test_verify_subcommand(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out)["verification"]["all_ok"]
+
+
+def test_verify_reads_the_decompose_artifact(tmp_path, capsys):
+    # the file that `decompose --out` writes, passed as it is
+    dec_path = tmp_path / "dec.json"
+    rc, _, _ = run(
+        capsys, "decompose", "--family", "lambda-plus-t", "--d", "2", "--a", "0.2",
+        "--out", str(dec_path),
+    )
+    assert rc == 0
+    rc, out, err = run(
+        capsys, "verify", "--decomposition", str(dec_path),
+        "--family", "lambda-plus", "--base", "transpose", "--d", "2", "--a", "0.2",
+        "--restarts", "8", "--expect", "pass",
+    )
+    assert rc == 0, err
+    assert json.loads(out)["verification"]["all_ok"]
+
+
+def test_verify_against_a_target_of_another_dimension_exits_1(tmp_path, capsys):
+    dec_path = tmp_path / "dec.json"
+    rc, _, _ = run(
+        capsys, "decompose", "--family", "reduction", "--d", "2", "--a", "0.9",
+        "--out", str(dec_path),
+    )
+    assert rc == 0
+    rc, out, err = run(
+        capsys, "verify", "--decomposition", str(dec_path),
+        "--family", "reduction", "--d", "3", "--a", "0.9", "--restarts", "2",
+    )
+    assert rc == 1
+    assert "kslab: error:" in err and "the target on d=3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "identity", "--d", "-1"],
+        ["construct", "--family", "identity", "--d", "0"],
+        ["certify", "--family", "transpose", "--d", "-3"],
+        ["certify", "--family", "identity", "--d", "0"],
+    ],
+    ids=["construct-d-1", "construct-d0", "certify-d-3", "certify-d0"],
+)
+def test_nonpositive_d_exits_1(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert f"kslab: error: --d must be >= 1, got {argv[-1]}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--family", "delta", "--d", "3"], ["--family", "lambda-minus", "--d", "2", "--k", "3"]],
+    ids=["delta-no-bound", "lambda-minus-k-above-d"],
+)
+def test_scan_without_a_bound_fails_before_any_falsifier(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("falsify_ks ran before the bound was known")
+
+    monkeypatch.setattr(certify, "falsify_ks", never)
+    rc, out, err = run(capsys, "scan", *argv, "--a-min", "0.1", "--a-max", "0.5", "--step", "0.1")
+    assert rc == 1
+    assert "kslab: error:" in err
+    assert out == ""
+
+
+def test_certify_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys):
+    # its KS defect is not Hermitian, so a violating witness fails its recheck
+    T = np.random.default_rng(3).standard_normal((4, 4, 2)) @ [1, 1j]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(serialize.map_to_json(QuantumMap(T))))
+    with pytest.warns(UserWarning, match="not unital"):
+        rc, out, err = run(capsys, "certify", "--map", str(path), "--restarts", "2", "--max-iters", "30")
+    assert rc == 1
+    assert "kslab: error: matrix is not Hermitian" in err
+    assert out == ""
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslab import decompose
-from kslab.certify import SearchBudget, _derive_seed
+from kslab.certify import SearchBudget
 from kslab.decompose import (
     DecompositionInfeasibleError,
     decompose_lambda_plus_T,
@@ -14,7 +14,7 @@ from kslab.decompose import (
     stormer_defect,
     verify_decomposition,
 )
-from kslab.linalg import ginibre, hs_norm, min_eigenvalue, unit_ginibre
+from kslab.linalg import _derive_seed, ginibre, hs_norm, min_eigenvalue, unit_ginibre
 from kslab.maps import QuantumMap, mix
 from kslab.suite import _decompositions
 from kslab.zoo import (
@@ -209,6 +209,13 @@ def test_verify_decomposition_rejects_vacuous_jordan_check():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n_jordan_samples"):
             verify_decomposition(r, reduction(2, 0.9), FAST, n_jordan_samples=n)
+
+
+def test_verify_decomposition_rejects_target_of_another_dimension():
+    # the residual would otherwise be a numpy broadcasting error
+    r = decompose_reduction(2, 0.9)
+    with pytest.raises(ValueError, match="d=2 and d=2, the target on d=3"):
+        verify_decomposition(r, reduction(3, 0.9), FAST)
 
 
 def _loop_jordan(result, d, seed, n):

@@ -22,6 +22,15 @@ def test_transfer_shape_validation():
         QuantumMap(np.full((4, 4), np.nan))
 
 
+def test_call_takes_one_matrix():
+    # __call__ goes through apply_amplified(X, 1), which would take a stack
+    Phi = QuantumMap.identity(2)
+    X = ginibre(np.random.default_rng(5), 2)
+    assert np.array_equal(Phi(X), Phi.apply_amplified(X, 1))
+    with pytest.raises(ValueError, match="operand shape"):
+        Phi(np.stack([X, X]))
+
+
 def test_structural_flags():
     D = depolarizing(2)
     assert D.unital and D.trace_preserving

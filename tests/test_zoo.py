@@ -17,6 +17,7 @@ from kslab.zoo import (
     reduction,
     sample_utp_cp,
     transpose_map,
+    transpose_rows,
     unitary_sandwich,
 )
 
@@ -136,3 +137,19 @@ def test_build_family_registry():
         build_family("bogus", 2)
     with pytest.raises(ParameterDomainError, match="parameter a"):
         build_family("reduction", 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_transpose_rows_is_composition_with_transposition(d):
+    # the one row permutation behind transpose_map and the co-KS search
+    T = ginibre(rng, d * d)
+    Phi = QuantumMap(T)
+    assert np.array_equal(transpose_rows(T), (transpose_map(d) @ Phi).transfer)
+    X = ginibre(rng, d)
+    assert np.array_equal(QuantumMap(transpose_rows(T))(X), Phi(X).T)
+    E = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            E[i, j] = 1.0
+            assert np.array_equal(transpose_map(d)(E), E.T)
+            E[i, j] = 0.0
