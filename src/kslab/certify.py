@@ -28,7 +28,9 @@ lambda_min stalls. The co-KS defect of Phi is the transposed KS defect of
 tau o Phi, tau the transposition, so co-KS runs the KS search of tau o Phi.
 
 For the KS defect the X half-step matrix is
-M_v = W^T (x) I_n - G*G, a Kronecker term minus a term of rank at most n.
+M_v = W^T (x) I_n - G*G, a Kronecker term minus a term of rank at most n,
+where G = sum_q v_q T3[q] contracts the amplified transfer matrix with v and
+W = Phi*(vv*) = unvec(conj(v* G)) comes from the same contraction.
 From n = SECULAR_MIN_N up its bottom eigenpair is found without forming
 M_v, as the root of an n x n secular equation (Golub 1973; Bunch, Nielsen
 and Sorensen 1978): one n x n eigh of W and a few n x n eighs in Newton
@@ -206,23 +208,24 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # vec(X)* M_v vec(X) = v* defect(X) v. The KS defect has the form
 # Tr(W X*X) - ||G vec(X)||^2, where G is the transfer matrix T contracted
 # with v once it is reshaped as T3[q, p, :] = T[q*n + p, :] (output column
-# q, output row p), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X), so
+# q, output row p), W = Phi*(vv*) is read off the same contraction as
+# W = unvec(conj(v* G)), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X), so
 # M_v = W^T (x) I_n - G*G. _ks_parts returns (W, G), which is all the
 # secular X half-step reads; _qform builds M_v itself. The kernels work on
 # stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
 
-def _ks_parts(
-    T3: np.ndarray, dual: Callable[[np.ndarray], np.ndarray], v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _ks_parts(T3: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(W, G) of the KS defect of the map with transfer matrix
-    T = T3.reshape(n*n, n*n) and HS dual ``dual``, for each vector of the
-    stack v: v* defect(X) v = Tr(W X*X) - ||Phi(X) v||^2 with W = dual(vv*),
-    and Phi(X) v = sum_q v_q T3[q] vec(X)."""
+    T = T3.reshape(n*n, n*n), for each vector of the stack v:
+    v* defect(X) v = Tr(W X*X) - ||G vec(X)||^2 with G = sum_q v_q T3[q],
+    so that G vec(X) = Phi(X) v, and W = Phi*(vv*) = unvec(conj(v* G)), as
+    T* vec(vv*) = conj(v* G)."""
     n = v.shape[-1]
-    W = hermitianize(dual(v[..., :, None] * v[..., None, :].conj()))
-    return W, (v[..., None, :] @ T3.reshape(n, -1)).reshape(v.shape[:-1] + (n, n * n))
+    G = (v[..., None, :] @ T3.reshape(n, -1)).reshape(v.shape[:-1] + (n, n * n))
+    vG = (v.conj()[..., None, :] @ G).conj()  # vec(W), one row per member
+    return hermitianize(vG.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)), G
 
 
 def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -407,44 +410,28 @@ def _falsify(
 
 def _min_eig_vectors(
     D: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalue of each matrix of the stack D, and a vector from
     its eigenspace; inside a near-degenerate bottom cluster a random unit
     combination is taken (subgradient choice), drawn from that member's rng.
 
-    Returns (f, V, drawn): column 0 of V[b] holds the vector, and drawn[b]
-    says it was drawn rather than being the bottom eigenvector column.
+    Returns (f, V): column 0 of V[b] holds the vector, the bottom
+    eigenvector or the draw written over it.
     """
     w, V = np.linalg.eigh(hermitianize(D))
     cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
     sizes = cluster.sum(axis=1)
-    drawn = sizes != 1
-    for b in drawn.nonzero()[0].tolist():
+    for b in (sizes != 1).nonzero()[0].tolist():
         m = int(sizes[b])
         c = rngs[b].standard_normal(m) + 1j * rngs[b].standard_normal(m)
         c /= np.linalg.norm(c)
         V[b, :, 0] = V[b][:, cluster[b]] @ c
-    return w[:, 0], V, drawn
+    return w[:, 0], V
 
 
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
     """f(X) = lambda_min(defect(X)), the value a sphere witness re-checks."""
     return linalg.min_eigenvalue(defect(X))
-
-
-def _xsteps(xstep: Callable[[np.ndarray], np.ndarray], V: np.ndarray, drawn: np.ndarray) -> np.ndarray:
-    """xstep on the vectors in column 0 of V. BLAS reads a strided vector
-    (an eigh column) and a contiguous one (a cluster draw) in different
-    orders, so the two kinds go through xstep apart, each in its own
-    layout, as in a run alone."""
-    if not drawn.any():
-        return xstep(V[:, :, 0])
-    if drawn.all():
-        return xstep(V[:, :, 0].copy())
-    xs = np.empty((len(V), V.shape[1] ** 2), dtype=complex)
-    xs[~drawn] = xstep(V[~drawn][:, :, 0])
-    xs[drawn] = xstep(V[drawn][:, :, 0].copy())
-    return xs
 
 
 def _alternating_restart(
@@ -465,14 +452,14 @@ def _alternating_restart(
     (best value, best X, counters) per generator.
     """
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
-    f, V, drawn = _min_eig_vectors(defect(X), rngs)
+    f, V = _min_eig_vectors(defect(X), rngs)
     best_f, best_X = f.tolist(), list(X)
     recent_best, stall = [np.inf] * len(rngs), [0] * len(rngs)
     live = list(range(len(rngs)))  # the members still iterating
     out: list = [None] * len(rngs)
     for it in range(1, budget.max_iters + 1):
-        X = _xsteps(xstep, V, drawn).reshape(-1, n, n).swapaxes(1, 2)  # unvec
-        f, V, drawn = _min_eig_vectors(defect(X), [rngs[b] for b in live])
+        X = xstep(V[:, :, 0]).reshape(-1, n, n).swapaxes(1, 2)  # unvec
+        f, V = _min_eig_vectors(defect(X), [rngs[b] for b in live])
         going = []
         for j, (b, fj) in enumerate(zip(live, f.tolist())):
             if fj < best_f[b]:
@@ -489,7 +476,7 @@ def _alternating_restart(
         if len(going) < len(live):
             if not going:
                 break
-            live, V, drawn = [live[j] for j in going], V[going], drawn[going]
+            live, V = [live[j] for j in going], V[going]
     return out
 
 
@@ -549,18 +536,24 @@ def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
     """The k-KS search of Phi, shared by the KS and co-KS falsifiers."""
     d = Phi.d
     n = k * d
-    amp = Phi.amplify(k)
-    T3, dual = amp.transfer_matrix().reshape(n, n, n * n), amp.dual()
+    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
-        return _ks_xstep(*_ks_parts(T3, dual, v))
+        return _ks_xstep(*_ks_parts(T3, v))
 
     restart = partial(_alternating_restart, defect, xstep, n, budget)
     return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
-def _warn_unless_unital(Phi: QuantumMap, inequality: str) -> None:
+def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
+    """Refuse a map that is not Hermiticity-preserving, whose defects are not
+    Hermitian, so that the inequality has no meaning there; warn on one that
+    is not unital, for which the inequality is not stated."""
+    if not Phi.hermiticity_preserving:
+        raise linalg.HermiticityError(
+            f"map '{Phi.label}' is not Hermiticity-preserving; the {inequality} defect is not Hermitian"
+        )
     if not Phi.unital:
         warnings.warn(
             f"map '{Phi.label}' is not unital; the {inequality} inequality is stated for unital maps",
@@ -572,7 +565,7 @@ def falsify_ks(
     Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
     """Search for a violation of the k-KS inequality of Phi."""
-    _warn_unless_unital(Phi, "KS")
+    _check_ks_map(Phi, "KS")
     return _ks_search(Phi, k, budget)
 
 
@@ -581,7 +574,7 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> Cer
     transposition, the co-KS defect of Phi at X is the transpose of the KS
     defect of tau o Phi at X, so this is the KS search of tau o Phi, and a
     witness X serves both."""
-    _warn_unless_unital(Phi, "co-KS")
+    _check_ks_map(Phi, "co-KS")
     tau_phi = QuantumMap(transpose_rows(Phi.transfer), label=f"transpose∘{Phi.label}")
     return _ks_search(tau_phi, 1, budget)
 
@@ -743,6 +736,8 @@ def check_kp_implies_kks(
 ) -> SampledPropertyReport:
     """Sampled check that unital TP CP maps (in particular (k+1)-positive
     ones) pass the k-KS falsifier; any Violated verdict is a hard failure."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     verdicts = []
     for i in range(n_samples):
         sample_seed = _derive_seed(seed, i)

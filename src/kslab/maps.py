@@ -160,7 +160,8 @@ class QuantumMap:
 
 
 class AmplifiedMap:
-    """id_k (x) Phi acting on M_k(B(H_d))."""
+    """id_k (x) Phi acting on M_k(B(H_d)); it is applied by
+    ``QuantumMap.apply_amplified``."""
 
     def __init__(self, base: QuantumMap, k: int):
         if k < 1:
@@ -168,29 +169,18 @@ class AmplifiedMap:
         self.base = base
         self.k = k
         self.d = base.d
-        self._transfer: np.ndarray | None = None
-
-    def __call__(self, X: np.ndarray | BlockOperator) -> np.ndarray:
-        if isinstance(X, BlockOperator):
-            X = X.data
-        return self.base.apply_amplified(X, self.k)
-
-    def dual(self) -> "AmplifiedMap":
-        return AmplifiedMap(self.base.dual(), self.k)
 
     def transfer_matrix(self) -> np.ndarray:
         """(kd)^2 x (kd)^2 transfer matrix of id_k (x) Phi on column-vectorized
-        kd x kd operators (built once and cached)."""
-        if self._transfer is None:
-            k, d = self.k, self.d
-            n = k * d
-            I_k = np.eye(k)
-            # vec index of a kd x kd operator is (block col, col, block row, row);
-            # block (R, C) of the image is Phi of block (R, C) of the input
-            T4 = self.base.transfer.reshape(d, d, d, d)
-            T8 = np.einsum("ac,bd,xyzw->axbyczdw", I_k, I_k, T4)
-            self._transfer = T8.reshape(n * n, n * n)
-        return self._transfer
+        kd x kd operators."""
+        k, d = self.k, self.d
+        n = k * d
+        I_k = np.eye(k)
+        # vec index of a kd x kd operator is (block col, col, block row, row);
+        # block (R, C) of the image is Phi of block (R, C) of the input
+        T4 = self.base.transfer.reshape(d, d, d, d)
+        T8 = np.einsum("ac,bd,xyzw->axbyczdw", I_k, I_k, T4)
+        return T8.reshape(n * n, n * n)
 
 
 def mix(maps_and_weights: list[tuple[float, QuantumMap]], label: str = "") -> QuantumMap:

@@ -148,7 +148,7 @@ def sample_utp_cp(d: int, seed: int, n_kraus: int = 3) -> QuantumMap:
         return Phi
 
     I = np.eye(d)
-    C = Phi.choi()
+    C = Phi.choi().copy()  # updated in place below
     for _ in range(500):
         # joint orthogonal projection onto {Tr_2 C = I} ∩ {Tr_1 C = I}
         M = np.trace(C.reshape(d, d, d, d), axis1=1, axis2=3)  # Tr_2 C
@@ -156,7 +156,12 @@ def sample_utp_cp(d: int, seed: int, n_kraus: int = 3) -> QuantumMap:
         shift = (np.trace(C).real - d) / (2 * d * d)
         A = (I - M) / d + shift * I
         B = (I - N) / d + shift * I
-        C = C + np.kron(A, I) + np.kron(I, B)
+        # C += kron(A, I) + kron(I, B), added on the block diagonals only
+        C4 = C.reshape(d, d, d, d)  # [(i, p), (j, q)]
+        for r in range(d):
+            C4[:, r, :, r] += A
+        for r in range(d):
+            C4[r, :, r, :] += B
         # keep complete positivity: clip negative Choi eigenvalues
         w, Q = np.linalg.eigh(linalg.hermitianize(C))
         if w[0] < 0:

@@ -46,7 +46,16 @@ from kslab.certify import (
     strong_kadison_defects,
     tuple_to_block,
 )
-from kslab.linalg import dagger, ginibre, hermitianize, hs_norm, min_eigenvalue, random_hermitian, vec
+from kslab.linalg import (
+    HermiticityError,
+    dagger,
+    ginibre,
+    hermitianize,
+    hs_norm,
+    min_eigenvalue,
+    random_hermitian,
+    vec,
+)
 from kslab.maps import BlockOperator, QuantumMap
 from kslab.serialize import verdict_to_json
 from kslab.zoo import (
@@ -242,11 +251,11 @@ def _solo_falsify(restart, value, make_witness, budget):
 def _solo_min_eig_vector(D, rng):
     w, V = np.linalg.eigh(hermitianize(D))
     cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
-    if len(cluster) == 1:
-        return float(w[0]), V[:, 0]
-    c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
-    c /= np.linalg.norm(c)
-    return float(w[0]), V[:, cluster] @ c
+    if len(cluster) > 1:
+        c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
+        c /= np.linalg.norm(c)
+        V[:, 0] = V[:, cluster] @ c
+    return float(w[0]), V[:, 0]
 
 
 def _solo_alternating_restart(defect, xstep, n, budget, rng):
@@ -271,10 +280,10 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
     return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1}
 
 
-def _solo_ks_parts(T3, dual, v):
+def _solo_ks_parts(T3, v):
     n = len(v)
-    W = hermitianize(dual(np.outer(v, v.conj())))
-    return W, (v @ T3.reshape(n, -1)).reshape(n, n * n)
+    G = (v @ T3.reshape(n, -1)).reshape(n, n * n)
+    return hermitianize((v.conj() @ G).conj().reshape(n, n).T), G
 
 
 def _solo_qform(W, G):
@@ -314,12 +323,11 @@ def _solo_kpos_restart(C4, k, budget, rng):
 def _solo_ks(Phi, k, budget):
     d = Phi.d
     n = k * d
-    amp = Phi.amplify(k)
-    T3, dual = amp.transfer_matrix().reshape(n, n, n * n), amp.dual()
+    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
-        return _solo_ks_xstep(*_solo_ks_parts(T3, dual, v))
+        return _solo_ks_xstep(*_solo_ks_parts(T3, v))
 
     restart = partial(_solo_alternating_restart, defect, xstep, n, budget)
     return _solo_falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
@@ -355,30 +363,26 @@ def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
         assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
-def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws(monkeypatch):
+def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
     # the defect vanishes, so the vector step draws from a degenerate
     # cluster, exactly for the members with Re X_00 > 0: one batch then
-    # holds drawn and plain vectors, which BLAS reads in different layouts
+    # holds drawn and plain vectors
     Phi = sample_utp_cp(3, seed=5)
-    T3, dual = Phi.transfer.reshape(3, 3, 9), Phi.amplify(1).dual()
+    T3 = Phi.transfer.reshape(3, 3, 9)
+    kinds = []
 
     def defect(X):
         D = amplified_ks_defect(Phi, 1, X)
-        return np.where(X[..., :1, :1].real > 0, 0 * D, D)
+        vanishes = X[..., :1, :1].real > 0
+        kinds.append((bool(vanishes.any()), bool(vanishes.all())))
+        return np.where(vanishes, 0 * D, D)
 
-    kinds, xsteps = [], certify._xsteps
-
-    def spy(xstep, V, drawn):
-        kinds.append((bool(drawn.any()), bool(drawn.all())))
-        return xsteps(xstep, V, drawn)
-
-    monkeypatch.setattr(certify, "_xsteps", spy)
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    batch = _alternating_restart(defect, lambda v: _ks_xstep(*_ks_parts(T3, dual, v)), 3, budget, rngs)
+    batch = _alternating_restart(defect, lambda v: _ks_xstep(*_ks_parts(T3, v)), 3, budget, rngs)
     assert (True, False) in kinds  # some batch mixed drawn and plain vectors
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    xstep = lambda v: _solo_ks_xstep(*_solo_ks_parts(T3, dual, v))  # noqa: E731
+    xstep = lambda v: _solo_ks_xstep(*_solo_ks_parts(T3, v))  # noqa: E731
     for (f, X, used), rng in zip(batch, rngs):
         g, Y, solo_used = _solo_alternating_restart(defect, xstep, 3, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
@@ -650,14 +654,40 @@ def _form(M, X):
 def test_ks_qform_identity(d, k):
     Phi = _random_hp_map(d)
     n = k * d
-    amp = Phi.amplify(k)
-    T3 = amp.transfer_matrix().reshape(n, n, n * n)
+    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
         X, v = ginibre(rng, n), _unit(ginibre(rng, n, 1)[:, 0])
-        M = _qform(*_ks_parts(T3, amp.dual(), v))
+        M = _qform(*_ks_parts(T3, v))
         assert hs_norm(M - M.conj().T) < 1e-12
         expected = complex(v.conj() @ amplified_ks_defect(Phi, k, X) @ v)
         assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("d,k", KERNEL_DK + [(4, 2)])
+def test_ks_parts_w_is_the_dual_of_vv(d, k):
+    # W read off G against the HS dual of the amplified map applied to vv*,
+    # for a stack of vectors; (4, 2) is a size the secular X half-step serves
+    Phi = _random_hp_map(d)
+    n = k * d
+    v = np.stack([_unit(ginibre(rng, n, 1)[:, 0]) for _ in range(3)])
+    W, _ = _ks_parts(Phi.amplify(k).transfer_matrix().reshape(n, n, n * n), v)
+    ref = hermitianize(Phi.dual().apply_amplified(v[:, :, None] * v[:, None, :].conj(), k))
+    assert hs_norm(W - ref) <= 1e-12 * max(1.0, hs_norm(ref))
+
+
+def test_ks_search_refuses_a_map_that_is_not_hermiticity_preserving(monkeypatch):
+    # its defects are not Hermitian: both searches fail before any restart
+    Phi = QuantumMap(np.random.default_rng(3).standard_normal((4, 4, 2)) @ [1, 1j])
+    assert not Phi.hermiticity_preserving
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(certify, "_falsify", no_search)
+    with pytest.raises(HermiticityError, match="not Hermiticity-preserving; the KS defect"):
+        falsify_ks(Phi, 1, FAST)
+    with pytest.raises(HermiticityError, match="not Hermiticity-preserving; the co-KS defect"):
+        falsify_co_ks(Phi, FAST)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -724,10 +754,9 @@ def test_bottom_eigvec_matches_dense(kind, d, k):
     if kind == "co-ks":
         Phi = transpose_map(d) @ Phi
     n = k * d
-    amp = Phi.amplify(k)
-    T3 = amp.transfer_matrix().reshape(n, n, n * n)
+    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
-        W, G = _ks_parts(T3, amp.dual(), _unit(ginibre(rng, n, 1)[:, 0]))
+        W, G = _ks_parts(T3, _unit(ginibre(rng, n, 1)[:, 0]))
         M, lam_min = _dense_bottom(W, G)
         found = _bottom_eigvec(W, G)
         assert found is not None
@@ -763,8 +792,8 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
     # a negative tolerance fails every residual check: the secular solve is
     # refused and the dense eigh gives the half-step
     d, k = 4, 2
-    amp = _random_hp_map(d).amplify(k)
-    W, G = _ks_parts(amp.transfer_matrix().reshape(8, 8, 64), amp.dual(), _unit(ginibre(rng, 8, 1)[:, 0]))
+    T3 = _random_hp_map(d).amplify(k).transfer_matrix().reshape(8, 8, 64)
+    W, G = _ks_parts(T3, _unit(ginibre(rng, 8, 1)[:, 0]))
     M, lam_min = _dense_bottom(W, G)
     monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
     assert _bottom_eigvec(W, G) is None
@@ -910,6 +939,13 @@ def test_check_kp_implies_kks_small():
     rep = check_kp_implies_kks(2, 1, seed=0, budget=SearchBudget(restarts=4, max_iters=100, seed=0), n_samples=3)
     assert rep.n_samples == 3
     assert rep.all_pass
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_check_kp_implies_kks_needs_a_sample(n_samples):
+    # no verdict is no evidence: all_pass would hold vacuously
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        check_kp_implies_kks(2, 1, seed=0, budget=FAST, n_samples=n_samples)
 
 
 def test_budget_validation():

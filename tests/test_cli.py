@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -275,14 +276,16 @@ def test_scan_without_a_bound_fails_before_any_falsifier(capsys, monkeypatch, ar
 
 
 def test_certify_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys):
-    # its KS defect is not Hermitian, so a violating witness fails its recheck
+    # its KS defect is not Hermitian: the map is refused before the search,
+    # and before the warning that it is not unital
     T = np.random.default_rng(3).standard_normal((4, 4, 2)) @ [1, 1j]
     path = tmp_path / "map.json"
-    path.write_text(json.dumps(serialize.map_to_json(QuantumMap(T))))
-    with pytest.warns(UserWarning, match="not unital"):
+    path.write_text(json.dumps(serialize.map_to_json(QuantumMap(T, label="complex"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc, out, err = run(capsys, "certify", "--map", str(path), "--restarts", "2", "--max-iters", "30")
     assert rc == 1
-    assert "kslab: error: matrix is not Hermitian" in err
+    assert "kslab: error: map 'complex' is not Hermiticity-preserving" in err
     assert out == ""
 
 

@@ -1,0 +1,41 @@
+"""Contracts on the source of kslab itself, read with ast: runtime
+invariants are explicit exceptions, and seeds are derived in one place."""
+
+import ast
+from pathlib import Path
+
+import kslab
+
+SOURCES = sorted(Path(kslab.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"certify.py", "linalg.py", "maps.py"}
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so an invariant must raise
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in SOURCES
+        for node in ast.walk(_tree(p))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_seed_sequence_only_in_linalg():
+    # linalg.rng and linalg._derive_seed derive every seed
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in SOURCES
+        for node in ast.walk(_tree(p))
+        if (isinstance(node, ast.Name) and node.id == "SeedSequence")
+        or (isinstance(node, ast.Attribute) and node.attr == "SeedSequence")
+        or (isinstance(node, ast.alias) and node.name == "SeedSequence")
+    ]
+    assert found and all(f.startswith("linalg.py:") for f in found)
