@@ -7,7 +7,6 @@ from .certify import (
     CertificateVerdict,
     SearchBudget,
     amplified_ks_defect,
-    check_kp_implies_kks,
     check_phi_k_condition,
     co_ks_defect,
     falsify_co_ks,

@@ -55,7 +55,6 @@ from .zoo import (
     bound_lambda_minus,
     bounds_lambda_plus,
     build_family,
-    sample_utp_cp,
     transpose_rows,
 )
 
@@ -345,13 +344,33 @@ def _compress_left(C4: np.ndarray, U: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_witness(recheck: float, worst: float, scale: float = 1.0) -> None:
+def _verdict(
+    worst: float,
+    point: object,
+    recheck: Callable[[object], float],
+    make_witness: Callable[[object], BlockOperator | SchmidtWitness],
+    counters: dict,
+    budget: SearchBudget,
+    scale: float = 1.0,
+) -> CertificateVerdict:
+    """The verdict on the worst value found, at ``point``: Violated below
+    -budget.violation_tol, once ``recheck(point)``, evaluated away from the
+    search, reproduces it within WITNESS_RECHECK_TOL * scale; the witness is
+    then make_witness(point)."""
+    violated = worst < -budget.violation_tol
     # explicit raise rather than assert, so the check survives python -O;
     # written so that a NaN recheck fails too
-    if not abs(recheck - worst) <= WITNESS_RECHECK_TOL * scale:
+    if violated and not abs((value := recheck(point)) - worst) <= WITNESS_RECHECK_TOL * scale:
         raise WitnessRecheckError(
-            f"witness re-evaluates to {recheck!r}, the search reported {worst!r}"
+            f"witness re-evaluates to {value!r}, the search reported {worst!r}"
         )
+    return CertificateVerdict(
+        verdict="Violated" if violated else "NoViolationFound",
+        worst_value=float(worst),
+        witness=make_witness(point) if violated else None,
+        budget_used=counters,
+        seed=budget.seed,
+    )
 
 
 def _falsify(
@@ -367,12 +386,11 @@ def _falsify(
     that generator alone. Restart r of 1..R draws from
     linalg.rng(budget.seed, r - 1), so the result is deterministic. Restart
     1 runs alone; only when it finds no violation do restarts 2..R run, as
-    one batch. The results are
-    folded in restart order up to the first violation, as if the restarts
-    had run one by one and stopped there: the counters are summed over that
-    prefix and the worst value is its minimum. A violating point is
-    re-evaluated by ``value``, away from the optimizer state, and
-    ``make_witness`` turns it into the witness.
+    one batch. The results are folded in restart order up to the first
+    violation, as if the restarts had run one by one and stopped there: the
+    counters are summed over that prefix and the worst value is its minimum.
+    ``_verdict`` rechecks a violating point with ``value`` and turns it into
+    the witness with ``make_witness``.
     """
     runs = restart([linalg.rng(budget.seed, 0)])
     if budget.restarts > 1 and not runs[0][0] < -budget.violation_tol:
@@ -387,16 +405,7 @@ def _falsify(
             worst, worst_point = f, point
         if worst < -budget.violation_tol:
             break
-    violated = worst < -budget.violation_tol
-    if violated:
-        _check_witness(value(worst_point), worst)
-    return CertificateVerdict(
-        verdict="Violated" if violated else "NoViolationFound",
-        worst_value=float(worst),
-        witness=make_witness(worst_point) if violated else None,
-        budget_used=counters,
-        seed=budget.seed,
-    )
+    return _verdict(worst, worst_point, value, make_witness, counters, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +555,19 @@ def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
     return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
 
 
-def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
-    """Refuse a map that is not Hermiticity-preserving, whose defects are not
-    Hermitian, so that the inequality has no meaning there; warn on one that
-    is not unital, for which the inequality is not stated."""
+def _refuse_non_hp(Phi: QuantumMap, what: str) -> None:
+    """Refuse a map that is not Hermiticity-preserving: its ``what`` is not
+    Hermitian, so that the property searched for has no meaning there."""
     if not Phi.hermiticity_preserving:
         raise linalg.HermiticityError(
-            f"map '{Phi.label}' is not Hermiticity-preserving; the {inequality} defect is not Hermitian"
+            f"map '{Phi.label}' is not Hermiticity-preserving; the {what} is not Hermitian"
         )
+
+
+def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
+    """Refuse a map that is not Hermiticity-preserving; warn on one that is
+    not unital, for which the inequality is not stated."""
+    _refuse_non_hp(Phi, f"{inequality} defect")
     if not Phi.unital:
         warnings.warn(
             f"map '{Phi.label}' is not unital; the {inequality} inequality is stated for unital maps",
@@ -597,19 +611,13 @@ def check_phi_k_condition(
     _, s, Vh = np.linalg.svd(Phi.transfer)
     s2 = float(s[0]) ** 2
     worst = 1.0 - s2 if k == 1 else min(0.0, 1.0 - s2)
-    violated = worst < -budget.violation_tol
     X = np.zeros((k * d, k * d), dtype=complex)
     X[:d, :d] = linalg.unvec(Vh[0].conj(), d)
-    if violated:
-        # SVD against eigvalsh: their gap grows with the size of the defect
-        _check_witness(linalg.min_eigenvalue(phi_k_defect(Phi, k, X)), worst, max(1.0, s2))
-    return CertificateVerdict(
-        verdict="Violated" if violated else "NoViolationFound",
-        worst_value=worst,
-        witness=BlockOperator(k, d, X) if violated else None,
-        budget_used={"restarts": 1, "iterations": 1, "defect_evals": int(violated)},
-        seed=budget.seed,
-    )
+    # the one defect evaluation is the recheck of a violation
+    counters = {"restarts": 1, "iterations": 1, "defect_evals": int(worst < -budget.violation_tol)}
+    recheck = partial(_min_eig_value, partial(phi_k_defect, Phi, k))
+    # scaled, as SVD and eigvalsh drift apart with the size of the defect
+    return _verdict(worst, X, recheck, partial(BlockOperator, k, d), counters, budget, max(1.0, s2))
 
 
 def falsify_k_positivity(
@@ -620,20 +628,16 @@ def falsify_k_positivity(
     d = Phi.d
     if not 1 <= k <= d:
         raise ParameterDomainError(f"k-positivity needs 1 <= k <= d, got k={k}, d={d}")
+    # a k-positive map is Hermiticity-preserving
+    _refuse_non_hp(Phi, "Choi matrix")
     C = hermitianize(Phi.choi())
-    if not Phi.hermiticity_preserving:
-        warnings.warn(
-            f"map '{Phi.label}' is not hermiticity-preserving; "
-            "using the Hermitian part of its Choi matrix",
-            stacklevel=2,
-        )
     restart = partial(_kpos_restart, C.reshape(d, d, d, d), k, budget)
     # the point a restart returns is the witness already
     return _falsify(restart, partial(_schmidt_value, C), lambda w: w, budget)
 
 
 # ---------------------------------------------------------------------------
-# threshold scans and sampled-property checks
+# threshold scans
 # ---------------------------------------------------------------------------
 
 
@@ -713,34 +717,3 @@ def scan_threshold(
         grid_step=grid_step,
         points=points,
     )
-
-
-@dataclass
-class SampledPropertyReport:
-    d: int
-    k: int
-    n_samples: int
-    verdicts: list[CertificateVerdict]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.verdict == "NoViolationFound" for v in self.verdicts)
-
-
-def check_kp_implies_kks(
-    d: int,
-    k: int,
-    seed: int,
-    budget: SearchBudget,
-    n_samples: int = 20,
-) -> SampledPropertyReport:
-    """Sampled check that unital TP CP maps (in particular (k+1)-positive
-    ones) pass the k-KS falsifier; any Violated verdict is a hard failure."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    verdicts = []
-    for i in range(n_samples):
-        sample_seed = _derive_seed(seed, i)
-        Phi = sample_utp_cp(d, seed=sample_seed)
-        verdicts.append(falsify_ks(Phi, k, replace(budget, seed=sample_seed)))
-    return SampledPropertyReport(d=d, k=k, n_samples=n_samples, verdicts=verdicts)

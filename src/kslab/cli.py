@@ -79,7 +79,6 @@ def add_budget(p: Parser):
 
 def add_output(p: Parser):
     p.add_argument("--out", metavar="PATH", help="write the artifact here (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: $KSLAB_SEED or 0)")
 
@@ -139,11 +138,9 @@ def resolved_config(args) -> dict:
 
 
 def emit(args, seed: int, payload: dict, t0: float, csv_text: str | None = None):
-    if args.format == "csv":
-        if csv_text is None:
-            raise CliError("--format csv is only available for 'scan'")
-        text = csv_text
-    else:
+    """Write the JSON artifact of payload, or csv_text in its place."""
+    text = csv_text
+    if text is None:
         artifact = {
             "tool": "kslab",
             "version": __version__,
@@ -229,7 +226,7 @@ def cmd_scan(args, seed: int, t0: float) -> int:
     except (ParameterDomainError, ValueError) as exc:
         raise CliError(str(exc))
     emit(args, seed, {"scan": serialize.scan_to_json(scan)}, t0,
-         csv_text=serialize.scan_to_csv(scan))
+         csv_text=serialize.scan_to_csv(scan) if args.format == "csv" else None)
     return 0
 
 
@@ -332,6 +329,7 @@ def build_parser() -> Parser:
     p.add_argument("--n-kraus", type=int, default=3)
     add_budget(p)
     add_output(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("decompose", help="constructive KS/co-KS decomposition")
@@ -363,9 +361,11 @@ def build_parser() -> Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     t0 = time.perf_counter()
     try:
+        if extra:  # such as --format, which only scan takes
+            raise CliError(f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "d", None) is not None and args.d < 1:
             raise CliError(f"--d must be >= 1, got {args.d}")
         seed = args.seed if getattr(args, "seed", None) is not None else default_seed()

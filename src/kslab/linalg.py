@@ -40,11 +40,6 @@ def hermitianize(A: np.ndarray) -> np.ndarray:
     return (A + dagger(A)) / 2
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A* B)."""
-    return complex(np.vdot(A, B))
-
-
 def hs_norm(A: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(A))
@@ -162,15 +157,6 @@ def unit_ginibre(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     re, im = (P.reshape(count, 1, d * d) for P in (X.real, X.imag))
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
     return X / np.sqrt(sq).astype(complex)
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    return hermitianize(ginibre(rng, n))
-
-
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    return haar_isometry(rng, n, n)
 
 
 def haar_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

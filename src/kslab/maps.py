@@ -155,9 +155,6 @@ class QuantumMap:
             self.transfer @ other.transfer, label=f"{self.label}∘{other.label}"
         )
 
-    def __matmul__(self, other: "QuantumMap") -> "QuantumMap":
-        return self.compose(other)
-
 
 class AmplifiedMap:
     """id_k (x) Phi acting on M_k(B(H_d)); it is applied by

@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg, serialize
 from .certify import (
     SearchBudget,
-    check_kp_implies_kks,
     check_phi_k_condition,
     falsify_k_positivity,
     falsify_ks,
@@ -112,6 +111,18 @@ def criterion_2(seed: int):
     return ok, {"cases": cases}
 
 
+UTP_SAMPLE_SIZE = 20
+
+
+def _utp_sample(seed: int, d: int):
+    """The UTP_SAMPLE_SIZE (sample seed, random unital TP CP map) pairs of
+    dimension d that criteria 3 and 6 both certify."""
+    seed_d = _derive_seed(seed, 3, d)
+    for i in range(UTP_SAMPLE_SIZE):
+        sample_seed = _derive_seed(seed_d, i)
+        yield sample_seed, sample_utp_cp(d, seed=sample_seed)
+
+
 def criterion_3(seed: int):
     """Sufficiency at the closed-form boundaries over random unital TP CP
     bases: Lambda^-_a at a = bound and Lambda^+_a at both endpoints of the
@@ -120,12 +131,7 @@ def criterion_3(seed: int):
     n_checks = 0
     max_norm = 0.0
     for d in (2, 3):
-        # the random UTP CP sample criterion 6 certifies too: its seeds derive
-        # as in check_kp_implies_kks, so the maps coincide
-        seed_d = _derive_seed(seed, 3, d)
-        for i in range(20):
-            s = _derive_seed(seed_d, i)
-            Phi = sample_utp_cp(d, seed=s)
+        for s, Phi in _utp_sample(seed, d):
             # unital TP CP maps are HS contractions; record the norm so a
             # sample needing rescaling would be caught rather than silently used
             max_norm = max(max_norm, Phi.hs_norm())
@@ -215,22 +221,17 @@ def criterion_6(seed: int):
     """Complete positivity implies the k-KS property: criterion 3's
     sample, certified directly at k = 1 and k = 2."""
     reports = []
-    ok = True
     for d in (2, 3):
-        seed_d = _derive_seed(seed, 3, d)
-        for k in (1, 2):
-            rep = check_kp_implies_kks(
-                d, k, seed_d, SearchBudget(restarts=8, max_iters=200, seed=seed_d)
-            )
-            ok = ok and rep.all_pass
-            reports.append(
-                {
-                    "d": d, "k": k,
-                    "n_samples": rep.n_samples,
-                    "n_violated": sum(v.violated for v in rep.verdicts),
-                }
-            )
-    return ok, {"reports": reports}
+        n_violated = {1: 0, 2: 0}
+        for s, Phi in _utp_sample(seed, d):
+            for k in n_violated:
+                budget = SearchBudget(restarts=8, max_iters=200, seed=s)
+                n_violated[k] += falsify_ks(Phi, k, budget).violated
+        reports += [
+            {"d": d, "k": k, "n_samples": UTP_SAMPLE_SIZE, "n_violated": n}
+            for k, n in n_violated.items()
+        ]
+    return all(r["n_violated"] == 0 for r in reports), {"reports": reports}
 
 
 def criterion_7(seed: int):

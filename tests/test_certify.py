@@ -20,7 +20,6 @@ from kslab.certify import (
     WitnessRecheckError,
     _alternating_restart,
     _bottom_eigvec,
-    _check_witness,
     _compress_left,
     _compress_right,
     _falsify,
@@ -32,7 +31,6 @@ from kslab.certify import (
     _schmidt_value,
     amplified_ks_defect,
     block_to_tuple,
-    check_kp_implies_kks,
     check_phi_k_condition,
     co_ks_defect,
     falsify_co_ks,
@@ -53,7 +51,6 @@ from kslab.linalg import (
     hermitianize,
     hs_norm,
     min_eigenvalue,
-    random_hermitian,
     vec,
 )
 from kslab.maps import BlockOperator, QuantumMap
@@ -90,7 +87,7 @@ def test_ks_defect_psd_for_cp():
 def test_co_ks_defect_is_transposed_ks_defect():
     # co-KS of Phi equals KS of T.Phi up to a transpose of the defect
     Phi = sample_utp_cp(2, seed=8)
-    Psi = transpose_map(2) @ Phi
+    Psi = transpose_map(2).compose(Phi)
     X = ginibre(rng, 2)
     assert np.allclose(ks_defect(Psi, X), co_ks_defect(Phi, X).T)
 
@@ -210,7 +207,7 @@ def test_falsify_co_ks_transpose_clean():
 def test_falsify_co_ks_finds_violation():
     # the identity is KS but strictly not co-KS-violated; use a map that is
     # KS-violated in reverse order: the transpose of a violated KS case
-    Phi = transpose_map(2) @ reduction(2, 0.7)
+    Phi = transpose_map(2).compose(reduction(2, 0.7))
     res = falsify_co_ks(Phi, FAST)
     assert res.violated
     D = co_ks_defect(Phi, res.witness.data)
@@ -237,8 +234,8 @@ def _solo_falsify(restart, value, make_witness, budget):
         if worst < -budget.violation_tol:
             break
     violated = worst < -budget.violation_tol
-    if violated:
-        _check_witness(value(worst_point), worst)
+    if violated and not abs(value(worst_point) - worst) <= certify.WITNESS_RECHECK_TOL:
+        raise WitnessRecheckError("the oracle's witness does not reproduce its value")
     return certify.CertificateVerdict(
         verdict="Violated" if violated else "NoViolationFound",
         worst_value=float(worst),
@@ -638,7 +635,7 @@ KERNEL_DK = [(2, 1), (3, 2), (2, 3)]
 def _random_hp_map(d):
     # hermiticity-preserving but neither positive nor unital, so the
     # identities below hold for more than the maps the solvers meet
-    return QuantumMap.from_choi(random_hermitian(rng, d * d))
+    return QuantumMap.from_choi(hermitianize(ginibre(rng, d * d)))
 
 
 def _unit(x):
@@ -690,14 +687,28 @@ def test_ks_search_refuses_a_map_that_is_not_hermiticity_preserving(monkeypatch)
         falsify_co_ks(Phi, FAST)
 
 
+def test_kpos_refuses_a_map_that_is_not_hermiticity_preserving(monkeypatch):
+    # it maps diag(1, 0) to (1 + 0.1j) I, so it is not even positive: it
+    # fails before any restart, and its Choi matrix is not Hermitianized
+    Phi = QuantumMap.from_choi((1 + 0.1j) * np.eye(4))
+    assert not Phi.hermiticity_preserving
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(certify, "_falsify", no_search)
+    with pytest.raises(HermiticityError, match="not Hermiticity-preserving; the Choi matrix"):
+        falsify_k_positivity(Phi, 1, FAST)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_co_ks_is_ks_of_transposed_map(d):
     # co-KS of Phi runs the KS search of tau o Phi: the verdicts are the same
     # bytes, and the witness certifies the co-KS defect of Phi itself
     for Phi in (transpose_map(d), QuantumMap.identity(d), sample_utp_cp(d, seed=1),
-                transpose_map(d) @ reduction(d, 0.9)):
+                transpose_map(d).compose(reduction(d, 0.9))):
         co = falsify_co_ks(Phi, FAST)
-        assert _bytes(co) == _bytes(falsify_ks(transpose_map(d) @ Phi, 1, FAST))
+        assert _bytes(co) == _bytes(falsify_ks(transpose_map(d).compose(Phi), 1, FAST))
         if co.violated:
             assert abs(min_eigenvalue(co_ks_defect(Phi, co.witness.data)) - co.worst_value) < 1e-12
 
@@ -752,7 +763,7 @@ def test_bottom_eigvec_matches_dense(kind, d, k):
     # the co-KS search is the KS search of the transposed map
     Phi = _random_hp_map(d)
     if kind == "co-ks":
-        Phi = transpose_map(d) @ Phi
+        Phi = transpose_map(d).compose(Phi)
     n = k * d
     T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
@@ -933,19 +944,6 @@ def test_scan_threshold_without_a_bound_runs_no_falsifier(monkeypatch, family, d
     with pytest.raises(ParameterDomainError):
         scan_threshold(family, d, k, 0.1, 0.5, 0.1, FAST)
     assert calls == []
-
-
-def test_check_kp_implies_kks_small():
-    rep = check_kp_implies_kks(2, 1, seed=0, budget=SearchBudget(restarts=4, max_iters=100, seed=0), n_samples=3)
-    assert rep.n_samples == 3
-    assert rep.all_pass
-
-
-@pytest.mark.parametrize("n_samples", [0, -1])
-def test_check_kp_implies_kks_needs_a_sample(n_samples):
-    # no verdict is no evidence: all_pass would hold vacuously
-    with pytest.raises(ValueError, match="n_samples must be >= 1"):
-        check_kp_implies_kks(2, 1, seed=0, budget=FAST, n_samples=n_samples)
 
 
 def test_budget_validation():

@@ -289,6 +289,17 @@ def test_certify_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys
     assert out == ""
 
 
+def test_kpos_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys):
+    # its Choi matrix is not Hermitian: the map is refused before the search
+    Phi = QuantumMap.from_choi((1 + 0.1j) * np.eye(4), label="complex")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(serialize.map_to_json(Phi)))
+    rc, out, err = run(capsys, "kpos", "--map", str(path), "--k", "1", "--restarts", "2", "--max-iters", "20")
+    assert rc == 1
+    assert "kslab: error: map 'complex' is not Hermiticity-preserving" in err
+    assert out == ""
+
+
 def test_env_seed_override(capsys, monkeypatch):
     monkeypatch.setenv("KSLAB_SEED", "123")
     rc, out, _ = run(capsys, "certify", "--family", "identity", "--d", "2", "--restarts", "2")

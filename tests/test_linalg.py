@@ -10,14 +10,11 @@ from kslab.linalg import (
     from_blocks,
     ginibre,
     haar_isometry,
-    haar_unitary,
     hermitianize,
-    hs_inner,
     hs_norm,
     is_psd,
     min_eigenvalue,
     partial_trace_second,
-    random_hermitian,
     spectral_decomposition,
     unit_ginibre,
     unvec,
@@ -43,24 +40,9 @@ def test_vec_kron_identity():
     assert np.allclose(np.kron(B.T, A) @ vec(X), vec(A @ X @ B))
 
 
-def test_hs_inner_conjugate_symmetric():
-    for _ in range(20):
-        A, B = ginibre(rng, 3), ginibre(rng, 3)
-        assert abs(hs_inner(A, B) - np.conj(hs_inner(B, A))) < 1e-12
-
-
-def test_hs_inner_positive_definite():
-    for _ in range(20):
-        A = ginibre(rng, 3)
-        v = hs_inner(A, A)
-        assert abs(v.imag) < 1e-12
-        assert v.real > 0
-    assert hs_inner(np.zeros((3, 3)), np.zeros((3, 3))) == 0
-
-
 def test_hs_norm_matches_inner():
     A = ginibre(rng, 6)
-    assert abs(hs_norm(A) ** 2 - hs_inner(A, A).real) < 1e-9
+    assert abs(hs_norm(A) ** 2 - np.vdot(A, A).real) < 1e-9
 
 
 @pytest.mark.parametrize("k,d", [(1, 2), (2, 2), (2, 3), (3, 4)])
@@ -107,7 +89,7 @@ def test_spectral_reconstruction_bulk():
     worst = 0.0
     for i in range(1000):
         n = 2 + i % 11
-        H = random_hermitian(rng, n)
+        H = hermitianize(ginibre(rng, n))
         w, U = spectral_decomposition(H)
         worst = max(worst, hs_norm((U * w) @ dagger(U) - H))
         assert np.all(np.diff(w) >= 0)
@@ -138,7 +120,7 @@ def test_min_eigenvalue_and_psd():
 
 
 def test_min_eigenvalue_of_a_stack_is_the_smallest_over_members():
-    S = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    S = np.array([hermitianize(ginibre(rng, 3)) for _ in range(5)])
     assert min_eigenvalue(S) == min(min_eigenvalue(H) for H in S)
     P = np.array([np.diag([1.0, 2.0]), np.diag([0.5, -0.1]), np.eye(2)])
     assert not is_psd(P)
@@ -149,8 +131,8 @@ def test_min_eigenvalue_of_a_stack_is_the_smallest_over_members():
 def test_stack_hermiticity_is_checked_per_member():
     # the large member's norm must not set the tolerance of the small one:
     # against the whole stack's norm the small member's defect would pass
-    big = 1e6 * random_hermitian(rng, 3)
-    small = random_hermitian(rng, 3) + 1e-6 * ginibre(rng, 3)
+    big = 1e6 * hermitianize(ginibre(rng, 3))
+    small = hermitianize(ginibre(rng, 3)) + 1e-6 * ginibre(rng, 3)
     stack = np.array([big, small, big])
     assert hs_norm(small - dagger(small)) <= 1e-10 * hs_norm(stack)
     with pytest.raises(HermiticityError, match="stack member 1 "):
@@ -174,12 +156,12 @@ def test_unit_ginibre_matches_successive_draws(d):
 
 
 def test_hermitianize_fixed_point():
-    H = random_hermitian(rng, 4)
+    H = hermitianize(ginibre(rng, 4))
     assert np.array_equal(hermitianize(H), H)
 
 
 def test_haar_unitary():
-    U = haar_unitary(rng, 5)
+    U = haar_isometry(rng, 5, 5)
     assert hs_norm(dagger(U) @ U - np.eye(5)) < 1e-12
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kslab.linalg import dagger, ginibre, hs_inner, hs_norm, partial_trace_second
+from kslab.linalg import dagger, ginibre, hs_norm, partial_trace_second
 from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap, mix
 from kslab.zoo import depolarizing, sample_utp_cp, transpose_map
 
@@ -77,14 +77,14 @@ def test_dual_is_hs_adjoint():
     Phi = sample_utp_cp(3, seed=2)
     dual = Phi.dual()
     A, B = ginibre(rng, 3), ginibre(rng, 3)
-    assert abs(hs_inner(dual(A), B) - hs_inner(A, Phi(B))) < 1e-10
+    assert abs(np.vdot(dual(A), B) - np.vdot(A, Phi(B))) < 1e-10
 
 
 def test_hs_norm_is_spectral_and_submultiplicative():
     for seed in range(5):
         Phi = sample_utp_cp(2, seed=seed)
         Psi = sample_utp_cp(2, seed=seed + 50)
-        assert (Phi @ Psi).hs_norm() <= Phi.hs_norm() * Psi.hs_norm() + 1e-12
+        assert Phi.compose(Psi).hs_norm() <= Phi.hs_norm() * Psi.hs_norm() + 1e-12
     assert abs(QuantumMap.identity(4).hs_norm() - 1.0) < 1e-12
 
 
@@ -92,7 +92,7 @@ def test_compose():
     Phi = sample_utp_cp(2, seed=1)
     Psi = sample_utp_cp(2, seed=2)
     X = ginibre(rng, 2)
-    assert np.allclose((Phi @ Psi)(X), Phi(Psi(X)))
+    assert np.allclose(Phi.compose(Psi)(X), Phi(Psi(X)))
 
 
 def test_amplified_identity_is_identity():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kslab.certify import SearchBudget, check_phi_k_condition, falsify_ks
-from kslab.linalg import dagger, ginibre, haar_unitary, hs_norm, unvec, vec
+from kslab.linalg import dagger, ginibre, haar_isometry, hs_norm, unvec, vec
 from kslab.maps import mix
 from kslab.serialize import matrix_from_json, matrix_to_json
 from kslab.zoo import lambda_minus, reduction, sample_utp_cp, unitary_sandwich
@@ -92,7 +92,7 @@ def test_unitary_sandwich_preserves_ks():
     rng = np.random.default_rng(11)
     Phi = reduction(2, 0.6)  # certified KS (below the 2/3 boundary)
     for _ in range(3):
-        S = unitary_sandwich(Phi, haar_unitary(rng, 2), haar_unitary(rng, 2))
+        S = unitary_sandwich(Phi, haar_isometry(rng, 2, 2), haar_isometry(rng, 2, 2))
         assert falsify_ks(S, 1, FAST).verdict == "NoViolationFound"
 
 
@@ -110,7 +110,7 @@ def test_lambda_minus_bound_stable_under_base_sandwich():
     # sandwiching the base by one unitary on each side keeps the certified
     # region: Lambda^- over U id U* is Lambda^- over the identity
     rng = np.random.default_rng(13)
-    U = haar_unitary(rng, 2)
+    U = haar_isometry(rng, 2, 2)
     from kslab.maps import QuantumMap
 
     base = unitary_sandwich(QuantumMap.identity(2), U, dagger(U))

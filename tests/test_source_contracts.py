@@ -1,5 +1,6 @@
 """Contracts on the source of kslab itself, read with ast: runtime
-invariants are explicit exceptions, and seeds are derived in one place."""
+invariants are explicit exceptions, and seeds and verdicts are each made
+in one place."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,23 @@ def test_seed_sequence_only_in_linalg():
         or (isinstance(node, ast.alias) and node.name == "SeedSequence")
     ]
     assert found and all(f.startswith("linalg.py:") for f in found)
+
+
+def test_certificate_verdict_built_in_one_place():
+    # certify._verdict builds every verdict, after its witness recheck;
+    # serialize.verdict_from_json reads one back
+    found = set()
+    for p in SOURCES:
+        tree = _tree(p)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # the inner functions come later in the walk and overwrite
+                for node in ast.walk(fn):
+                    owner[node] = f"{p.stem}.{fn.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "CertificateVerdict" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.add(owner.get(node, f"{p.stem}.<module>"))
+    assert found == {"certify._verdict", "serialize.verdict_from_json"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kslab import maps, zoo
-from kslab.linalg import ginibre, haar_unitary, hs_norm
+from kslab.linalg import ginibre, haar_isometry, hs_norm
 from kslab.maps import QuantumMap
 from kslab.zoo import (
     FAMILY_NAMES,
@@ -96,7 +96,7 @@ def test_bounds_lambda_plus_are_roots():
 
 def test_unitary_sandwich():
     Phi = sample_utp_cp(2, seed=9)
-    U, V = haar_unitary(rng, 2), haar_unitary(rng, 2)
+    U, V = haar_isometry(rng, 2, 2), haar_isometry(rng, 2, 2)
     S = unitary_sandwich(Phi, U, V)
     X = ginibre(rng, 2)
     assert np.allclose(S(X), U @ Phi(V @ X @ V.conj().T) @ U.conj().T)
@@ -144,7 +144,7 @@ def test_transpose_rows_is_composition_with_transposition(d):
     # the one row permutation behind transpose_map and the co-KS search
     T = ginibre(rng, d * d)
     Phi = QuantumMap(T)
-    assert np.array_equal(transpose_rows(T), (transpose_map(d) @ Phi).transfer)
+    assert np.array_equal(transpose_rows(T), transpose_map(d).compose(Phi).transfer)
     X = ginibre(rng, d)
     assert np.array_equal(QuantumMap(transpose_rows(T))(X), Phi(X).T)
     E = np.zeros((d, d))
