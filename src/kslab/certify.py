@@ -27,15 +27,14 @@ flat zero-level plateaus where plain projected gradient descent on
 lambda_min stalls. The co-KS defect of Phi is the transposed KS defect of
 tau o Phi, tau the transposition, so co-KS runs the KS search of tau o Phi.
 
-For the KS defect the X half-step matrix is
-M_v = W^T (x) I_n - G*G, a Kronecker term minus a term of rank at most n,
-where G = sum_q v_q T3[q] contracts the amplified transfer matrix with v and
-W = Phi*(vv*) = unvec(conj(v* G)) comes from the same contraction.
-From n = SECULAR_MIN_N up its bottom eigenpair is found without forming
-M_v, as the root of an n x n secular equation (Golub 1973; Bunch, Nielsen
-and Sorensen 1978): one n x n eigh of W and a few n x n eighs in Newton
-steps replace one n^2 x n^2 eigh. A residual check guards the result; when
-it fails, and below the crossover, the dense eigh of M_v is used.
+The k-KS defect separates over the block rows of X, so the X half-step
+matrix is M_v = I_k (x) M'_v up to the order of vec(X), with
+M'_v = W^T (x) I_d - G*G of side n d read from the base transfer matrix;
+its bottom eigenvector fills block row 0 of X. From a form side of
+SECULAR_MIN_SIDE up that eigenvector is found without forming M'_v, as the
+root of a d x d secular equation (Golub 1973; Bunch, Nielsen and Sorensen
+1978). A residual check guards the result; when it fails, and below the
+crossover, the dense eigh of M'_v is used.
 """
 
 from __future__ import annotations
@@ -62,9 +61,9 @@ EIG_DEGENERACY_GAP = 1e-8
 STALL_TOL = 1e-12
 STALL_WINDOW = 10
 WITNESS_RECHECK_TOL = 1e-8
-# the KS X half-step solves the secular equation from n = SECULAR_MIN_N
-# up; at n <= 6 the dense n^2 x n^2 eigh measured faster, at n = 7 slower
-SECULAR_MIN_N = 7
+# the KS X half-step solves the secular equation from a form side of 7^2 up;
+# at k = 1 the dense eigh measured faster for n <= 6 and slower for n = 7
+SECULAR_MIN_SIDE = 49
 SECULAR_MAX_STEPS = 60
 SECULAR_RESIDUAL_RTOL = 1e-10
 
@@ -203,70 +202,77 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # half-step kernels
 #
-# The X half-step needs the Hermitian n^2 x n^2 matrix M_v with
-# vec(X)* M_v vec(X) = v* defect(X) v. The KS defect has the form
-# Tr(W X*X) - ||G vec(X)||^2, where G is the transfer matrix T contracted
-# with v once it is reshaped as T3[q, p, :] = T[q*n + p, :] (output column
-# q, output row p), W = Phi*(vv*) is read off the same contraction as
-# W = unvec(conj(v* G)), and Tr(W X*X) = vec(X)* (W^T (x) I_n) vec(X), so
-# M_v = W^T (x) I_n - G*G. _ks_parts returns (W, G), which is all the
-# secular X half-step reads; _qform builds M_v itself. The kernels work on
-# stacks, one member per restart of a lockstep batch.
+# The X half-step needs a bottom eigenvector of the n^2 x n^2 M_v with
+# vec(X)* M_v vec(X) = v* defect(X) v, n = k d. Phi_k acts block-wise and
+# X*X = sum_R (P_R X)*(P_R X), P_R the projection onto block row R, so
+# defect(X) = sum_R defect(P_R X), each term one form M'_v in the d x n row
+# Y = P_R X: M_v = I_k (x) M'_v up to the order of vec(X). With
+# T3[q, p, :] = T[q*d + p, :] (output column q, output row p) for the base
+# transfer matrix T and G = [G_0 | ... | G_{k-1}], G_C = sum_q (v_C)_q T3[q],
+# G vec(Y) = sum_C Phi(Y_C) v_C, and W = Phi_k*(vv*) is read off the same
+# contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G), all the
+# secular X half-step reads; _qform builds M'_v. At k = 1, M'_v is M_v.
+# The kernels work on stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
 
 def _ks_parts(T3: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(W, G) of the KS defect of the map with transfer matrix
-    T = T3.reshape(n*n, n*n), for each vector of the stack v:
-    v* defect(X) v = Tr(W X*X) - ||G vec(X)||^2 with G = sum_q v_q T3[q],
-    so that G vec(X) = Phi(X) v, and W = Phi*(vv*) = unvec(conj(v* G)), as
-    T* vec(vv*) = conj(v* G)."""
-    n = v.shape[-1]
-    G = (v[..., None, :] @ T3.reshape(n, -1)).reshape(v.shape[:-1] + (n, n * n))
-    vG = (v.conj()[..., None, :] @ G).conj()  # vec(W), one row per member
-    return hermitianize(vG.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)), G
+    """(W, G) of M'_v for the map with transfer matrix
+    T = T3.reshape(d*d, d*d), for each row v of the B x k d stack; block
+    (C, C') of W is Phi*(v_C v_C'*) = unvec(conj(v_C* G_C')), as
+    T* vec(v_C v_C'*) = conj(v_C* G_C')."""
+    (B, n), d = v.shape, len(T3)
+    k = n // d
+    # a vector-matrix product per block: a member's bits depend on neither k nor B
+    G3 = v.reshape(B, k, 1, d) @ T3.reshape(d, -1)  # [., C, 0, (p, :)]
+    G = G3.reshape(B, k, d, d * d).swapaxes(1, 2).reshape(B, d, n * d)
+    vW = (v.conj().reshape(B, k, d) @ G).conj()  # [., C, (C', j, i)] = vec(W_CC')
+    return hermitianize(vW.reshape(B, k, k, d, d).transpose(0, 1, 4, 2, 3).reshape(B, n, n)), G
 
 
 def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """M_v = W^T (x) I_n - G*G for each (W, G) of a stack, Hermitian by
-    construction for Hermitian W; W^T is written straight into the diagonal
-    of the I_n factor."""
+    """M = W^T (x) I_m - G*G for each (W, G) of a stack, W n x n and G with
+    n m columns, Hermitian by construction for Hermitian W; W^T is written
+    straight into the diagonal of the I_m factor."""
     n = W.shape[-1]
-    M = np.zeros(W.shape[:-2] + (n, n, n, n), dtype=complex)
-    M[..., :, np.arange(n), :, np.arange(n)] = np.swapaxes(W, -1, -2)
-    M = M.reshape(W.shape[:-2] + (n * n, n * n))
+    m = G.shape[-1] // n
+    M = np.zeros(W.shape[:-2] + (n, m, n, m), dtype=complex)
+    i = np.arange(m)
+    M[..., :, i, :, i] = np.swapaxes(W, -1, -2)
+    M = M.reshape(W.shape[:-2] + (n * m, n * m))
     M -= dagger(G) @ G  # in place: a batch holds a stack of these
     return M
 
 
 def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Bottom eigenpair (lambda, x), x of unit norm, of M = W^T (x) I_n - G*G
-    for Hermitian n x n W and n' x n^2 G, found without forming M.
+    """Bottom eigenpair (lambda, x), x of unit norm, of M = W^T (x) I_m - G*G
+    for Hermitian n x n W and n' x n m G, found without forming M.
 
-    With W^T = U diag(mu) U* (mu ascending) and H = G (U (x) I_n), M is
-    unitarily similar to D - H*H, D = diag(mu) (x) I_n. Below mu_0, lambda is
+    With W^T = U diag(mu) U* (mu ascending) and H = G (U (x) I_m), M is
+    unitarily similar to D - H*H, D = diag(mu) (x) I_m. Below mu_0, lambda is
     an eigenvalue iff 1 is an eigenvalue of the n' x n' matrix
     K(lambda) = H (D - lambda)^-1 H* = sum_b P_b / (mu_b - lambda), with
     P_b = H_b H_b* over the column block b of H, and then
-    x = (U (x) I_n)(D - lambda)^-1 H* y for K(lambda) y = y. On (-inf, mu_0)
+    x = (U (x) I_m)(D - lambda)^-1 H* y for K(lambda) y = y. On (-inf, mu_0)
     f = lambda_max(K) increases, and 1/f is concave (it is the minimum over
     y of 1/(y* K y), each a reciprocal sum of positive poles), so the
     bottom eigenvalue is the one root of f = 1 in
     [mu_0 - ||H||_F^2 - 1, mu_0), and Newton steps on 1/f approach it
     monotonically from the right. (Such a step fits f by c/(p - lambda);
     pinning the pole p at mu_0 instead took more steps.) The first point,
-    min_b mu_b - Tr(P_b)/n, lies right of the root whenever it is below
-    mu_0, since there K >= n P_b / Tr(P_b) and P_b has rank <= n. A step
+    min_b mu_b - Tr(P_b)/m, lies right of the root whenever it is below
+    mu_0, since there K >= m P_b / Tr(P_b) and P_b has rank <= m. A step
     that leaves the bracket is replaced by bisection.
 
     The pair is returned only if ||M x - lambda x|| <= 1e-10 max(|mu|,
-    ||H||_F^2, 1), computed as vec(XW) - G*(G x); otherwise, as when the
-    bottom eigenvalue sits at the pole mu_0 itself, the result is None.
+    ||H||_F^2, 1), computed as vec(XW) - G*(G x) for the m x n X = unvec(x);
+    otherwise, as when the bottom eigenvalue sits at mu_0, it is None.
     """
     n = len(W)
+    m = G.shape[-1] // n
     mu, U = np.linalg.eigh(W.T)
-    # Hb[b, r, i] = sum_a U[a, b] G[r, a*n + i]: the column blocks of H
-    Hb = (U.T @ G.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, n)
+    # Hb[b, r, i] = sum_a U[a, b] G[r, a*m + i]: the column blocks of H
+    Hb = (U.T @ G.reshape(-1, n, m).transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, m)
     P = Hb @ Hb.conj().swapaxes(1, 2)  # P[b] = H_b H_b*
     traces = np.trace(P, axis1=1, axis2=2).real
     h2 = float(traces.sum())
@@ -274,7 +280,7 @@ def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | N
         return None  # H = 0: M = D is diagonal in the U basis already
     scale = max(float(np.abs(mu).max()), h2, 1.0)
     lo, hi = mu[0] - h2 - 1.0, mu[0]
-    lam = float(np.min(mu - traces / n))
+    lam = float(np.min(mu - traces / m))
     if not lam < hi:
         lam = lo
     tol = 4 * np.finfo(float).eps * scale
@@ -298,7 +304,7 @@ def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | N
         return None
     x = (U @ (w[:, None] * Hy.conj())).reshape(-1)
     x /= np.linalg.norm(x)
-    X = x.reshape(n, n, order="F")
+    X = x.reshape(m, n, order="F")
     residual = np.linalg.norm((X @ W).reshape(-1, order="F") - dagger(G) @ (G @ x) - lam * x)
     # explicit branch, written so that a NaN residual fails too
     if not residual <= SECULAR_RESIDUAL_RTOL * scale:
@@ -308,13 +314,12 @@ def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | N
 
 def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """X half-steps of the KS search for stacks W, G: the bottom eigenvector
-    of each M_v = W^T (x) I_n - G*G. From n = SECULAR_MIN_N up it comes from
-    the secular equation, member by member since their Newton step counts
-    differ; below that, and whenever the secular solve is refused, from a
-    dense eigh of M_v."""
-    if W.shape[-1] < SECULAR_MIN_N:
-        # a copy, so that the n^2 x n^2 eigenvector stacks are freed
-        return np.linalg.eigh(_qform(W, G))[1][:, :, 0].copy()
+    of each M'_v = W^T (x) I_m - G*G. From a form side n m of
+    SECULAR_MIN_SIDE up it comes from the secular equation, member by member
+    since their Newton step counts differ; below that, and whenever the
+    secular solve is refused, from a dense eigh of M'_v."""
+    if G.shape[-1] < SECULAR_MIN_SIDE:
+        return np.linalg.eigh(_qform(W, G))[1][:, :, 0]
     xs = np.empty((len(G), G.shape[2]), dtype=complex)
     for b in range(len(W)):
         found = _bottom_eigvec(W[b], G[b])
@@ -454,11 +459,11 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep`` maps a stack of vectors v to the stack of vec(X) for a unit
+    ``xstep`` maps a stack of vectors v to the stack of X with vec(X) a unit
     bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
-    vec(X)* M_v vec(X) = v* defect(X) v; the X half-step is then exact,
-    giving a monotone decrease of f(X) = lambda_min(defect(X)). Returns
-    (best value, best X, counters) per generator.
+    vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block row
+    0), so the X half-step is exact and f(X) = lambda_min(defect(X))
+    decreases monotonely. Returns (best value, best X, counters) per run.
     """
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
     f, V = _min_eig_vectors(defect(X), rngs)
@@ -467,7 +472,7 @@ def _alternating_restart(
     live = list(range(len(rngs)))  # the members still iterating
     out: list = [None] * len(rngs)
     for it in range(1, budget.max_iters + 1):
-        X = xstep(V[:, :, 0]).reshape(-1, n, n).swapaxes(1, 2)  # unvec
+        X = xstep(V[:, :, 0])
         f, V = _min_eig_vectors(defect(X), [rngs[b] for b in live])
         going = []
         for j, (b, fj) in enumerate(zip(live, f.tolist())):
@@ -543,13 +548,15 @@ def _kpos_restart(
 
 def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
     """The k-KS search of Phi, shared by the KS and co-KS falsifiers."""
-    d = Phi.d
-    n = k * d
-    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
+    d, n = Phi.d, k * Phi.d
+    T3 = Phi.transfer.reshape(d, d, d * d)
     defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
-        return _ks_xstep(*_ks_parts(T3, v))
+        # unvec into block row 0 of X; the copy frees a dense step's eigenvector stacks
+        x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
+        x[:, :, :d] = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)
+        return x.swapaxes(1, 2)
 
     restart = partial(_alternating_restart, defect, xstep, n, budget)
     return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)

@@ -44,11 +44,11 @@ class CliError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
-    # spec'd exit-code contract: usage errors are 1, not argparse's 2
+    # a usage error is a CliError, so that main returns 1 for it as for
+    # every other error, rather than argparse raising SystemExit
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(1)
+        raise CliError(message)
 
 
 def default_seed() -> int:
@@ -360,10 +360,9 @@ def build_parser() -> Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    t0 = time.perf_counter()
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        t0 = time.perf_counter()
         if extra:  # such as --format, which only scan takes
             raise CliError(f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "d", None) is not None and args.d < 1:

@@ -12,7 +12,7 @@ import kslab
 from kslab import certify
 from kslab.certify import (
     EIG_DEGENERACY_GAP,
-    SECULAR_MIN_N,
+    SECULAR_MIN_SIDE,
     STALL_TOL,
     STALL_WINDOW,
     SchmidtWitness,
@@ -53,7 +53,7 @@ from kslab.linalg import (
     min_eigenvalue,
     vec,
 )
-from kslab.maps import BlockOperator, QuantumMap
+from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
 from kslab.serialize import verdict_to_json
 from kslab.zoo import (
     ParameterDomainError,
@@ -278,20 +278,25 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
 
 
 def _solo_ks_parts(T3, v):
-    n = len(v)
-    G = (v @ T3.reshape(n, -1)).reshape(n, n * n)
-    return hermitianize((v.conj() @ G).conj().reshape(n, n).T), G
+    # block (C, C') of W is unvec(conj(v_C* G_C')); G = [G_0 | ... | G_{k-1}]
+    d = len(T3)
+    vb = v.reshape(-1, d)
+    G = np.hstack([(vC @ T3.reshape(d, -1)).reshape(d, d * d) for vC in vb])
+    vW = (vb.conj() @ G).conj()  # row C holds vec(W_CC') for every C'
+    return hermitianize(np.block([[row[Cp * d * d : (Cp + 1) * d * d].reshape(d, d).T
+                                   for Cp in range(len(vb))] for row in vW])), G
 
 
 def _solo_qform(W, G):
     n = len(W)
-    M = np.zeros((n, n, n, n), dtype=complex)
-    M[:, np.arange(n), :, np.arange(n)] = W.T
-    return M.reshape(n * n, n * n) - dagger(G) @ G
+    m = G.shape[1] // n
+    M = np.zeros((n, m, n, m), dtype=complex)
+    M[:, np.arange(m), :, np.arange(m)] = W.T
+    return M.reshape(n * m, n * m) - dagger(G) @ G
 
 
 def _solo_ks_xstep(W, G):
-    if len(W) >= SECULAR_MIN_N:
+    if G.shape[1] >= SECULAR_MIN_SIDE:
         found = _bottom_eigvec(W, G)
         if found is not None:
             return found[1]
@@ -320,11 +325,14 @@ def _solo_kpos_restart(C4, k, budget, rng):
 def _solo_ks(Phi, k, budget):
     d = Phi.d
     n = k * d
-    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
+    T3 = Phi.transfer.reshape(d, d, d * d)
     defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
-        return _solo_ks_xstep(*_solo_ks_parts(T3, v))
+        # the bottom vector of M'_v fills block row 0 of X
+        X = np.zeros((n, n), dtype=complex)
+        X[:d] = _solo_ks_xstep(*_solo_ks_parts(T3, v)).reshape(d, n, order="F")
+        return vec(X)
 
     restart = partial(_solo_alternating_restart, defect, xstep, n, budget)
     return _solo_falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
@@ -341,10 +349,11 @@ def _bytes(res):
     return json.dumps(verdict_to_json(res), sort_keys=True)
 
 
-# (d, k) below SECULAR_MIN_N = 7 take the dense X half-step, the rest the
-# secular one; each at a clean and a violated Lambda^-(id) point
+# (d, k) whose form side n d is below SECULAR_MIN_SIDE = 49 take the dense X
+# half-step, (7, 1) and (4, 4) the secular one; each at a clean and a
+# violated Lambda^-(id) point
 @pytest.mark.parametrize("offset", [-0.02, 0.05])
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (7, 1), (4, 4)])
 def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
     Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + offset)
     budget = SearchBudget(restarts=5, max_iters=120 if k * d < 7 else 60, seed=d + 10 * k)
@@ -376,7 +385,10 @@ def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
 
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    batch = _alternating_restart(defect, lambda v: _ks_xstep(*_ks_parts(T3, v)), 3, budget, rngs)
+    def batch_xstep(v):
+        return _ks_xstep(*_ks_parts(T3, v)).reshape(-1, 3, 3).swapaxes(1, 2)  # unvec
+
+    batch = _alternating_restart(defect, batch_xstep, 3, budget, rngs)
     assert (True, False) in kinds  # some batch mixed drawn and plain vectors
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
     xstep = lambda v: _solo_ks_xstep(*_solo_ks_parts(T3, v))  # noqa: E731
@@ -647,29 +659,86 @@ def _form(M, X):
     return complex(x.conj() @ M @ x)
 
 
+def _amplified_ks_parts(T3, v):
+    """The (W, G) of the n^2 x n^2 form M_v of the amplified map, for a stack
+    of vectors, with T3 = T_k.reshape(n, n, n*n) for the amplified transfer
+    matrix T_k: G = sum_q v_q T3[q] and W = unvec(conj(v* G))."""
+    n = v.shape[-1]
+    G = (v[..., None, :] @ T3.reshape(n, -1)).reshape(v.shape[:-1] + (n, n * n))
+    vG = (v.conj()[..., None, :] @ G).conj()
+    return hermitianize(vG.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)), G
+
+
+def _base_t3(Phi):
+    return Phi.transfer.reshape(Phi.d, Phi.d, Phi.d**2)
+
+
 @pytest.mark.parametrize("d,k", KERNEL_DK)
 def test_ks_qform_identity(d, k):
+    # the defect is the sum of the block-row form over the d x n block rows
     Phi = _random_hp_map(d)
     n = k * d
-    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
         X, v = ginibre(rng, n), _unit(ginibre(rng, n, 1)[:, 0])
-        M = _qform(*_ks_parts(T3, v))
-        assert hs_norm(M - M.conj().T) < 1e-12
+        M = _qform(*_ks_parts(_base_t3(Phi), v[None]))[0]
+        assert M.shape == (n * d, n * d) and hs_norm(M - M.conj().T) < 1e-12
         expected = complex(v.conj() @ amplified_ks_defect(Phi, k, X) @ v)
-        assert abs(_form(M, X) - expected) < 1e-10 * max(1.0, abs(expected))
+        got = sum(_form(M, X[R * d : (R + 1) * d]) for R in range(k))
+        assert abs(got - expected) < 1e-10 * max(1.0, abs(expected))
 
 
 @pytest.mark.parametrize("d,k", KERNEL_DK + [(4, 2)])
 def test_ks_parts_w_is_the_dual_of_vv(d, k):
     # W read off G against the HS dual of the amplified map applied to vv*,
-    # for a stack of vectors; (4, 2) is a size the secular X half-step serves
+    # for a stack of vectors; (4, 2) is the dense side 32 of ks-large
     Phi = _random_hp_map(d)
     n = k * d
     v = np.stack([_unit(ginibre(rng, n, 1)[:, 0]) for _ in range(3)])
-    W, _ = _ks_parts(Phi.amplify(k).transfer_matrix().reshape(n, n, n * n), v)
+    W, _ = _ks_parts(_base_t3(Phi), v)
     ref = hermitianize(Phi.dual().apply_amplified(v[:, :, None] * v[:, None, :].conj(), k))
     assert hs_norm(W - ref) <= 1e-12 * max(1.0, hs_norm(ref))
+
+
+@pytest.mark.parametrize("kind", ["random-utp", "lambda-minus"])
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_block_row_form_has_the_spectrum_of_the_amplified_form(d, k, kind):
+    # M_v = I_k (x) M'_v up to the order of vec(X): each eigenvalue of the
+    # n d x n d block-row form, taken k times, is one of the amplified form's
+    n = k * d
+    Phi = sample_utp_cp(d, seed=d + k) if kind == "random-utp" else lambda_minus(
+        QuantumMap.identity(d), d / (k * d + 1))
+    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
+    for _ in range(3):
+        v = _unit(ginibre(rng, n, 1)[:, 0])
+        W, G = _amplified_ks_parts(T3, v)
+        oracle = np.linalg.eigvalsh(_qform(W, G))
+        assert oracle.shape == (n * n,)
+        block_row = np.linalg.eigvalsh(_qform(*_ks_parts(_base_t3(Phi), v[None]))[0])
+        scale = max(1.0, float(np.abs(oracle).max()))
+        assert np.abs(np.sort(np.repeat(block_row, k)) - oracle).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_ks_parts_at_k1_are_the_bytes_of_the_amplified_parts(d):
+    # at k = 1 the block row is all of X: W and G are the amplified ones,
+    # byte for byte, for a stack and for a stack of one
+    Phi = _random_hp_map(d)
+    v = np.stack([_unit(ginibre(rng, d, 1)[:, 0]) for _ in range(4)])
+    T3 = Phi.amplify(1).transfer_matrix().reshape(d, d, d * d)
+    for vs in (v, v[:1]):
+        for new, old in zip(_ks_parts(_base_t3(Phi), vs), _amplified_ks_parts(T3, vs)):
+            assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def test_ks_search_never_forms_the_amplified_transfer_matrix(monkeypatch):
+    # the X half-step reads the base transfer matrix only
+    def refuse(self):
+        raise AssertionError("the amplified transfer matrix was formed")
+
+    monkeypatch.setattr(AmplifiedMap, "transfer_matrix", refuse)
+    d, k = 3, 2
+    res = falsify_ks(lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + 0.05), k, FAST)
+    assert res.violated and res.witness.data.shape == (6, 6)
 
 
 def test_ks_search_refuses_a_map_that_is_not_hermiticity_preserving(monkeypatch):
@@ -765,9 +834,8 @@ def test_bottom_eigvec_matches_dense(kind, d, k):
     if kind == "co-ks":
         Phi = transpose_map(d).compose(Phi)
     n = k * d
-    T3 = Phi.amplify(k).transfer_matrix().reshape(n, n, n * n)
     for _ in range(3):
-        W, G = _ks_parts(T3, _unit(ginibre(rng, n, 1)[:, 0]))
+        W, G = (P[0] for P in _ks_parts(_base_t3(Phi), _unit(ginibre(rng, n, 1)[:, 0])[None]))
         M, lam_min = _dense_bottom(W, G)
         found = _bottom_eigvec(W, G)
         assert found is not None
@@ -782,11 +850,12 @@ def test_bottom_eigvec_matches_dense(kind, d, k):
 def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
     # H_0 = 0: the columns of the mu_0 block of G vanish, so lambda* = mu_0 is
     # the pole of the secular equation, and G is small enough that nothing
-    # lies below it
-    n = 8
+    # lies below it; the shapes are those of (d, k) = (4, 4), a form side of
+    # 64, so that _ks_xstep takes the secular path
+    n, m = 16, 4
     W = np.diag(np.arange(1.0, n + 1))
-    G = 0.1 * ginibre(rng, n, n * n)
-    G[:, :n] = 0
+    G = 0.1 * ginibre(rng, m, n * m)
+    G[:, :m] = 0
     M, lam_min = _dense_bottom(W, G)
     assert abs(lam_min - 1.0) < 1e-12
     found = _bottom_eigvec(W, G)
@@ -801,10 +870,11 @@ def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
 
 def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
     # a negative tolerance fails every residual check: the secular solve is
-    # refused and the dense eigh gives the half-step
-    d, k = 4, 2
-    T3 = _random_hp_map(d).amplify(k).transfer_matrix().reshape(8, 8, 64)
-    W, G = _ks_parts(T3, _unit(ginibre(rng, 8, 1)[:, 0]))
+    # refused and the dense eigh gives the half-step; (4, 4) has form side 64
+    d, k = 4, 4
+    v = _unit(ginibre(rng, k * d, 1)[:, 0])
+    W, G = (P[0] for P in _ks_parts(_base_t3(_random_hp_map(d)), v[None]))
+    assert G.shape[-1] >= SECULAR_MIN_SIDE
     M, lam_min = _dense_bottom(W, G)
     monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
     assert _bottom_eigvec(W, G) is None
@@ -813,8 +883,8 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
 
 
 def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
-    # (d, k) = (4, 4): n = 16 is above the crossover, so the X half-steps
-    # solve the secular equation
+    # (d, k) = (4, 4): the form side n d = 64 is above the crossover, so the
+    # X half-steps solve the secular equation
     d, k = 4, 4
     bound = d / (k * d + 1)
     budget = SearchBudget(restarts=2, max_iters=200, seed=3)
@@ -839,8 +909,8 @@ def _drifting_search(drift):
         return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
 
     def xstep(v):
-        # the bottom eigenvector eigh gives for M_v = I, for each member
-        return np.eye(4)[np.zeros(len(v), dtype=int)]
+        # X = E_00, from the bottom eigenvector eigh gives for M_v = I
+        return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2)
 
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
     return _falsify(

@@ -54,10 +54,24 @@ def test_domain_error_exits_1(capsys):
 
 
 def test_unknown_family_lists_valid_names(capsys):
+    rc, _, err = run(capsys, "certify", "--family", "bogus", "--d", "2")
+    assert rc == 1
+    assert "transpose" in err
+
+
+def test_usage_errors_return_1_and_help_exits_0(capsys):
+    # a missing required option returns 1 with the argparse message, like
+    # every other error; only --help leaves main, through SystemExit(0)
+    rc, _, err = run(capsys, "scan", "--family", "lambda-minus", "--a-min", "0.1")
+    assert rc == 1
+    assert "kslab: error: the following arguments are required: --d" in err
+    rc, _, err = run(capsys, "certify", "--k", "two")
+    assert rc == 1
+    assert "invalid int value: 'two'" in err
     with pytest.raises(SystemExit) as exc:
-        main(["certify", "--family", "bogus", "--d", "2"])
-    assert exc.value.code == 1
-    assert "transpose" in capsys.readouterr().err
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "--property" in capsys.readouterr().out
 
 
 def test_missing_map_source_exits_1(capsys):
