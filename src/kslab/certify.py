@@ -6,6 +6,12 @@ contraction, from one SVD of the transfer matrix.
 A falsifier searches for a witness making a defect negative. Its verdicts
 are one-sided: ``Violated`` comes with a self-certifying witness,
 ``NoViolationFound`` is evidence that the property holds, not a proof.
+The exception is k >= d, where the maths settles the question and one
+eigendecomposition of the Choi matrix C_Phi replaces the search: k-KS of a
+unital Phi there holds iff C_Phi >= 0 (k-KS implies k-positive, which for
+k >= d is CP (Choi 1975), and a unital CP map is KS at every k (Choi 1974)),
+and d-positivity holds iff lambda_min(C_Phi) >= 0. Both verdicts are then
+exact up to one float64 eigh.
 
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
@@ -378,6 +384,20 @@ def _verdict(
     )
 
 
+def _decided(
+    worst: float,
+    point: object,
+    recheck: Callable[[object], float],
+    make_witness: Callable[[object], BlockOperator | SchmidtWitness],
+    budget: SearchBudget,
+    scale: float,
+) -> CertificateVerdict:
+    """The verdict of a closed-form decision, counted as one restart of one
+    iteration whose one defect evaluation is the recheck of a violation."""
+    counters = {"restarts": 1, "iterations": 1, "defect_evals": int(worst < -budget.violation_tol)}
+    return _verdict(worst, point, recheck, make_witness, counters, budget, scale)
+
+
 def _falsify(
     restart: Callable[[list[np.random.Generator]], list[tuple[float, object, dict]]],
     value: Callable[[object], float],
@@ -494,6 +514,13 @@ def _alternating_restart(
     return out
 
 
+def _choi_eigh(Phi: QuantumMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, w, V): the Hermitian part C of the Choi matrix of Phi and its
+    eigenpairs, w ascending, the spectrum both closed forms at k >= d read."""
+    C = hermitianize(Phi.choi())
+    return (C, *np.linalg.eigh(C))
+
+
 def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
     """<psi|C|psi> / <psi|psi>, the value a Schmidt witness re-checks."""
     psi = w.psi
@@ -585,9 +612,31 @@ def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
 def falsify_ks(
     Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
-    """Search for a violation of the k-KS inequality of Phi."""
+    """Search for a violation of the k-KS inequality of Phi.
+
+    At k >= d a unital Phi is k-KS iff C_Phi >= 0, and this is decided from
+    one eigh of C_Phi; restarts and max_iters are not read. The witness is
+    X = P_Omega/d, Omega = sum_i e_i (x) e_i: block (i, j) is E_ij/d for
+    i, j < d, the HS norm is 1, and the amplified defect is
+    (C/d - C^2/d^2) (+) 0, so lambda_min of it is the smaller of
+    f(lambda) = lambda/d - lambda^2/d^2 at the two ends of the spectrum of C.
+    The worst value is that, or the 0 that X = I/sqrt(kd) attains; for a
+    unital CP map, whose C >= 0 has trace d, it is 0, up to the rounding of
+    a zero eigenvalue. Both verdicts are exact up to one float64 eigh. Every other case, and a map that is
+    not unital, runs the search."""
     _check_ks_map(Phi, "KS")
-    return _ks_search(Phi, k, budget)
+    d = Phi.d
+    if k < d or not Phi.unital:
+        return _ks_search(Phi, k, budget)
+    w = _choi_eigh(Phi)[1][[0, -1]] / d
+    worst = min(0.0, float(np.min(w - w * w)))
+    omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
+    X = np.zeros((k * d, k * d), dtype=complex)
+    X[np.ix_(omega, omega)] = 1 / d
+    recheck = partial(_min_eig_value, partial(amplified_ks_defect, Phi, k))
+    # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
+    scale = max(1.0, float(np.abs(w).max()) ** 2)
+    return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
 
 
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
@@ -620,23 +669,32 @@ def check_phi_k_condition(
     worst = 1.0 - s2 if k == 1 else min(0.0, 1.0 - s2)
     X = np.zeros((k * d, k * d), dtype=complex)
     X[:d, :d] = linalg.unvec(Vh[0].conj(), d)
-    # the one defect evaluation is the recheck of a violation
-    counters = {"restarts": 1, "iterations": 1, "defect_evals": int(worst < -budget.violation_tol)}
     recheck = partial(_min_eig_value, partial(phi_k_defect, Phi, k))
     # scaled, as SVD and eigvalsh drift apart with the size of the defect
-    return _verdict(worst, X, recheck, partial(BlockOperator, k, d), counters, budget, max(1.0, s2))
+    return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, max(1.0, s2))
 
 
 def falsify_k_positivity(
     Phi: QuantumMap, k: int, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
     """Search for a Schmidt-rank-<=k unit vector psi with <psi|C_Phi|psi> < 0
-    by alternating least squares over the two Schmidt factor stacks."""
+    by alternating least squares over the two Schmidt factor stacks.
+
+    At k = d every unit psi qualifies, so the minimum is lambda_min(C_Phi),
+    decided from one eigh of C_Phi; restarts and max_iters are not read, and
+    both verdicts are exact up to that float64 eigh. The witness is the
+    bottom eigenvector psi written as SchmidtWitness(I, Psi^T),
+    Psi = unvec_row(psi)."""
     d = Phi.d
     if not 1 <= k <= d:
         raise ParameterDomainError(f"k-positivity needs 1 <= k <= d, got k={k}, d={d}")
     # a k-positive map is Hermiticity-preserving
     _refuse_non_hp(Phi, "Choi matrix")
+    if k == d:
+        C, lam, V = _choi_eigh(Phi)
+        witness = SchmidtWitness(np.eye(d, dtype=complex), V[:, 0].reshape(d, d).T)
+        scale = max(1.0, float(np.abs(lam).max()))
+        return _decided(float(lam[0]), witness, partial(_schmidt_value, C), lambda w: w, budget, scale)
     C = hermitianize(Phi.choi())
     restart = partial(_kpos_restart, C.reshape(d, d, d, d), k, budget)
     # the point a restart returns is the witness already

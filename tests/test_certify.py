@@ -57,8 +57,10 @@ from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
 from kslab.serialize import verdict_to_json
 from kslab.zoo import (
     ParameterDomainError,
+    bounds_lambda_plus,
     depolarizing,
     lambda_minus,
+    lambda_plus,
     reduction,
     sample_utp_cp,
     transpose_map,
@@ -194,6 +196,116 @@ def test_block_to_tuple_recovers_violation():
     ops = block_to_tuple(Phi, 2, res.witness.data)
     assert len(ops) == 2
     assert min_eigenvalue(kks_block_defect(Phi, ops)) < -FAST.violation_tol / 2
+
+
+# -- closed forms at k >= d -------------------------------------------------
+#
+# A k-KS map is k-positive, k-positive at k >= d is CP, and a unital CP map is
+# KS at every k: falsify_ks decides k >= d from the spectrum of C_Phi, and
+# falsify_k_positivity decides k = d from it.
+
+
+def _choi_f(d, lam):
+    # the eigenvalue of the amplified defect at P_Omega/d on C's eigenvalue lam
+    return lam / d - lam**2 / d**2
+
+
+@pytest.mark.parametrize("offset", [-0.01, 0.01])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ks_closed_form_matches_search_on_lambda_minus_identity(d, offset):
+    # Lambda^-_a(id) is d-KS iff a <= 1/lambda_max(C_id) = 1/d
+    Phi = lambda_minus(QuantumMap.identity(d), 1 / d + offset)
+    for k in (d, d + 1):
+        budget = SearchBudget(restarts=4, max_iters=200, seed=d + 10 * k)
+        res = falsify_ks(Phi, k, budget)
+        assert res.verdict == certify._ks_search(Phi, k, budget).verdict
+        assert res.violated == (offset > 0)
+        assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": int(res.violated)}
+        if not res.violated:
+            assert res.worst_value == 0.0 and res.witness is None
+
+
+def test_ks_closed_form_matches_search_on_criterion_3_lambda_plus_bases():
+    # criterion 3's (d, k) = (2, 2) checks of Lambda^+ at both endpoints,
+    # with its budgets; the upper endpoint fails on 6 of the 20 bases
+    from kslab.suite import _utp_sample
+
+    d = k = 2
+    lo, hi = bounds_lambda_plus(d, k)
+    violated = []
+    for s, Phi in _utp_sample(0, d):
+        for a in (lo, hi):
+            M = lambda_plus(Phi, a)
+            budget = SearchBudget(restarts=8, max_iters=200, seed=s)
+            res = falsify_ks(M, k, budget)
+            assert res.verdict == certify._ks_search(M, k, budget).verdict
+            violated += [a] * res.violated
+    assert violated == [hi] * 6
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 3), (4, 4), (4, 5)])
+def test_ks_closed_form_witness_is_p_omega_over_d(d, k):
+    Phi = lambda_minus(QuantumMap.identity(d), 1 / d + 0.05)
+    res = falsify_ks(Phi, k, FAST)
+    lam = np.linalg.eigvalsh(hermitianize(Phi.choi()))
+    assert res.violated
+    assert abs(res.worst_value - _choi_f(d, lam[0])) < 1e-12
+    assert _choi_f(d, lam[0]) <= _choi_f(d, lam[-1])
+    # Omega = sum_i e_i (x) e_i in C^k (x) C^d
+    omega = np.zeros(k * d)
+    omega[np.arange(d) * (d + 1)] = 1
+    assert np.array_equal(res.witness.data, np.outer(omega, omega) / d)
+    assert (res.witness.k, res.witness.d) == (k, d)
+    assert abs(hs_norm(res.witness.data) - 1) < 1e-12
+    assert abs(min_eigenvalue(amplified_ks_defect(Phi, k, res.witness)) - res.worst_value) < 1e-12
+
+
+def test_falsify_ks_at_k_ge_d_runs_no_restart(monkeypatch):
+    def no_restart(*args):
+        raise AssertionError("a restart ran at k >= d")
+
+    monkeypatch.setattr(certify, "_alternating_restart", no_restart)
+    d = k = 3
+    verdicts = {falsify_ks(lambda_minus(QuantumMap.identity(d), 1 / d + offset), k, FAST).verdict
+                for offset in (-0.01, 0.01)}
+    assert verdicts == {"Violated", "NoViolationFound"}
+
+
+def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
+    restarts = []
+
+    def counted(*args):
+        restarts.append(args)
+        return _alternating_restart(*args)
+
+    monkeypatch.setattr(certify, "_alternating_restart", counted)
+    Phi = QuantumMap(2 * np.eye(4))  # 2 id: CP, not unital, and not KS
+    budget = SearchBudget(restarts=2, max_iters=20, seed=0)
+    with pytest.warns(UserWarning, match="unital"):
+        res = falsify_ks(Phi, 2, budget)
+    assert restarts
+    assert _bytes(res) == _bytes(certify._ks_search(Phi, 2, budget))
+
+
+@pytest.mark.parametrize("offset", [-0.05, 0.05])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_k_positivity_at_k_eq_d_is_lambda_min_of_choi(d, offset):
+    # R_a is d-positive iff a <= 1/d: lambda_min(C) = (1 - a d)/(d - a)
+    a = 1 / d + offset
+    Phi = reduction(d, a)
+    res = falsify_k_positivity(Phi, d, SearchBudget(seed=1))
+    assert abs(res.worst_value - (1 - a * d) / (d - a)) < 1e-12
+    assert res.violated == (offset > 0)
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": int(res.violated)}
+    if res.violated:
+        # the conditions bench/reference.py checks: Schmidt rank <= k, and
+        # the value recomputed from the Choi matrix equals worst_value
+        w = res.witness
+        assert w.u.shape == w.v.shape == (d, d)
+        psi = sum(np.kron(w.u[:, i], w.v[:, i]) for i in range(d))
+        C = sum(np.kron(np.outer(e_i, e_j), Phi(np.outer(e_i, e_j)))
+                for e_i in np.eye(d) for e_j in np.eye(d))
+        assert abs((psi.conj() @ C @ psi).real / np.vdot(psi, psi).real - res.worst_value) < 1e-12
 
 
 # -- co-KS falsifier --------------------------------------------------------
@@ -350,14 +462,16 @@ def _bytes(res):
 
 
 # (d, k) whose form side n d is below SECULAR_MIN_SIDE = 49 take the dense X
-# half-step, (7, 1) and (4, 4) the secular one; each at a clean and a
-# violated Lambda^-(id) point
+# half-step, (7, 1), (5, 2) and (4, 4) the secular one; each at a clean and a
+# violated Lambda^-(id) point. falsify_ks decides k >= d in closed form, so
+# there the search itself is compared
 @pytest.mark.parametrize("offset", [-0.02, 0.05])
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (7, 1), (4, 4)])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (7, 1), (5, 2), (4, 4)])
 def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
     Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + offset)
     budget = SearchBudget(restarts=5, max_iters=120 if k * d < 7 else 60, seed=d + 10 * k)
-    assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
+    search = certify._ks_search if k >= d else falsify_ks
+    assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
@@ -605,15 +719,17 @@ def test_phi_k_bytes_ignore_restarts_and_iters(norm):
 
 
 def test_k_positivity_transpose_not_2_positive():
-    res = falsify_k_positivity(transpose_map(2), 2, FAST)
+    # at d = 3, k = 2 < d, so the search runs; k = d is the closed form
+    res = falsify_k_positivity(transpose_map(3), 2, FAST)
     assert res.violated
     assert res.worst_value == pytest.approx(-1.0, abs=1e-8)
     # the first restart finds it; each iteration is two eigh half-steps
     assert res.budget_used["restarts"] == 1
     assert res.budget_used["defect_evals"] == 2 * res.budget_used["iterations"]
     psi = res.witness.psi
-    C = hermitianize(transpose_map(2).choi())
+    C = hermitianize(transpose_map(3).choi())
     assert (psi.conj() @ C @ psi).real < -0.9
+    assert falsify_k_positivity(transpose_map(2), 2, FAST).worst_value == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_k_positivity_transpose_is_1_positive():
@@ -883,9 +999,11 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
 
 
 def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
-    # (d, k) = (4, 4): the form side n d = 64 is above the crossover, so the
-    # X half-steps solve the secular equation
-    d, k = 4, 4
+    # (d, k) = (5, 2): k < d, so falsify_ks searches, and the form side
+    # n d = 50 is above the crossover, so the X half-steps solve the secular
+    # equation
+    d, k = 5, 2
+    assert k * d * d >= SECULAR_MIN_SIDE
     bound = d / (k * d + 1)
     budget = SearchBudget(restarts=2, max_iters=200, seed=3)
     clean = falsify_ks(lambda_minus(QuantumMap.identity(d), bound - 0.02), k, budget)
