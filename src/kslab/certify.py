@@ -6,12 +6,14 @@ contraction, from one SVD of the transfer matrix.
 A falsifier searches for a witness making a defect negative. Its verdicts
 are one-sided: ``Violated`` comes with a self-certifying witness,
 ``NoViolationFound`` is evidence that the property holds, not a proof.
-The exception is k >= d, where the maths settles the question and one
-eigendecomposition of the Choi matrix C_Phi replaces the search: k-KS of a
-unital Phi there holds iff C_Phi >= 0 (k-KS implies k-positive, which for
-k >= d is CP (Choi 1975), and a unital CP map is KS at every k (Choi 1974)),
-and d-positivity holds iff lambda_min(C_Phi) >= 0. Both verdicts are then
-exact up to one float64 eigh.
+The exceptions are where the maths settles the question and one
+eigendecomposition of the Choi matrix C_Phi replaces the search. k-KS of a
+unital Phi at k >= d holds iff C_Phi >= 0 (k-KS implies k-positive, which
+for k >= d is CP (Choi 1975), and a unital CP map is KS at every k (Choi
+1974)); a unital Phi with C_Phi >= 0 is k-KS at every k < d too, and
+co-KS when C_{tau o Phi} >= 0, so below d the KS and co-KS searches run
+only on a map that is not unital or not CP; and d-positivity holds iff
+lambda_min(C_Phi) >= 0. These verdicts are exact up to one float64 eigh.
 
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
@@ -516,7 +518,7 @@ def _alternating_restart(
 
 def _choi_eigh(Phi: QuantumMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, w, V): the Hermitian part C of the Choi matrix of Phi and its
-    eigenpairs, w ascending, the spectrum both closed forms at k >= d read."""
+    eigenpairs, w ascending, the spectrum the closed forms read."""
     C = hermitianize(Phi.choi())
     return (C, *np.linalg.eigh(C))
 
@@ -574,15 +576,19 @@ def _kpos_restart(
 
 
 def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
-    """The k-KS search of Phi, shared by the KS and co-KS falsifiers."""
+    """The k-KS search of Phi, which the KS and co-KS falsifiers reach
+    through _ks_decide."""
     d, n = Phi.d, k * Phi.d
     T3 = Phi.transfer.reshape(d, d, d * d)
     defect = partial(amplified_ks_defect, Phi, k)
 
     def xstep(v):
         # unvec into block row 0 of X; the copy frees a dense step's eigenvector stacks
-        x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
-        x[:, :, :d] = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)
+        rows = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)  # [., column, row]
+        if k == 1:
+            return rows.copy().swapaxes(1, 2)  # block row 0 is all of X
+        x = np.zeros((len(v), n, n), dtype=complex)
+        x[:, :, :d] = rows
         return x.swapaxes(1, 2)
 
     restart = partial(_alternating_restart, defect, xstep, n, budget)
@@ -609,44 +615,63 @@ def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
         )
 
 
-def falsify_ks(
-    Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
-) -> CertificateVerdict:
-    """Search for a violation of the k-KS inequality of Phi.
+def _ks_decide(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
+    """The k-KS verdict of Phi for the KS and co-KS falsifiers: decided from
+    one eigh of C_Phi where the maths settles it, from _ks_search elsewhere.
 
-    At k >= d a unital Phi is k-KS iff C_Phi >= 0, and this is decided from
-    one eigh of C_Phi; restarts and max_iters are not read. The witness is
-    X = P_Omega/d, Omega = sum_i e_i (x) e_i: block (i, j) is E_ij/d for
-    i, j < d, the HS norm is 1, and the amplified defect is
+    For a unital Phi and k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i
+    in C^k (x) C^d, has HS norm 1 and the amplified defect
     (C/d - C^2/d^2) (+) 0, so lambda_min of it is the smaller of
-    f(lambda) = lambda/d - lambda^2/d^2 at the two ends of the spectrum of C.
-    The worst value is that, or the 0 that X = I/sqrt(kd) attains; for a
-    unital CP map, whose C >= 0 has trace d, it is 0, up to the rounding of
-    a zero eigenvalue. Both verdicts are exact up to one float64 eigh. Every other case, and a map that is
-    not unital, runs the search."""
-    _check_ks_map(Phi, "KS")
+    f(lambda) = lambda/d - lambda^2/d^2 at the two ends of the spectrum of
+    C. With the 0 that X = I/sqrt(kd) attains, that is the k = d value; for
+    a unital CP map, whose C >= 0 has trace d, it is 0, up to the rounding
+    of a zero eigenvalue.
+    - At k >= d it is the verdict, with the witness P_Omega/d: a unital Phi
+      is k-KS there iff C_Phi >= 0.
+    - At k < d a clean value is the verdict too: a k-block witness pads
+      with zero blocks into a d-block one, so d-KS implies k-KS. A
+      violated one runs the search, and so does a map that is not unital.
+    A decided verdict reads no restarts or max_iters, and is exact up to
+    one float64 eigh."""
     d = Phi.d
-    if k < d or not Phi.unital:
+    if not Phi.unital:
         return _ks_search(Phi, k, budget)
     w = _choi_eigh(Phi)[1][[0, -1]] / d
     worst = min(0.0, float(np.min(w - w * w)))
-    omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
-    X = np.zeros((k * d, k * d), dtype=complex)
-    X[np.ix_(omega, omega)] = 1 / d
+    if k < d and worst < -budget.violation_tol:
+        return _ks_search(Phi, k, budget)
+    X = None  # below k = d only a clean verdict is decided, which reads no point
+    if k >= d:
+        omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
+        X = np.zeros((k * d, k * d), dtype=complex)
+        X[np.ix_(omega, omega)] = 1 / d
     recheck = partial(_min_eig_value, partial(amplified_ks_defect, Phi, k))
     # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
     scale = max(1.0, float(np.abs(w).max()) ** 2)
     return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
 
 
+def falsify_ks(
+    Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
+) -> CertificateVerdict:
+    """Search for a violation of the k-KS inequality of Phi. A unital Phi is
+    decided from one eigh of C_Phi at k >= d, and below d when C_Phi >= 0
+    (see _ks_decide); every other map runs the search."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _check_ks_map(Phi, "KS")
+    return _ks_decide(Phi, k, budget)
+
+
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
     """Search for a violation of the co-KS inequality of Phi. With tau the
     transposition, the co-KS defect of Phi at X is the transpose of the KS
-    defect of tau o Phi at X, so this is the KS search of tau o Phi, and a
-    witness X serves both."""
+    defect of tau o Phi at X, so this is the KS verdict of tau o Phi at
+    k = 1 (see _ks_decide; tau o Phi is unital iff Phi is), and a witness X
+    serves both."""
     _check_ks_map(Phi, "co-KS")
     tau_phi = QuantumMap(transpose_rows(Phi.transfer), label=f"transpose∘{Phi.label}")
-    return _ks_search(tau_phi, 1, budget)
+    return _ks_decide(tau_phi, 1, budget)
 
 
 def check_phi_k_condition(

@@ -53,6 +53,7 @@ from kslab.linalg import (
     min_eigenvalue,
     vec,
 )
+from kslab.decompose import decompose_reduction
 from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
 from kslab.serialize import verdict_to_json
 from kslab.zoo import (
@@ -64,6 +65,7 @@ from kslab.zoo import (
     reduction,
     sample_utp_cp,
     transpose_map,
+    transpose_rows,
 )
 
 rng = np.random.default_rng(0)
@@ -183,6 +185,13 @@ def test_falsify_ks_warns_on_non_unital():
         falsify_ks(QuantumMap(T), 1, SearchBudget(restarts=2, max_iters=20, seed=0))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_falsify_ks_rejects_k_below_1(k):
+    # refused up front, not by a numpy shape error from inside the search
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        falsify_ks(QuantumMap.identity(2), k, FAST)
+
+
 def test_falsify_ks_deterministic():
     a = falsify_ks(reduction(2, 0.7), 1, FAST)
     b = falsify_ks(reduction(2, 0.7), 1, FAST)
@@ -285,6 +294,82 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
         res = falsify_ks(Phi, 2, budget)
     assert restarts
     assert _bytes(res) == _bytes(certify._ks_search(Phi, 2, budget))
+
+
+# -- closed form below k = d ------------------------------------------------
+#
+# A unital CP map is KS at every k, and d-KS implies k-KS for k <= d: a unital
+# map with C_Phi >= 0 is decided clean at k < d, and co-KS of Phi when
+# C_{tau o Phi} >= 0. A map that is not CP still runs the search.
+
+
+def _tau(Phi):
+    return QuantumMap(transpose_rows(Phi.transfer), label=f"transpose∘{Phi.label}")
+
+
+def _assert_decided_like_search(res, searched):
+    assert res.verdict == searched.verdict == "NoViolationFound"
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 0}
+    assert res.witness is None
+    assert -1e-15 < res.worst_value <= 0.0
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 1)])
+def test_ks_closed_form_matches_search_on_criterion_3_bases_below_d(d, k):
+    # criterion 3's random unital TP CP sample, with its budgets
+    from kslab.suite import _utp_sample
+
+    for s, Phi in _utp_sample(0, d):
+        budget = SearchBudget(restarts=8, max_iters=200, seed=s)
+        _assert_decided_like_search(falsify_ks(Phi, k, budget), certify._ks_search(Phi, k, budget))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_ks_closed_form_matches_search_on_cp_lambda_plus_transpose(d):
+    # C = (a/d) I + (1 - a) F, F the swap: CP iff a >= d/(d+1)
+    budget = SearchBudget(restarts=4, max_iters=120, seed=d)
+    for a in (d / (d + 1), d / (d + 1) + 0.05, 1.0):
+        Phi = lambda_plus(transpose_map(d), a)
+        for k in range(1, d):
+            _assert_decided_like_search(falsify_ks(Phi, k, budget), certify._ks_search(Phi, k, budget))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_co_ks_closed_form_matches_search_on_co_cp_maps(d):
+    # tau o T is the identity; decompose_reduction's phi2 is co-CP by construction
+    budget = SearchBudget(restarts=4, max_iters=120, seed=d)
+    for Phi in (transpose_map(d), decompose_reduction(d, 0.95).phi2):
+        _assert_decided_like_search(falsify_co_ks(Phi, budget), certify._ks_search(_tau(Phi), 1, budget))
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_ks_below_d_on_a_map_that_is_not_cp_is_the_search(d, k):
+    # Lambda^-_a(id) is CP iff a <= 1/d, and R_0.9 is not CP
+    budget = SearchBudget(restarts=4, max_iters=120, seed=d + 10 * k)
+    for Phi in (lambda_minus(QuantumMap.identity(d), 1 / d + 0.01),
+                lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + 0.05),
+                reduction(d, 0.9)):
+        assert np.linalg.eigvalsh(hermitianize(Phi.choi()))[0] < -budget.violation_tol
+        assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(certify._ks_search(Phi, k, budget))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_co_ks_on_a_map_that_is_not_co_cp_is_the_search(d):
+    # tau o id = T and tau o (T o R_0.9) = R_0.9 are not CP
+    budget = SearchBudget(restarts=4, max_iters=120, seed=d)
+    for Phi in (QuantumMap.identity(d), transpose_map(d).compose(reduction(d, 0.9))):
+        assert _bytes(falsify_co_ks(Phi, budget)) == _bytes(certify._ks_search(_tau(Phi), 1, budget))
+
+
+def test_cp_maps_below_d_run_no_restart(monkeypatch):
+    def no_restart(*args):
+        raise AssertionError("a restart ran on a unital CP map")
+
+    monkeypatch.setattr(certify, "_alternating_restart", no_restart)
+    Phi = sample_utp_cp(3, seed=4)
+    for k in (1, 2):
+        assert falsify_ks(Phi, k, FAST).verdict == "NoViolationFound"
+    assert falsify_co_ks(transpose_map(3), FAST).verdict == "NoViolationFound"
 
 
 @pytest.mark.parametrize("offset", [-0.05, 0.05])
@@ -477,10 +562,14 @@ def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
 def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
     # the identity has a zero defect, so every vector step draws from a
-    # degenerate cluster; a random UTP CP map mixes drawn and plain steps
+    # degenerate cluster; a random UTP CP map mixes drawn and plain steps;
+    # falsify_ks decides both of these CP maps, so the search itself
+    # is compared there
     budget = SearchBudget(restarts=6, max_iters=80, seed=7)
-    for Phi in (QuantumMap.identity(d), sample_utp_cp(d, seed=3), reduction(d, 0.9)):
-        assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
+    for Phi, search in ((QuantumMap.identity(d), certify._ks_search),
+                        (sample_utp_cp(d, seed=3), certify._ks_search),
+                        (reduction(d, 0.9), falsify_ks)):
+        assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
 def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():

@@ -1,6 +1,6 @@
 """Contracts on the source of kslab itself, read with ast: runtime
-invariants are explicit exceptions, and seeds and verdicts are each made
-in one place."""
+invariants are explicit exceptions, seeds and verdicts are each made in one
+place, and the KS search has one caller in the falsifiers."""
 
 import ast
 from pathlib import Path
@@ -42,9 +42,9 @@ def test_seed_sequence_only_in_linalg():
     assert found and all(f.startswith("linalg.py:") for f in found)
 
 
-def test_certificate_verdict_built_in_one_place():
-    # certify._verdict builds every verdict, after its witness recheck;
-    # serialize.verdict_from_json reads one back
+def _callers(name):
+    """The functions, as module.function, whose bodies call ``name``, either
+    bare or as an attribute."""
     found = set()
     for p in SOURCES:
         tree = _tree(p)
@@ -55,8 +55,21 @@ def test_certificate_verdict_built_in_one_place():
                 for node in ast.walk(fn):
                     owner[node] = f"{p.stem}.{fn.name}"
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "CertificateVerdict" in (
+            if isinstance(node, ast.Call) and name in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None)
             ):
                 found.add(owner.get(node, f"{p.stem}.<module>"))
-    assert found == {"certify._verdict", "serialize.verdict_from_json"}
+    return found
+
+
+def test_certificate_verdict_built_in_one_place():
+    # certify._verdict builds every verdict, after its witness recheck;
+    # serialize.verdict_from_json reads one back
+    assert _callers("CertificateVerdict") == {"certify._verdict", "serialize.verdict_from_json"}
+
+
+def test_ks_search_has_one_front_door():
+    # the KS and co-KS falsifiers reach the search only through the closed-form
+    # decision; criterion 6 runs the search itself, as it tests the theorem
+    # that decision rests on
+    assert _callers("_ks_search") == {"certify._ks_decide", "suite.criterion_6"}
