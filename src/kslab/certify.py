@@ -584,11 +584,8 @@ def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
 
     def xstep(v):
         # unvec into block row 0 of X; the copy frees a dense step's eigenvector stacks
-        rows = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)  # [., column, row]
-        if k == 1:
-            return rows.copy().swapaxes(1, 2)  # block row 0 is all of X
-        x = np.zeros((len(v), n, n), dtype=complex)
-        x[:, :, :d] = rows
+        x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
+        x[:, :, :d] = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
     restart = partial(_alternating_restart, defect, xstep, n, budget)
@@ -628,23 +625,29 @@ def _ks_decide(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
     of a zero eigenvalue.
     - At k >= d it is the verdict, with the witness P_Omega/d: a unital Phi
       is k-KS there iff C_Phi >= 0.
-    - At k < d a clean value is the verdict too: a k-block witness pads
-      with zero blocks into a d-block one, so d-KS implies k-KS. A
-      violated one runs the search, and so does a map that is not unital.
+    - At k < d a unital CP map is decided clean: a k-block witness pads
+      with zero blocks into a d-block one, so d-KS implies k-KS. The gate
+      is C_Phi >= 0 up to the rounding of its eigh, not the k = d value,
+      which only bounds the k-level minimum from above; a map that is not
+      CP, or not unital, runs the search.
     A decided verdict reads no restarts or max_iters, and is exact up to
     one float64 eigh."""
     d = Phi.d
     if not Phi.unital:
         return _ks_search(Phi, k, budget)
-    w = _choi_eigh(Phi)[1][[0, -1]] / d
+    lam = _choi_eigh(Phi)[1][[0, -1]]
+    w = lam / d
     worst = min(0.0, float(np.min(w - w * w)))
-    if k < d and worst < -budget.violation_tol:
+    if k < d:
+        # the rounding of a d^2 x d^2 eigh; below violation_tol a clean
+        # verdict would read as violated, and there is no witness to give
+        psd = lam[0] >= -d * d * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
+        if psd and worst >= -budget.violation_tol:
+            return _decided(worst, None, None, None, budget, 1.0)
         return _ks_search(Phi, k, budget)
-    X = None  # below k = d only a clean verdict is decided, which reads no point
-    if k >= d:
-        omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
-        X = np.zeros((k * d, k * d), dtype=complex)
-        X[np.ix_(omega, omega)] = 1 / d
+    omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
+    X = np.zeros((k * d, k * d), dtype=complex)
+    X[np.ix_(omega, omega)] = 1 / d
     recheck = partial(_min_eig_value, partial(amplified_ks_defect, Phi, k))
     # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
     scale = max(1.0, float(np.abs(w).max()) ** 2)

@@ -353,6 +353,19 @@ def test_ks_below_d_on_a_map_that_is_not_cp_is_the_search(d, k):
         assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(certify._ks_search(Phi, k, budget))
 
 
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
+def test_ks_below_d_under_a_large_tol_gates_on_the_choi_spectrum(d, k):
+    # C = (1 - e) d P_Omega + e F has lambda_min = -e, so its k = d value
+    # f(-e) = -e/d - e^2/d^2 sits inside a tol of 6e-3, yet the map is not
+    # CP: it runs the search, which finds -e, below -tol
+    e = 1e-2
+    Phi = QuantumMap((1 - e) * QuantumMap.identity(d).transfer + e * transpose_map(d).transfer)
+    budget = SearchBudget(restarts=4, max_iters=120, seed=d, violation_tol=6e-3)
+    res = falsify_ks(Phi, k, budget)
+    assert _bytes(res) == _bytes(certify._ks_search(Phi, k, budget))
+    assert res.verdict == "Violated" and res.worst_value < -e + 1e-12
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_co_ks_on_a_map_that_is_not_co_cp_is_the_search(d):
     # tau o id = T and tau o (T o R_0.9) = R_0.9 are not CP
