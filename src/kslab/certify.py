@@ -639,8 +639,8 @@ def _ks_decide(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerd
     w = lam / d
     worst = min(0.0, float(np.min(w - w * w)))
     if k < d:
-        # the rounding of a d^2 x d^2 eigh; below violation_tol a clean
-        # verdict would read as violated, and there is no witness to give
+        # C_Phi >= 0 up to the rounding of a d^2 x d^2 eigh; a value below
+        # -violation_tol (a tol under that rounding) has no witness to give
         psd = lam[0] >= -d * d * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
         if psd and worst >= -budget.violation_tol:
             return _decided(worst, None, None, None, budget, 1.0)

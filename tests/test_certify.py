@@ -385,6 +385,14 @@ def test_cp_maps_below_d_run_no_restart(monkeypatch):
     assert falsify_co_ks(transpose_map(3), FAST).verdict == "NoViolationFound"
 
 
+def test_cp_map_below_d_under_a_tol_below_rounding_is_the_search():
+    # C >= 0 up to rounding, but its value of about -1e-16 is below a tol of
+    # 1e-20, and a decided verdict has no witness to give: it searches
+    Phi = sample_utp_cp(3, seed=3)
+    budget = SearchBudget(restarts=2, max_iters=40, seed=0, violation_tol=1e-20)
+    assert _bytes(falsify_ks(Phi, 1, budget)) == _bytes(certify._ks_search(Phi, 1, budget))
+
+
 @pytest.mark.parametrize("offset", [-0.05, 0.05])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_k_positivity_at_k_eq_d_is_lambda_min_of_choi(d, offset):
