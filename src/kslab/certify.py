@@ -18,10 +18,15 @@ lambda_min(C_Phi) >= 0. These verdicts are exact up to one float64 eigh.
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
 budget seed, stops at the first violation and re-checks the violating point.
-Its schedule has two stages: restart 1 runs alone, and only when it finds
-no violation do restarts 2..R run, in lockstep as one batch through stacked
-kernels. A batch member computes bit for bit what it would compute alone,
-so the verdicts do not depend on the schedule.
+It drives a list of searches that differ only in their seeds, one per map:
+a single falsifier call is a list of one, and a threshold scan hands it
+every grid point the closed forms leave open. Its schedule has two stages:
+restart 1 of every search runs in lockstep as one stack through stacked
+kernels, and then restarts 2..R of every search whose restart 1 found no
+violation run as one more. Each member reads its own map's transfer matrix
+(one shared matrix, broadcast, for a single search). A stack member computes
+bit for bit what it would compute alone, so the verdicts depend neither on
+the schedule nor on the other searches in the stack.
 
 The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
 vectors by alternating least squares over the two Schmidt factors. The KS
@@ -56,7 +61,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import _derive_seed, dagger, ginibre, hermitianize, hs_norm, partial_trace_second
-from .maps import BlockOperator, QuantumMap
+from .maps import BlockOperator, QuantumMap, apply_amplified
 from .zoo import (
     ParameterDomainError,
     bound_lambda_minus,
@@ -147,8 +152,14 @@ def amplified_ks_defect(Phi: QuantumMap, k: int, X: np.ndarray | BlockOperator) 
                 f"block metadata ({X.k}, {X.d}) does not match (k={k}, d={Phi.d})"
             )
         X = X.data
-    Y = Phi.apply_amplified(X, k)
-    return Phi.apply_amplified(dagger(X) @ X, k) - dagger(Y) @ Y
+    return _ks_defect(Phi.transfer, k, X)
+
+
+def _ks_defect(T: np.ndarray, k: int, X: np.ndarray) -> np.ndarray:
+    """The amplified KS defect of the map with transfer matrix T at X; T and
+    X may be stacks, one map per matrix (see maps.apply_amplified)."""
+    Y = apply_amplified(T, X, k)
+    return apply_amplified(T, dagger(X) @ X, k) - dagger(Y) @ Y
 
 
 def kks_block_defect(Phi: QuantumMap, ops: list[np.ndarray]) -> np.ndarray:
@@ -226,13 +237,15 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 
 def _ks_parts(T3: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(W, G) of M'_v for the map with transfer matrix
-    T = T3.reshape(d*d, d*d), for each row v of the B x k d stack; block
-    (C, C') of W is Phi*(v_C v_C'*) = unvec(conj(v_C* G_C')), as
+    T = T3.reshape(d*d, d*d), for each row v of the B x k d stack; T3 is
+    d x d x d^2, one map for every row, or a stack of B of them, one per row.
+    Block (C, C') of W is Phi*(v_C v_C'*) = unvec(conj(v_C* G_C')), as
     T* vec(v_C v_C'*) = conj(v_C* G_C')."""
-    (B, n), d = v.shape, len(T3)
+    (B, n), d = v.shape, T3.shape[-3]
     k = n // d
-    # a vector-matrix product per block: a member's bits depend on neither k nor B
-    G3 = v.reshape(B, k, 1, d) @ T3.reshape(d, -1)  # [., C, 0, (p, :)]
+    # a vector-matrix product per block: a member's bits depend on neither k,
+    # B nor its neighbours' maps
+    G3 = v.reshape(B, k, 1, d) @ T3.reshape(-1, 1, d, d**3)  # [., C, 0, (p, :)]
     G = G3.reshape(B, k, d, d * d).swapaxes(1, 2).reshape(B, d, n * d)
     vW = (v.conj().reshape(B, k, d) @ G).conj()  # [., C, (C', j, i)] = vec(W_CC')
     return hermitianize(vW.reshape(B, k, k, d, d).transpose(0, 1, 4, 2, 3).reshape(B, n, n)), G
@@ -401,38 +414,60 @@ def _decided(
 
 
 def _falsify(
-    restart: Callable[[list[np.random.Generator]], list[tuple[float, object, dict]]],
-    value: Callable[[object], float],
+    restart: Callable[..., list[tuple[float, object, dict]]],
+    values: list[Callable[[object], float]],
     make_witness: Callable[[object], BlockOperator | SchmidtWitness],
-    budget: SearchBudget,
-) -> CertificateVerdict:
-    """Random-restart driver shared by the three falsifiers.
+    budgets: list[SearchBudget],
+    *maps: np.ndarray,
+) -> list[CertificateVerdict]:
+    """Random-restart driver shared by the three falsifiers, for a list of
+    searches whose budgets differ only in their seeds; one verdict each.
 
-    ``restart(rngs)`` runs one search per generator, in lockstep, and
+    ``restart(rngs, *rows)`` runs one search per generator, in lockstep, and
     returns for each the (best value, best point, counters) of a run with
-    that generator alone. Restart r of 1..R draws from
-    linalg.rng(budget.seed, r - 1), so the result is deterministic. Restart
-    1 runs alone; only when it finds no violation do restarts 2..R run, as
-    one batch. The results are folded in restart order up to the first
-    violation, as if the restarts had run one by one and stopped there: the
-    counters are summed over that prefix and the worst value is its minimum.
-    ``_verdict`` rechecks a violating point with ``value`` and turns it into
-    the witness with ``make_witness``.
+    that generator alone. Each array of ``maps`` has a row per search;
+    ``rows`` holds its rows for the members, in order, or the array itself,
+    one row that every member shares, when there is one search. Restart r of
+    1..R of search s draws from linalg.rng(budgets[s].seed, r - 1), so the
+    result is deterministic. Stage 1 runs restart 1 of every search as one
+    stack; stage 2 runs restarts 2..R of every search whose restart 1 found
+    no violation, as one more. Each search's results are folded in restart
+    order up to its first violation, as if its restarts had run one by one
+    and stopped there: the counters are summed over that prefix and the
+    worst value is its minimum. ``_verdict`` rechecks a violating point of
+    search s with ``values[s]`` and turns it into the witness with
+    ``make_witness``.
     """
-    runs = restart([linalg.rng(budget.seed, 0)])
-    if budget.restarts > 1 and not runs[0][0] < -budget.violation_tol:
-        runs += restart([linalg.rng(budget.seed, i) for i in range(1, budget.restarts)])
-    worst, worst_point = np.inf, None
-    counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
-    for f, point, used in runs:
-        counters["restarts"] += 1
-        counters["iterations"] += used["iterations"]
-        counters["defect_evals"] += used["defect_evals"]
-        if f < worst:
-            worst, worst_point = f, point
-        if worst < -budget.violation_tol:
-            break
-    return _verdict(worst, worst_point, value, make_witness, counters, budget)
+    first = budgets[0]
+    if any(replace(b, seed=first.seed) != first for b in budgets):
+        raise ValueError("the searches of one stack may differ only in their seeds")
+
+    def stage(owners: list[int], tries: list[int]) -> list[tuple[float, object, dict]]:
+        rows = maps if len(budgets) == 1 else tuple(M[owners] for M in maps)
+        return restart([linalg.rng(budgets[s].seed, r) for s, r in zip(owners, tries)], *rows)
+
+    searches = range(len(budgets))
+    runs = [[run] for run in stage(list(searches), [0] * len(budgets))]
+    again = [s for s in searches if not runs[s][0][0] < -first.violation_tol]
+    later = range(1, first.restarts)
+    owners = [s for s in again for _ in later]
+    if owners:
+        for s, run in zip(owners, stage(owners, [r for _ in again for r in later])):
+            runs[s].append(run)
+    verdicts = []
+    for s in searches:
+        worst, worst_point = np.inf, None
+        counters = {"restarts": 0, "iterations": 0, "defect_evals": 0}
+        for f, point, used in runs[s]:
+            counters["restarts"] += 1
+            counters["iterations"] += used["iterations"]
+            counters["defect_evals"] += used["defect_evals"]
+            if f < worst:
+                worst, worst_point = f, point
+            if worst < -first.violation_tol:
+                break
+        verdicts.append(_verdict(worst, worst_point, values[s], make_witness, counters, budgets[s]))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +506,12 @@ def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) ->
 
 
 def _alternating_restart(
-    defect: Callable[[np.ndarray], np.ndarray],
-    xstep: Callable[[np.ndarray], np.ndarray],
+    defect: Callable[..., np.ndarray],
+    xstep: Callable[..., np.ndarray],
     n: int,
     budget: SearchBudget,
     rngs: list[np.random.Generator],
+    *maps: np.ndarray,
 ) -> list[tuple[float, np.ndarray, dict]]:
     """Alternating minimization of g(X, v) = v* defect(X) v from a Ginibre
     start on the HS unit sphere, one run per generator.
@@ -485,17 +521,20 @@ def _alternating_restart(
     bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
     vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block row
     0), so the X half-step is exact and f(X) = lambda_min(defect(X))
-    decreases monotonely. Returns (best value, best X, counters) per run.
+    decreases monotonely. Both take the arrays of ``maps`` after their
+    stack: each has a row per member, or one row that every member shares,
+    and a member's row leaves the batch with its vector. Returns (best
+    value, best X, counters) per run.
     """
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
-    f, V = _min_eig_vectors(defect(X), rngs)
+    f, V = _min_eig_vectors(defect(X, *maps), rngs)
     best_f, best_X = f.tolist(), list(X)
     recent_best, stall = [np.inf] * len(rngs), [0] * len(rngs)
     live = list(range(len(rngs)))  # the members still iterating
     out: list = [None] * len(rngs)
     for it in range(1, budget.max_iters + 1):
-        X = xstep(V[:, :, 0])
-        f, V = _min_eig_vectors(defect(X), [rngs[b] for b in live])
+        X = xstep(V[:, :, 0], *maps)
+        f, V = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         going = []
         for j, (b, fj) in enumerate(zip(live, f.tolist())):
             if fj < best_f[b]:
@@ -513,14 +552,19 @@ def _alternating_restart(
             if not going:
                 break
             live, V = [live[j] for j in going], V[going]
+            maps = tuple(M[going] if len(M) > 1 else M for M in maps)
     return out
 
 
-def _choi_eigh(Phi: QuantumMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C, w, V): the Hermitian part C of the Choi matrix of Phi and its
-    eigenpairs, w ascending, the spectrum the closed forms read."""
+def _choi(Phi: QuantumMap, transposed: bool = False) -> np.ndarray:
+    """The Hermitian part of the Choi matrix of Phi, whose spectrum the
+    closed forms read; with ``transposed``, that of tau o Phi, tau the
+    transposition, which is C_Phi with its output factor transposed."""
     C = hermitianize(Phi.choi())
-    return (C, *np.linalg.eigh(C))
+    if transposed:
+        d = Phi.d
+        C = C.reshape(d, d, d, d).swapaxes(1, 3).reshape(d * d, d * d)
+    return C
 
 
 def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
@@ -575,21 +619,33 @@ def _kpos_restart(
 # ---------------------------------------------------------------------------
 
 
-def _ks_search(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
+def _ks_search(
+    Phi: QuantumMap | list[QuantumMap], k: int, budget: SearchBudget | list[SearchBudget]
+) -> CertificateVerdict | list[CertificateVerdict]:
     """The k-KS search of Phi, which the KS and co-KS falsifiers reach
-    through _ks_decide."""
-    d, n = Phi.d, k * Phi.d
-    T3 = Phi.transfer.reshape(d, d, d * d)
-    defect = partial(amplified_ks_defect, Phi, k)
+    through _ks_decide. Phi and budget may also be lists of maps on one M_d
+    and their budgets, which differ only in their seeds: the maps are then
+    searched as one lockstep stack (see _falsify), and the verdicts come
+    back as a list."""
+    single = isinstance(Phi, QuantumMap)
+    maps, budgets = ([Phi], [budget]) if single else (Phi, budget)
+    d = maps[0].d
+    n = k * d
 
-    def xstep(v):
+    def defect(X, T):
+        return _ks_defect(T, k, X)
+
+    def xstep(v, T):
         # unvec into block row 0 of X; the copy frees a dense step's eigenvector stacks
         x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
-        x[:, :, :d] = _ks_xstep(*_ks_parts(T3, v)).reshape(-1, n, d)
+        x[:, :, :d] = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)).reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
-    restart = partial(_alternating_restart, defect, xstep, n, budget)
-    return _falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
+    restart = partial(_alternating_restart, defect, xstep, n, budgets[0])
+    values = [partial(_min_eig_value, partial(amplified_ks_defect, M, k)) for M in maps]
+    T = np.stack([M.transfer for M in maps])
+    verdicts = _falsify(restart, values, partial(BlockOperator, k, d), budgets, T)
+    return verdicts[0] if single else verdicts
 
 
 def _refuse_non_hp(Phi: QuantumMap, what: str) -> None:
@@ -612,43 +668,70 @@ def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
         )
 
 
-def _ks_decide(Phi: QuantumMap, k: int, budget: SearchBudget) -> CertificateVerdict:
-    """The k-KS verdict of Phi for the KS and co-KS falsifiers: decided from
-    one eigh of C_Phi where the maths settles it, from _ks_search elsewhere.
+def _ks_decide(
+    maps: list[QuantumMap], k: int, budgets: list[SearchBudget], transposed: bool = False
+) -> list[CertificateVerdict]:
+    """The k-KS verdicts of maps, or with ``transposed`` of tau o Phi for
+    each Phi, tau the transposition, for the KS and co-KS falsifiers and the
+    scan: decided from one eigh of the Choi matrix where the maths settles it
+    (_ks_closed_form), and otherwise from one _ks_search call, which searches
+    every map left as one stack. tau o Phi is unital iff Phi is, and its
+    Choi matrix is C_Phi with its output factor transposed, so a decision on
+    it reads Phi; tau o Phi itself is built only for the search."""
+    verdicts = [
+        _ks_closed_form(Phi, k, budget, transposed) if Phi.unital else None
+        for Phi, budget in zip(maps, budgets)
+    ]
+    searched = [i for i, v in enumerate(verdicts) if v is None]
+    if searched:
+        targets = [
+            QuantumMap(transpose_rows(maps[i].transfer), label=f"transpose∘{maps[i].label}")
+            if transposed else maps[i]
+            for i in searched
+        ]
+        for i, v in zip(searched, _ks_search(targets, k, [budgets[i] for i in searched])):
+            verdicts[i] = v
+    return verdicts
 
-    For a unital Phi and k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i
-    in C^k (x) C^d, has HS norm 1 and the amplified defect
-    (C/d - C^2/d^2) (+) 0, so lambda_min of it is the smaller of
-    f(lambda) = lambda/d - lambda^2/d^2 at the two ends of the spectrum of
-    C. With the 0 that X = I/sqrt(kd) attains, that is the k = d value; for
-    a unital CP map, whose C >= 0 has trace d, it is 0, up to the rounding
-    of a zero eigenvalue.
-    - At k >= d it is the verdict, with the witness P_Omega/d: a unital Phi
-      is k-KS there iff C_Phi >= 0.
+
+def _ks_closed_form(
+    Phi: QuantumMap, k: int, budget: SearchBudget, transposed: bool
+) -> CertificateVerdict | None:
+    """The k-KS verdict of a unital Phi (of tau o Phi with ``transposed``)
+    from one eigh of its Choi matrix C, or None where that does not settle
+    it and the search must run.
+
+    For k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i in C^k (x) C^d,
+    has HS norm 1 and the amplified defect (C/d - C^2/d^2) (+) 0, so
+    lambda_min of it is the smaller of f(lambda) = lambda/d - lambda^2/d^2
+    at the two ends of the spectrum of C. With the 0 that X = I/sqrt(kd)
+    attains, that is the k = d value; for a unital CP map, whose C >= 0 has
+    trace d, it is 0, up to the rounding of a zero eigenvalue.
+    - At k >= d it is the verdict, with the witness P_Omega/d: a unital map
+      is k-KS there iff C >= 0.
     - At k < d a unital CP map is decided clean: a k-block witness pads
       with zero blocks into a d-block one, so d-KS implies k-KS. The gate
-      is C_Phi >= 0 up to the rounding of its eigh, not the k = d value,
-      which only bounds the k-level minimum from above; a map that is not
-      CP, or not unital, runs the search.
+      is C >= 0 up to the rounding of its eigh, not the k = d value, which
+      only bounds the k-level minimum from above; a map that is not CP
+      runs the search.
     A decided verdict reads no restarts or max_iters, and is exact up to
     one float64 eigh."""
     d = Phi.d
-    if not Phi.unital:
-        return _ks_search(Phi, k, budget)
-    lam = _choi_eigh(Phi)[1][[0, -1]]
+    lam = np.linalg.eigh(_choi(Phi, transposed))[0][[0, -1]]
     w = lam / d
     worst = min(0.0, float(np.min(w - w * w)))
     if k < d:
-        # C_Phi >= 0 up to the rounding of a d^2 x d^2 eigh; a value below
+        # C >= 0 up to the rounding of a d^2 x d^2 eigh; a value below
         # -violation_tol (a tol under that rounding) has no witness to give
         psd = lam[0] >= -d * d * np.finfo(float).eps * max(1.0, float(np.abs(lam).max()))
         if psd and worst >= -budget.violation_tol:
             return _decided(worst, None, None, None, budget, 1.0)
-        return _ks_search(Phi, k, budget)
+        return None
     omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
     X = np.zeros((k * d, k * d), dtype=complex)
     X[np.ix_(omega, omega)] = 1 / d
-    recheck = partial(_min_eig_value, partial(amplified_ks_defect, Phi, k))
+    T = transpose_rows(Phi.transfer) if transposed else Phi.transfer
+    recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
     # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
     scale = max(1.0, float(np.abs(w).max()) ** 2)
     return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
@@ -659,22 +742,20 @@ def falsify_ks(
 ) -> CertificateVerdict:
     """Search for a violation of the k-KS inequality of Phi. A unital Phi is
     decided from one eigh of C_Phi at k >= d, and below d when C_Phi >= 0
-    (see _ks_decide); every other map runs the search."""
+    (see _ks_closed_form); every other map runs the search."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_ks_map(Phi, "KS")
-    return _ks_decide(Phi, k, budget)
+    return _ks_decide([Phi], k, [budget])[0]
 
 
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
     """Search for a violation of the co-KS inequality of Phi. With tau the
     transposition, the co-KS defect of Phi at X is the transpose of the KS
     defect of tau o Phi at X, so this is the KS verdict of tau o Phi at
-    k = 1 (see _ks_decide; tau o Phi is unital iff Phi is), and a witness X
-    serves both."""
+    k = 1 (see _ks_decide), and a witness X serves both."""
     _check_ks_map(Phi, "co-KS")
-    tau_phi = QuantumMap(transpose_rows(Phi.transfer), label=f"transpose∘{Phi.label}")
-    return _ks_decide(tau_phi, 1, budget)
+    return _ks_decide([Phi], 1, [budget], transposed=True)[0]
 
 
 def check_phi_k_condition(
@@ -718,15 +799,15 @@ def falsify_k_positivity(
         raise ParameterDomainError(f"k-positivity needs 1 <= k <= d, got k={k}, d={d}")
     # a k-positive map is Hermiticity-preserving
     _refuse_non_hp(Phi, "Choi matrix")
+    C = _choi(Phi)
     if k == d:
-        C, lam, V = _choi_eigh(Phi)
+        lam, V = np.linalg.eigh(C)
         witness = SchmidtWitness(np.eye(d, dtype=complex), V[:, 0].reshape(d, d).T)
         scale = max(1.0, float(np.abs(lam).max()))
         return _decided(float(lam[0]), witness, partial(_schmidt_value, C), lambda w: w, budget, scale)
-    C = hermitianize(Phi.choi())
     restart = partial(_kpos_restart, C.reshape(d, d, d, d), k, budget)
     # the point a restart returns is the witness already
-    return _falsify(restart, partial(_schmidt_value, C), lambda w: w, budget)
+    return _falsify(restart, [partial(_schmidt_value, C)], lambda w: w, [budget])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +856,17 @@ def scan_threshold(
     direction: str = "ascending",
 ) -> ScanResult:
     """Run the k-KS falsifier on a parameter grid and bracket the boundary
-    of the certified region against the closed-form bound."""
+    of the certified region against the closed-form bound.
+
+    Grid point i gets the budget with seed _derive_seed(budget.seed, i), and
+    its verdict is falsify_ks's at that budget, bit for bit. The points are
+    decided together (_ks_decide): the closed form settles those it can,
+    and the others are searched as one lockstep stack in two stages,
+    restart 1 of every searched point, then restarts 2..R of every point
+    whose restart 1 came back clean. The second stage holds
+    (clean searched points) x (R - 1) members, each a k d x k d iterate and
+    an n d x n d X half-step form, n = k d: at most 14 x 15 members of form
+    side <= 18 in the small benchmark scans."""
     if a_min >= a_max or grid_step <= 0:
         raise ParameterDomainError("need a_min < a_max and grid_step > 0")
     n_pts = int(round((a_max - a_min) / grid_step)) + 1
@@ -787,12 +878,14 @@ def scan_threshold(
     # before the grid, so a family or (d, k) without a bound fails at once
     paper_bound = paper_bound_for(family, d, k)
 
+    maps = [build_family(family, d, a=a, base=base) for a in grid]
+    for Phi in maps:
+        _check_ks_map(Phi, "KS")
+    budgets = [replace(budget, seed=_derive_seed(budget.seed, idx)) for idx in range(len(grid))]
     points: list[ScanPoint] = []
     a_first_violation = None
     a_certified = None
-    for idx, a in enumerate(grid):
-        Phi = build_family(family, d, a=a, base=base)
-        res = falsify_ks(Phi, k, replace(budget, seed=_derive_seed(budget.seed, idx)))
+    for a, res in zip(grid, _ks_decide(maps, k, budgets)):
         points.append(ScanPoint(a=a, verdict=res.verdict, worst_value=res.worst_value))
         if res.violated:
             if a_first_violation is None:

@@ -150,7 +150,8 @@ def emit(args, seed: int, payload: dict, t0: float, csv_text: str | None = None)
             "elapsed_seconds": round(time.perf_counter() - t0, 3),
         }
         artifact.update(payload)
-        text = json.dumps(serialize.to_jsonable(artifact), indent=2) + "\n"
+        # one line: without indent json.dumps takes CPython's C encoder
+        text = json.dumps(serialize.to_jsonable(artifact)) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -144,7 +144,11 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
     midpoint of [alpha d^2/(d+1), alpha d], which maximizes the margin to
     both endpoint constraints.
 
-    At a = 1 no split exists, and DecompositionInfeasibleError says why.
+    At a = 1 no split exists within this two-parameter ansatz with
+    alpha > 0 and lambda in (0, 1], and DecompositionInfeasibleError says
+    why. Whether a split with lambda > 0 exists outside the ansatz is open.
+    R_1 is itself co-CP (C_{tau o R_1} = (I - F)/(d - 1) >= 0, F the swap),
+    so lambda = 0 is a trivial split, which this function does not return.
     """
     if not 0 <= a <= 1:
         raise ParameterDomainError(f"decompose_reduction needs a in [0, 1], got {a}")
@@ -159,9 +163,11 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
         )
     if a == 1:
         raise DecompositionInfeasibleError(
-            f"no KS/co-KS split of R_1 exists for d={d}: at a = 1 the KS condition "
-            "on phi1 needs lambda >= alpha d^2/(d+1) and the co-CP condition on phi2 "
-            "needs lambda <= alpha (d-1), so alpha > 0 would need d^2 <= d^2 - 1"
+            f"no KS/co-KS split of R_1 with lambda in (0, 1] exists for d={d} within "
+            "the two-parameter ansatz: at a = 1 the KS condition on phi1 needs "
+            "lambda >= alpha d^2/(d+1) and the co-CP condition on phi2 needs "
+            "lambda <= alpha (d-1), so alpha > 0 would need d^2 <= d^2 - 1. R_1 is "
+            "itself co-CP, so lambda = 0 is a trivial split"
         )
     alpha = (1 - a) / (d - a)
     lam = (alpha * d * d / (d + 1) + alpha * d) / 2

@@ -9,6 +9,7 @@ so the Choi of a trace-preserving map has trace d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +73,7 @@ class QuantumMap:
     def apply_amplified(self, X: np.ndarray, k: int) -> np.ndarray:
         """(id_k (x) Phi)(X) for a kd x kd matrix X, or for each matrix of a
         stack, applied block-wise."""
-        d = self.d
-        X = np.asarray(X)
-        if X.shape[-2:] != (k * d, k * d):
-            raise ValueError(f"matrix of shape {X.shape} does not match block structure k={k}, d={d}")
-        if k == 1:
-            # vec(X) as a column: a matrix-vector product
-            Y = self.transfer @ X.swapaxes(-1, -2).reshape(-1, d * d, 1)
-            return Y.reshape(X.shape).swapaxes(-1, -2)
-        # columns of V are vec's of the d x d blocks X_ij
-        V = X.reshape(-1, k, d, k, d).transpose(0, 4, 2, 1, 3).reshape(-1, d * d, k * k)
-        W = self.transfer @ V
-        return W.reshape(-1, d, d, k, k).transpose(0, 3, 2, 4, 1).reshape(X.shape)
+        return apply_amplified(self.transfer, X, k)
 
     def amplify(self, k: int) -> "AmplifiedMap":
         return AmplifiedMap(self, k)
@@ -154,6 +144,26 @@ class QuantumMap:
         return QuantumMap(
             self.transfer @ other.transfer, label=f"{self.label}∘{other.label}"
         )
+
+
+def apply_amplified(T: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """(id_k (x) Phi)(X), block-wise, for the map Phi with d^2 x d^2 transfer
+    matrix T and a kd x kd matrix X. T and X may be stacks that broadcast
+    against each other, one map per matrix; each member is then one product
+    of the shape of the unstacked call, so its bits depend on neither its
+    neighbours nor the stack size."""
+    d = math.isqrt(T.shape[-1])
+    X = np.asarray(X)
+    if X.shape[-2:] != (k * d, k * d):
+        raise ValueError(f"matrix of shape {X.shape} does not match block structure k={k}, d={d}")
+    if k == 1:
+        # vec(X) as a column: a matrix-vector product
+        Y = T @ X.swapaxes(-1, -2).reshape(-1, d * d, 1)
+        return Y.reshape(X.shape).swapaxes(-1, -2)
+    # columns of V are vec's of the d x d blocks X_ij
+    V = X.reshape(-1, k, d, k, d).transpose(0, 4, 2, 1, 3).reshape(-1, d * d, k * k)
+    W = T @ V
+    return W.reshape(-1, d, d, k, k).transpose(0, 3, 2, 4, 1).reshape(X.shape)
 
 
 class AmplifiedMap:

@@ -21,7 +21,8 @@ from .maps import BlockOperator, QuantumMap
 
 def matrix_to_json(A: np.ndarray) -> list:
     A = np.asarray(A, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in A]
+    # tolist gives Python floats, bit for bit the float64 entries
+    return np.stack((A.real, A.imag), -1).tolist()
 
 
 def matrix_from_json(data: list) -> np.ndarray:

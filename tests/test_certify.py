@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from kslab.certify import (
 )
 from kslab.linalg import (
     HermiticityError,
+    _derive_seed,
     dagger,
     ginibre,
     hermitianize,
@@ -55,10 +57,12 @@ from kslab.linalg import (
 )
 from kslab.decompose import decompose_reduction
 from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
-from kslab.serialize import verdict_to_json
+from kslab.serialize import scan_to_json, verdict_to_json
 from kslab.zoo import (
     ParameterDomainError,
+    bound_lambda_minus,
     bounds_lambda_plus,
+    build_family,
     depolarizing,
     lambda_minus,
     lambda_plus,
@@ -649,7 +653,7 @@ def _scripted_search(values, budget, drift=0.0):
             runs.append((values[i], i, {"iterations": i + 1, "defect_evals": 2 * i + 3}))
         return runs
 
-    return _falsify(restart, lambda i: values[i] + drift, lambda i: i, budget), calls
+    return _falsify(restart, [lambda i: values[i] + drift], lambda i: i, [budget])[0], calls
 
 
 def test_late_violation_folds_the_prefix():
@@ -683,6 +687,42 @@ def test_violation_at_restart_1_never_runs_the_batch():
     assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 3}
     _, calls = _scripted_search([0.5], SearchBudget(restarts=1, seed=0))
     assert calls == [1]
+
+
+def test_searches_share_the_two_stages():
+    # three searches of three restarts: restart 1 of each runs in one stack;
+    # search 1 is violated there, so only searches 0 and 2 run restarts 2..3,
+    # as one more stack; each folds as if it had run alone
+    values = {0: [0.3, -0.2, -0.9], 1: [-0.4, -0.5, -0.6], 2: [0.1, 0.2, 0.05]}
+    budgets = [SearchBudget(restarts=3, seed=10 + s) for s in range(3)]
+    stacks = []
+
+    def restart(rngs, rows):
+        stacks.append(rows.tolist())
+        runs = []
+        for rng, s in zip(rngs, rows.tolist()):
+            # which restart of its search this generator belongs to
+            draw = rng.integers(1 << 62)
+            r = [np.random.default_rng(ss).integers(1 << 62)
+                 for ss in np.random.SeedSequence(budgets[s].seed).spawn(3)].index(draw)
+            runs.append((values[s][r], (s, r), {"iterations": r + 1, "defect_evals": 1}))
+        return runs
+
+    got = _falsify(restart, [lambda p, s=s: values[s][p[1]] for s in range(3)], lambda p: p,
+                   budgets, np.arange(3))
+    assert stacks == [[0, 1, 2], [0, 0, 2, 2]]
+    assert [(v.verdict, v.worst_value, v.witness, v.seed) for v in got] == [
+        ("Violated", -0.2, (0, 1), 10), ("Violated", -0.4, (1, 0), 11), ("NoViolationFound", 0.05, None, 12)]
+    assert [v.budget_used for v in got] == [
+        {"restarts": 2, "iterations": 3, "defect_evals": 2},
+        {"restarts": 1, "iterations": 1, "defect_evals": 1},
+        {"restarts": 3, "iterations": 6, "defect_evals": 3},
+    ]
+
+
+def test_searches_of_one_stack_differ_only_in_their_seeds():
+    with pytest.raises(ValueError, match="only in their seeds"):
+        _falsify(None, [None, None], None, [SearchBudget(seed=1), SearchBudget(seed=2, restarts=3)])
 
 
 # -- partial-trace domination condition -------------------------------------
@@ -1143,10 +1183,10 @@ def _drifting_search(drift):
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
     return _falsify(
         partial(_alternating_restart, defect, xstep, 2, budget),
-        partial(_min_eig_value, defect),
+        [partial(_min_eig_value, defect)],
         partial(BlockOperator, 1, 2),
-        budget,
-    )
+        [budget],
+    )[0]
 
 
 def test_witness_recheck_passes_when_reproducible():
@@ -1166,10 +1206,10 @@ def _drifting_kpos_search(drift):
     budget = SearchBudget(restarts=2, max_iters=50, seed=0)
     return _falsify(
         partial(_kpos_restart, C.reshape(2, 2, 2, 2), 2, budget),
-        lambda w: _schmidt_value(C, w) + drift,
+        [lambda w: _schmidt_value(C, w) + drift],
         lambda w: w,
-        budget,
-    )
+        [budget],
+    )[0]
 
 
 def test_kpos_witness_recheck():
@@ -1221,6 +1261,78 @@ def test_scan_threshold_descending():
     assert scan.a_first_violation == pytest.approx(0.72)
 
 
+def _scan_loop(family, d, k, a_min, a_max, grid_step, budget, base=None, direction="ascending"):
+    """The per-point oracle for scan_threshold: falsify_ks at each grid
+    point with its derived seed, one point after another; returns the
+    ScanResult and the verdicts."""
+    n_pts = int(round((a_max - a_min) / grid_step)) + 1
+    grid = [a_min + i * grid_step for i in range(n_pts) if a_min + i * grid_step <= a_max + 1e-12]
+    grid = grid[::-1] if direction == "descending" else grid
+    out = certify.ScanResult(family, d, k, direction, None, None, paper_bound_for(family, d, k), grid_step)
+    verdicts = []
+    for idx, a in enumerate(grid):
+        res = falsify_ks(build_family(family, d, a=a, base=base), k,
+                         replace(budget, seed=_derive_seed(budget.seed, idx)))
+        verdicts.append(res)
+        out.points.append(certify.ScanPoint(a=a, verdict=res.verdict, worst_value=res.worst_value))
+        if res.violated:
+            out.a_first_violation = out.a_first_violation if out.a_first_violation is not None else a
+        elif out.a_first_violation is None:
+            out.a_certified_ks = a
+    return out, verdicts
+
+
+@pytest.mark.parametrize("family,d,k,a_min,a_max,step,restarts,base,direction", [
+    # Lambda^-(id) across its bound, 2/3 and 3/7
+    ("lambda-minus", 2, 1, 0.6, 0.72, 0.02, 6, None, "ascending"),
+    ("lambda-minus", 3, 2, 0.40, 0.46, 0.02, 4, None, "ascending"),
+    # Lambda^+(T) from a = 1 down: CP, hence decided, from a = d/(d+1) up
+    ("lambda-plus", 3, 1, 0.52, 1.0, 0.08, 6, "transpose", "descending"),
+    # one restart a point, so the second stage is empty
+    ("lambda-minus", 3, 1, 0.70, 0.80, 0.025, 1, "random-utp", "ascending"),
+])
+def test_stacked_scan_equals_the_per_point_loop(family, d, k, a_min, a_max, step, restarts, base, direction):
+    base = {None: None, "transpose": transpose_map(d), "random-utp": sample_utp_cp(d, seed=5)}[base]
+    budget = SearchBudget(restarts=restarts, max_iters=150, seed=3)
+    scan = scan_threshold(family, d, k, a_min, a_max, step, budget, base=base, direction=direction)
+    loop, verdicts = _scan_loop(family, d, k, a_min, a_max, step, budget, base=base, direction=direction)
+    assert scan == loop
+    assert json.dumps(scan_to_json(scan)) == json.dumps(scan_to_json(loop))
+    # the decision the scan makes, verdict by verdict
+    maps = [build_family(family, d, a=p.a, base=base) for p in scan.points]
+    budgets = [replace(budget, seed=_derive_seed(budget.seed, i)) for i in range(len(maps))]
+    assert [_bytes(v) for v in certify._ks_decide(maps, k, budgets)] == [_bytes(v) for v in verdicts]
+    searched = [v.budget_used != {"restarts": 1, "iterations": 1, "defect_evals": int(v.violated)}
+                for v in verdicts]
+    assert sum(searched) >= 2  # a stack of more than one point
+    if family == "lambda-plus":
+        assert not all(searched)  # decided and searched points mixed
+    if restarts > 1:
+        assert any(v.budget_used["restarts"] > 1 for v in verdicts)  # the second stage ran
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
+def test_lambda_minus_identity_closed_form_witness(d, k):
+    # X = e_{kd} psi*, psi the unit maximally entangled vector on the first k
+    # levels of C^k (x) C^d, is a sharp witness above the bound d/(kd + 1):
+    # the value a restart reaches only by running on to its stall
+    n = k * d
+    psi = np.zeros(n)
+    psi[np.arange(k) * (d + 1)] = 1 / np.sqrt(k)
+    X = np.zeros((n, n))
+    X[n - 1] = psi
+    bound = bound_lambda_minus(d, k)
+    budget = SearchBudget(restarts=4, max_iters=300, seed=1)
+    scan = scan_threshold("lambda-minus", d, k, bound + 0.01, bound + 0.05, 0.04, budget)
+    assert len(scan.points) == 2
+    for p in scan.points:
+        Phi = lambda_minus(QuantumMap.identity(d), p.a)
+        value = min_eigenvalue(amplified_ks_defect(Phi, k, X))
+        assert value < 0
+        assert abs(falsify_ks(Phi, k, budget).worst_value - value) <= 1e-8
+        assert p.verdict == "Violated" and abs(p.worst_value - value) <= 1e-8
+
+
 def test_scan_threshold_validation():
     b = SearchBudget(restarts=2, max_iters=20, seed=0)
     with pytest.raises(ParameterDomainError):
@@ -1238,7 +1350,7 @@ def test_paper_bound_for_unknown_family():
 def test_scan_threshold_without_a_bound_runs_no_falsifier(monkeypatch, family, d, k):
     # the bound is computed before the grid, so these fail at once
     calls = []
-    monkeypatch.setattr(certify, "falsify_ks", lambda *args: calls.append(args))
+    monkeypatch.setattr(certify, "_ks_decide", lambda *args: calls.append(args))
     with pytest.raises(ParameterDomainError):
         scan_threshold(family, d, k, 0.1, 0.5, 0.1, FAST)
     assert calls == []

@@ -1,6 +1,7 @@
 """Contracts on the source of kslab itself, read with ast: runtime
 invariants are explicit exceptions, seeds and verdicts are each made in one
-place, and the KS search has one caller in the falsifiers."""
+place, the KS search has one caller in the falsifiers, and there is one
+restart driver."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,10 @@ def test_ks_search_has_one_front_door():
     # decision; criterion 6 runs the search itself, as it tests the theorem
     # that decision rests on
     assert _callers("_ks_search") == {"certify._ks_decide", "suite.criterion_6"}
+
+
+def test_one_restart_driver():
+    # every search, a scan's stack of grid points included, goes through the
+    # one two-stage driver: the KS searches through _ks_search, the
+    # k-positivity search from its falsifier
+    assert _callers("_falsify") == {"certify._ks_search", "certify.falsify_k_positivity"}
