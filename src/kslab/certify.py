@@ -19,14 +19,15 @@ The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
 budget seed, stops at the first violation and re-checks the violating point.
 It drives a list of searches that differ only in their seeds, one per map:
-a single falsifier call is a list of one, and a threshold scan hands it
-every grid point the closed forms leave open. Its schedule has two stages:
-restart 1 of every search runs in lockstep as one stack through stacked
-kernels, and then restarts 2..R of every search whose restart 1 found no
-violation run as one more. Each member reads its own map's transfer matrix
-(one shared matrix, broadcast, for a single search). A stack member computes
-bit for bit what it would compute alone, so the verdicts depend neither on
-the schedule nor on the other searches in the stack.
+a single falsifier call is a list of one, and a threshold scan hands it the
+grid points the closed forms leave open, STACK_SEARCHES at a time, so that
+a stack holds at most STACK_SEARCHES (R - 1) members however fine the grid.
+Its schedule has two stages: restart 1 of every search runs in lockstep as
+one stack through stacked kernels, and then restarts 2..R of every search
+whose restart 1 found no violation run as one more. Each member reads its
+own map's transfer matrix. A stack member computes bit for bit what it
+would compute alone, so the verdicts depend neither on the schedule nor on
+the other searches in the stack.
 
 The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
 vectors by alternating least squares over the two Schmidt factors. The KS
@@ -79,6 +80,9 @@ WITNESS_RECHECK_TOL = 1e-8
 SECULAR_MIN_SIDE = 49
 SECULAR_MAX_STEPS = 60
 SECULAR_RESIDUAL_RTOL = 1e-10
+# the most maps one KS stack searches at once; a longer list runs in chunks,
+# so that the memory of a threshold scan does not grow with its grid
+STACK_SEARCHES = 16
 
 
 class WitnessRecheckError(RuntimeError):
@@ -425,9 +429,8 @@ def _falsify(
 
     ``restart(rngs, *rows)`` runs one search per generator, in lockstep, and
     returns for each the (best value, best point, counters) of a run with
-    that generator alone. Each array of ``maps`` has a row per search;
-    ``rows`` holds its rows for the members, in order, or the array itself,
-    one row that every member shares, when there is one search. Restart r of
+    that generator alone. Each array of ``maps`` has a row per search, and
+    ``rows`` holds its rows for the members, in order. Restart r of
     1..R of search s draws from linalg.rng(budgets[s].seed, r - 1), so the
     result is deterministic. Stage 1 runs restart 1 of every search as one
     stack; stage 2 runs restarts 2..R of every search whose restart 1 found
@@ -443,8 +446,8 @@ def _falsify(
         raise ValueError("the searches of one stack may differ only in their seeds")
 
     def stage(owners: list[int], tries: list[int]) -> list[tuple[float, object, dict]]:
-        rows = maps if len(budgets) == 1 else tuple(M[owners] for M in maps)
-        return restart([linalg.rng(budgets[s].seed, r) for s, r in zip(owners, tries)], *rows)
+        rngs = [linalg.rng(budgets[s].seed, r) for s, r in zip(owners, tries)]
+        return restart(rngs, *(M[owners] for M in maps))
 
     searches = range(len(budgets))
     runs = [[run] for run in stage(list(searches), [0] * len(budgets))]
@@ -522,9 +525,8 @@ def _alternating_restart(
     vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block row
     0), so the X half-step is exact and f(X) = lambda_min(defect(X))
     decreases monotonely. Both take the arrays of ``maps`` after their
-    stack: each has a row per member, or one row that every member shares,
-    and a member's row leaves the batch with its vector. Returns (best
-    value, best X, counters) per run.
+    stack: each has a row per member, and a member's row leaves the batch
+    with its vector. Returns (best value, best X, counters) per run.
     """
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
     f, V = _min_eig_vectors(defect(X, *maps), rngs)
@@ -552,7 +554,7 @@ def _alternating_restart(
             if not going:
                 break
             live, V = [live[j] for j in going], V[going]
-            maps = tuple(M[going] if len(M) > 1 else M for M in maps)
+            maps = tuple(M[going] for M in maps)
     return out
 
 
@@ -620,15 +622,12 @@ def _kpos_restart(
 
 
 def _ks_search(
-    Phi: QuantumMap | list[QuantumMap], k: int, budget: SearchBudget | list[SearchBudget]
-) -> CertificateVerdict | list[CertificateVerdict]:
-    """The k-KS search of Phi, which the KS and co-KS falsifiers reach
-    through _ks_decide. Phi and budget may also be lists of maps on one M_d
-    and their budgets, which differ only in their seeds: the maps are then
-    searched as one lockstep stack (see _falsify), and the verdicts come
-    back as a list."""
-    single = isinstance(Phi, QuantumMap)
-    maps, budgets = ([Phi], [budget]) if single else (Phi, budget)
+    maps: list[QuantumMap], k: int, budgets: list[SearchBudget]
+) -> list[CertificateVerdict]:
+    """The k-KS searches of maps on one M_d, which the KS and co-KS
+    falsifiers reach through _ks_decide, at budgets that differ only in
+    their seeds; one verdict each. The maps are searched as lockstep stacks
+    (see _falsify) of at most STACK_SEARCHES maps."""
     d = maps[0].d
     n = k * d
 
@@ -642,10 +641,13 @@ def _ks_search(
         return x.swapaxes(1, 2)
 
     restart = partial(_alternating_restart, defect, xstep, n, budgets[0])
-    values = [partial(_min_eig_value, partial(amplified_ks_defect, M, k)) for M in maps]
-    T = np.stack([M.transfer for M in maps])
-    verdicts = _falsify(restart, values, partial(BlockOperator, k, d), budgets, T)
-    return verdicts[0] if single else verdicts
+    verdicts = []
+    for i in range(0, len(maps), STACK_SEARCHES):
+        chunk = slice(i, i + STACK_SEARCHES)
+        values = [partial(_min_eig_value, partial(amplified_ks_defect, M, k)) for M in maps[chunk]]
+        T = np.stack([M.transfer for M in maps[chunk]])
+        verdicts += _falsify(restart, values, partial(BlockOperator, k, d), budgets[chunk], T)
+    return verdicts
 
 
 def _refuse_non_hp(Phi: QuantumMap, what: str) -> None:
@@ -863,10 +865,10 @@ def scan_threshold(
     decided together (_ks_decide): the closed form settles those it can,
     and the others are searched as one lockstep stack in two stages,
     restart 1 of every searched point, then restarts 2..R of every point
-    whose restart 1 came back clean. The second stage holds
-    (clean searched points) x (R - 1) members, each a k d x k d iterate and
-    an n d x n d X half-step form, n = k d: at most 14 x 15 members of form
-    side <= 18 in the small benchmark scans."""
+    whose restart 1 came back clean. The searched points run in chunks of
+    STACK_SEARCHES, so a stack holds at most STACK_SEARCHES (R - 1) members,
+    each a k d x k d iterate and, below the secular crossover, an
+    n d x n d X half-step form, n = k d, whatever the grid."""
     if a_min >= a_max or grid_step <= 0:
         raise ParameterDomainError("need a_min < a_max and grid_step > 0")
     n_pts = int(round((a_max - a_min) / grid_step)) + 1

@@ -231,7 +231,7 @@ def test_ks_closed_form_matches_search_on_lambda_minus_identity(d, offset):
     for k in (d, d + 1):
         budget = SearchBudget(restarts=4, max_iters=200, seed=d + 10 * k)
         res = falsify_ks(Phi, k, budget)
-        assert res.verdict == certify._ks_search(Phi, k, budget).verdict
+        assert res.verdict == _search(Phi, k, budget).verdict
         assert res.violated == (offset > 0)
         assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": int(res.violated)}
         if not res.violated:
@@ -251,7 +251,7 @@ def test_ks_closed_form_matches_search_on_criterion_3_lambda_plus_bases():
             M = lambda_plus(Phi, a)
             budget = SearchBudget(restarts=8, max_iters=200, seed=s)
             res = falsify_ks(M, k, budget)
-            assert res.verdict == certify._ks_search(M, k, budget).verdict
+            assert res.verdict == _search(M, k, budget).verdict
             violated += [a] * res.violated
     assert violated == [hi] * 6
 
@@ -297,7 +297,7 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
     with pytest.warns(UserWarning, match="unital"):
         res = falsify_ks(Phi, 2, budget)
     assert restarts
-    assert _bytes(res) == _bytes(certify._ks_search(Phi, 2, budget))
+    assert _bytes(res) == _bytes(_search(Phi, 2, budget))
 
 
 # -- closed form below k = d ------------------------------------------------
@@ -305,6 +305,10 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
 # A unital CP map is KS at every k, and d-KS implies k-KS for k <= d: a unital
 # map with C_Phi >= 0 is decided clean at k < d, and co-KS of Phi when
 # C_{tau o Phi} >= 0. A map that is not CP still runs the search.
+
+
+def _search(Phi, k, budget):
+    return certify._ks_search([Phi], k, [budget])[0]
 
 
 def _tau(Phi):
@@ -325,7 +329,7 @@ def test_ks_closed_form_matches_search_on_criterion_3_bases_below_d(d, k):
 
     for s, Phi in _utp_sample(0, d):
         budget = SearchBudget(restarts=8, max_iters=200, seed=s)
-        _assert_decided_like_search(falsify_ks(Phi, k, budget), certify._ks_search(Phi, k, budget))
+        _assert_decided_like_search(falsify_ks(Phi, k, budget), _search(Phi, k, budget))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -335,7 +339,7 @@ def test_ks_closed_form_matches_search_on_cp_lambda_plus_transpose(d):
     for a in (d / (d + 1), d / (d + 1) + 0.05, 1.0):
         Phi = lambda_plus(transpose_map(d), a)
         for k in range(1, d):
-            _assert_decided_like_search(falsify_ks(Phi, k, budget), certify._ks_search(Phi, k, budget))
+            _assert_decided_like_search(falsify_ks(Phi, k, budget), _search(Phi, k, budget))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -343,7 +347,7 @@ def test_co_ks_closed_form_matches_search_on_co_cp_maps(d):
     # tau o T is the identity; decompose_reduction's phi2 is co-CP by construction
     budget = SearchBudget(restarts=4, max_iters=120, seed=d)
     for Phi in (transpose_map(d), decompose_reduction(d, 0.95).phi2):
-        _assert_decided_like_search(falsify_co_ks(Phi, budget), certify._ks_search(_tau(Phi), 1, budget))
+        _assert_decided_like_search(falsify_co_ks(Phi, budget), _search(_tau(Phi), 1, budget))
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -354,7 +358,7 @@ def test_ks_below_d_on_a_map_that_is_not_cp_is_the_search(d, k):
                 lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + 0.05),
                 reduction(d, 0.9)):
         assert np.linalg.eigvalsh(hermitianize(Phi.choi()))[0] < -budget.violation_tol
-        assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(certify._ks_search(Phi, k, budget))
+        assert _bytes(falsify_ks(Phi, k, budget)) == _bytes(_search(Phi, k, budget))
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
@@ -366,7 +370,7 @@ def test_ks_below_d_under_a_large_tol_gates_on_the_choi_spectrum(d, k):
     Phi = QuantumMap((1 - e) * QuantumMap.identity(d).transfer + e * transpose_map(d).transfer)
     budget = SearchBudget(restarts=4, max_iters=120, seed=d, violation_tol=6e-3)
     res = falsify_ks(Phi, k, budget)
-    assert _bytes(res) == _bytes(certify._ks_search(Phi, k, budget))
+    assert _bytes(res) == _bytes(_search(Phi, k, budget))
     assert res.verdict == "Violated" and res.worst_value < -e + 1e-12
 
 
@@ -375,7 +379,7 @@ def test_co_ks_on_a_map_that_is_not_co_cp_is_the_search(d):
     # tau o id = T and tau o (T o R_0.9) = R_0.9 are not CP
     budget = SearchBudget(restarts=4, max_iters=120, seed=d)
     for Phi in (QuantumMap.identity(d), transpose_map(d).compose(reduction(d, 0.9))):
-        assert _bytes(falsify_co_ks(Phi, budget)) == _bytes(certify._ks_search(_tau(Phi), 1, budget))
+        assert _bytes(falsify_co_ks(Phi, budget)) == _bytes(_search(_tau(Phi), 1, budget))
 
 
 def test_cp_maps_below_d_run_no_restart(monkeypatch):
@@ -394,7 +398,7 @@ def test_cp_map_below_d_under_a_tol_below_rounding_is_the_search():
     # 1e-20, and a decided verdict has no witness to give: it searches
     Phi = sample_utp_cp(3, seed=3)
     budget = SearchBudget(restarts=2, max_iters=40, seed=0, violation_tol=1e-20)
-    assert _bytes(falsify_ks(Phi, 1, budget)) == _bytes(certify._ks_search(Phi, 1, budget))
+    assert _bytes(falsify_ks(Phi, 1, budget)) == _bytes(_search(Phi, 1, budget))
 
 
 @pytest.mark.parametrize("offset", [-0.05, 0.05])
@@ -580,7 +584,7 @@ def _bytes(res):
 def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
     Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) + offset)
     budget = SearchBudget(restarts=5, max_iters=120 if k * d < 7 else 60, seed=d + 10 * k)
-    search = certify._ks_search if k >= d else falsify_ks
+    search = _search if k >= d else falsify_ks
     assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
@@ -591,8 +595,8 @@ def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
     # falsify_ks decides both of these CP maps, so the search itself
     # is compared there
     budget = SearchBudget(restarts=6, max_iters=80, seed=7)
-    for Phi, search in ((QuantumMap.identity(d), certify._ks_search),
-                        (sample_utp_cp(d, seed=3), certify._ks_search),
+    for Phi, search in ((QuantumMap.identity(d), _search),
+                        (sample_utp_cp(d, seed=3), _search),
                         (reduction(d, 0.9), falsify_ks)):
         assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
@@ -1309,6 +1313,25 @@ def test_stacked_scan_equals_the_per_point_loop(family, d, k, a_min, a_max, step
         assert not all(searched)  # decided and searched points mixed
     if restarts > 1:
         assert any(v.budget_used["restarts"] > 1 for v in verdicts)  # the second stage ran
+
+
+def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
+    # seven searched Lambda^-(id) points, two to a stack: no stack holds more
+    # than 2 (R - 1) members, and the scan is still the per-point loop
+    stacks = []
+
+    def counted(defect, xstep, n, budget, rngs, *maps):
+        stacks.append(len(rngs))
+        return _alternating_restart(defect, xstep, n, budget, rngs, *maps)
+
+    monkeypatch.setattr(certify, "STACK_SEARCHES", 2)
+    monkeypatch.setattr(certify, "_alternating_restart", counted)
+    budget = SearchBudget(restarts=3, max_iters=60, seed=4)
+    scan = scan_threshold("lambda-minus", 2, 1, 0.6, 0.72, 0.02, budget)
+    monkeypatch.undo()
+    assert len(scan.points) == 7
+    assert 4 <= len(stacks) and max(stacks) <= 2 * (budget.restarts - 1)
+    assert scan == _scan_loop("lambda-minus", 2, 1, 0.6, 0.72, 0.02, budget)[0]
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
