@@ -496,10 +496,13 @@ def _min_eig_vectors(
     cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
     sizes = cluster.sum(axis=1)
     for b in (sizes != 1).nonzero()[0].tolist():
+        # bit for bit two draws of m, np.linalg.norm and a boolean-mask
+        # product: the cluster is a prefix, and a mask copy is Fortran-ordered
         m = int(sizes[b])
-        c = rngs[b].standard_normal(m) + 1j * rngs[b].standard_normal(m)
-        c /= np.linalg.norm(c)
-        V[b, :, 0] = V[b][:, cluster[b]] @ c
+        z = rngs[b].standard_normal(2 * m)
+        c = z[:m] + 1j * z[m:]
+        c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+        V[b, :, 0] = np.asfortranarray(V[b, :, :m]) @ c
     return w[:, 0], V
 
 

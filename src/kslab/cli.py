@@ -150,8 +150,9 @@ def emit(args, seed: int, payload: dict, t0: float, csv_text: str | None = None)
             "elapsed_seconds": round(time.perf_counter() - t0, 3),
         }
         artifact.update(payload)
-        # one line: without indent json.dumps takes CPython's C encoder
-        text = json.dumps(serialize.to_jsonable(artifact)) + "\n"
+        # one line: without indent json.dumps takes CPython's C encoder, and
+        # the hook converts only the leaves that are not JSON types
+        text = json.dumps(artifact, default=serialize.json_default) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,32 +36,44 @@ class BlockOperator:
 class QuantumMap:
     """A linear map Phi: B(H_d) -> B(H_d) stored as a transfer matrix.
 
-    Structural flags (unital, trace-preserving, hermiticity-preserving)
-    are computed once at construction and cached; they are never taken
-    on trust from the caller.
+    The map keeps its own read-only copy of the transfer matrix. Its
+    structural flags (unital, trace-preserving, hermiticity-preserving) are
+    computed from that copy on first read and cached; they are never taken
+    on trust from the caller. A map whose flags are never read does not pay
+    for them. ``bench/tracer.py`` wraps methods, not cached properties, so a
+    flag's first read is timed as self time of the span that reads it.
     """
 
     def __init__(self, transfer: np.ndarray, label: str = ""):
-        transfer = np.asarray(transfer, dtype=complex)
+        transfer = np.array(transfer, dtype=complex)
         n = transfer.shape[0]
         d = int(round(np.sqrt(n)))
         if transfer.shape != (n, n) or d * d != n:
             raise ValueError(f"transfer matrix shape {transfer.shape} is not (d^2, d^2)")
         if not np.all(np.isfinite(transfer)):
             raise ValueError("transfer matrix contains non-finite entries")
+        transfer.flags.writeable = False
         self.transfer = transfer
         self.d = d
         self.label = label
-        I = np.eye(d)
-        self.unital = hs_norm(self(I) - I) <= STRUCT_TOL
+
+    # -- structural flags ----------------------------------------------
+
+    @cached_property
+    def unital(self) -> bool:
+        I = np.eye(self.d)
+        return hs_norm(self(I) - I) <= STRUCT_TOL
+
+    @cached_property
+    def trace_preserving(self) -> bool:
         # Tr Phi(X) = <vec(I), T vec(X)>; trace-preserving iff T* vec(I) = vec(I)
-        self.trace_preserving = (
-            np.linalg.norm(dagger(transfer) @ vec(I) - vec(I)) <= STRUCT_TOL
-        )
+        v = vec(np.eye(self.d))
+        return np.linalg.norm(dagger(self.transfer) @ v - v) <= STRUCT_TOL
+
+    @cached_property
+    def hermiticity_preserving(self) -> bool:
         C = self.choi()
-        self.hermiticity_preserving = hs_norm(C - dagger(C)) <= STRUCT_TOL * max(
-            hs_norm(C), 1.0
-        )
+        return hs_norm(C - dagger(C)) <= STRUCT_TOL * max(hs_norm(C), 1.0)
 
     # -- evaluation ----------------------------------------------------
 

@@ -155,14 +155,24 @@ def verification_to_json(r: VerificationReport) -> dict:
     }
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Best-effort conversion of nested report structures to JSON types."""
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+def json_default(obj: Any) -> Any:
+    """``default`` hook of json.dumps for the leaves of report structures
+    that are not JSON types: verdicts and numpy scalars. np.float64 is a
+    float, so json encodes it without the hook, through float.__repr__."""
     if isinstance(obj, CertificateVerdict):
         return verdict_to_json(obj)
     if isinstance(obj, np.generic):
         return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_jsonable(obj: Any) -> Any:
+    """Nested report structures as JSON types, leaves converted as by
+    json_default: json.dumps(to_jsonable(x)) == json.dumps(x, default=json_default)."""
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, (CertificateVerdict, np.generic)):
+        return to_jsonable(json_default(obj))
     return obj

@@ -28,6 +28,7 @@ from kslab.certify import (
     _ks_parts,
     _ks_xstep,
     _min_eig_value,
+    _min_eig_vectors,
     _qform,
     _schmidt_value,
     amplified_ks_defect,
@@ -479,6 +480,40 @@ def _solo_min_eig_vector(D, rng):
         c /= np.linalg.norm(c)
         V[:, 0] = V[:, cluster] @ c
     return float(w[0]), V[:, 0]
+
+
+def _looped_min_eig_vectors(D, rngs):
+    # _min_eig_vectors with its cluster draws as first written: two draws,
+    # np.linalg.norm and a boolean-mask product per degenerate member
+    w, V = np.linalg.eigh(hermitianize(D))
+    cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
+    sizes = cluster.sum(axis=1)
+    for b in (sizes != 1).nonzero()[0].tolist():
+        m = int(sizes[b])
+        c = rngs[b].standard_normal(m) + 1j * rngs[b].standard_normal(m)
+        c /= np.linalg.norm(c)
+        V[b, :, 0] = V[b][:, cluster[b]] @ c
+    return w[:, 0], V
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_min_eig_vectors_draws_match_the_looped_oracle(n):
+    # members whose bottom cluster has 1 to n eigenvalues, degenerate and
+    # split below EIG_DEGENERACY_GAP, in one stack
+    gen = np.random.default_rng(n)
+    stack = []
+    for m in [1, 2, 3, n, 2, 1, n - 1, 3]:
+        U = np.linalg.qr(ginibre(gen, n))[0]
+        w = np.concatenate([gen.uniform(-1e-9, 1e-9, m) - 0.5, gen.uniform(0.5, 2.0, n - m)])
+        stack.append((U * w) @ dagger(U))
+    D = np.stack(stack)
+    seeds = np.random.SeedSequence(n).spawn(len(stack))
+    rngs = [np.random.default_rng(ss) for ss in seeds]
+    oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
+    f, V = _min_eig_vectors(D.copy(), rngs)
+    g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
+    assert np.array_equal(f, g) and np.array_equal(V, W)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
 
 def _solo_alternating_restart(defect, xstep, n, budget, rng):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from kslab.linalg import dagger, ginibre, hs_norm, partial_trace_second
-from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap, mix
-from kslab.zoo import depolarizing, sample_utp_cp, transpose_map
+from kslab import maps
+from kslab.linalg import dagger, ginibre, hs_norm, partial_trace_second, vec
+from kslab.maps import STRUCT_TOL, AmplifiedMap, BlockOperator, QuantumMap, mix
+from kslab.zoo import depolarizing, reduction, sample_utp_cp, transpose_map
 
 rng = np.random.default_rng(99)
 
@@ -16,10 +17,23 @@ def test_identity_map():
 
 
 def test_transfer_shape_validation():
+    # shape and finiteness are checked at construction, not on a flag read
     with pytest.raises(ValueError):
         QuantumMap(np.eye(5))
     with pytest.raises(ValueError):
         QuantumMap(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError):
+        QuantumMap(np.diag([1, np.inf, 1, 1]))
+
+
+def test_map_owns_a_read_only_transfer_matrix():
+    T = np.eye(4, dtype=complex)
+    P = QuantumMap(T)
+    T[0, 0] = 5
+    assert P.transfer[0, 0] == 1
+    assert P.unital and P.trace_preserving and P.hermiticity_preserving
+    with pytest.raises(ValueError):
+        P.transfer[0, 0] = 5
 
 
 def test_call_takes_one_matrix():
@@ -31,6 +45,19 @@ def test_call_takes_one_matrix():
         Phi(np.stack([X, X]))
 
 
+def _eager_flags(T):
+    # the structural flags as once computed in QuantumMap.__init__
+    d = int(round(np.sqrt(len(T))))
+    I = np.eye(d)
+    P = QuantumMap(T)
+    C = P.choi()
+    return (
+        hs_norm(P(I) - I) <= STRUCT_TOL,
+        np.linalg.norm(dagger(T) @ vec(I) - vec(I)) <= STRUCT_TOL,
+        hs_norm(C - dagger(C)) <= STRUCT_TOL * max(hs_norm(C), 1.0),
+    )
+
+
 def test_structural_flags():
     D = depolarizing(2)
     assert D.unital and D.trace_preserving
@@ -40,6 +67,37 @@ def test_structural_flags():
     M = QuantumMap(T)
     assert not M.unital
     assert not M.trace_preserving
+    H = ginibre(rng, 9)
+    for P, want in [
+        (QuantumMap.identity(3), (True, True, True)),
+        (transpose_map(3), (True, True, True)),
+        (depolarizing(3), (True, True, True)),
+        (reduction(3, 0.7), (True, True, True)),
+        (sample_utp_cp(3, seed=4), (True, True, True)),
+        (QuantumMap.from_choi(H + dagger(H)), (False, False, True)),
+        (QuantumMap(ginibre(rng, 9)), (False, False, False)),
+        (M, (False, False, True)),
+    ]:
+        flags = (P.unital, P.trace_preserving, P.hermiticity_preserving)
+        assert flags == _eager_flags(P.transfer) == want, P.label
+
+
+def test_flags_are_computed_on_first_read_and_once(monkeypatch):
+    T = sample_utp_cp(2, seed=1).transfer
+    calls = []
+    for name in ("hs_norm", "dagger"):
+        fn = getattr(maps, name)
+        monkeypatch.setattr(maps, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    choi = QuantumMap.choi
+    monkeypatch.setattr(QuantumMap, "choi", lambda self: calls.append("choi") or choi(self))
+    P = QuantumMap(T)
+    assert calls == []
+    seen = []
+    for flag in ("unital", "trace_preserving", "hermiticity_preserving"):
+        assert getattr(P, flag)
+        seen.append(len(calls))
+        assert getattr(P, flag) and len(calls) == seen[-1]
+    assert seen == [1, 2, 6]  # hs_norm; dagger; choi, dagger and two hs_norm
 
 
 def test_choi_of_known_maps():

@@ -10,6 +10,7 @@ from kslab.maps import BlockOperator
 from kslab.serialize import (
     decomposition_from_json,
     decomposition_to_json,
+    json_default,
     map_from_json,
     map_to_json,
     matrix_from_json,
@@ -22,6 +23,7 @@ from kslab.serialize import (
     witness_from_json,
     witness_to_json,
 )
+from kslab.suite import run_suite
 from kslab.zoo import reduction, sample_utp_cp, transpose_map
 
 rng = np.random.default_rng(5)
@@ -120,3 +122,17 @@ def test_to_jsonable_handles_nested():
     json.dumps(obj)  # must not raise
     assert obj["x"][1] == 1.5
     assert obj["y"][0] == 3
+
+
+def test_json_default_encodes_as_to_jsonable():
+    res = falsify_ks(reduction(2, 0.7), 1, FAST)
+    payload = {
+        "verdicts": (res, [res]),
+        "nested": {"t": (1, (2.5, "x")), "v": {"inner": res}},
+        "f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True), "pair": (np.bool_(False), np.int64(7)),
+    }
+    report = run_suite(0, filter="7")
+    for x in (payload, report):
+        assert json.dumps(x, default=json_default) == json.dumps(to_jsonable(x))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"m": np.eye(2)}, default=json_default)
