@@ -16,7 +16,6 @@ from .certify import (
     ks_defect,
     phi_k_defect,
     scan_threshold,
-    strong_kadison_defects,
 )
 from .decompose import (
     DecompositionResult,

@@ -27,7 +27,12 @@ one stack through stacked kernels, and then restarts 2..R of every search
 whose restart 1 found no violation run as one more. Each member reads its
 own map's transfer matrix. A stack member computes bit for bit what it
 would compute alone, so the verdicts depend neither on the schedule nor on
-the other searches in the stack.
+the other searches in the stack. That holds for the random combinations
+drawn inside a degenerate bottom cluster too: each member draws from its
+own generator, one call per member, and the combinations, their norms and
+their products with the cluster's eigenvectors run once per cluster size as
+stacked products that make, member by member, the BLAS call of a member
+alone on the same strides (see _min_eig_vectors).
 
 The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
 vectors by alternating least squares over the two Schmidt factors. The KS
@@ -83,6 +88,9 @@ SECULAR_RESIDUAL_RTOL = 1e-10
 # the most maps one KS stack searches at once; a longer list runs in chunks,
 # so that the memory of a threshold scan does not grow with its grid
 STACK_SEARCHES = 16
+# the fewest members of one cluster size whose draws _min_eig_vectors combines
+# as one batch; a batch costs about two looped draws, and breaks even at 3-4
+BATCH_MIN_DRAWS = 4
 
 
 class WitnessRecheckError(RuntimeError):
@@ -102,6 +110,8 @@ class SearchBudget:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:  # a SeedSequence entropy must be non-negative
+            raise ValueError("seed must be >= 0")
         if not self.violation_tol > 0:  # NaN fails too
             raise ValueError("violation_tol must be positive")
 
@@ -184,20 +194,6 @@ def phi_k_defect(Phi: QuantumMap, k: int, X: np.ndarray) -> np.ndarray:
     return partial_trace_second(dagger(X) @ X, k, d) - partial_trace_second(
         dagger(Y) @ Y, k, d
     )
-
-
-def strong_kadison_defects(
-    Phi: QuantumMap, X: np.ndarray, Y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi(Y) - Phi(X)*Phi(X), Phi(Y) - Phi(X)Phi(X)*) for Y dominating
-    both X*X and XX*."""
-    if not linalg.is_psd(Y - dagger(X) @ X):
-        raise ValueError("precondition failed: Y - X*X is not positive semidefinite")
-    if not linalg.is_psd(Y - X @ dagger(X)):
-        raise ValueError("precondition failed: Y - XX* is not positive semidefinite")
-    PY = Phi(Y)
-    Z = Phi(X)
-    return PY - dagger(Z) @ Z, PY - Z @ dagger(Z)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +487,41 @@ def _min_eig_vectors(
 
     Returns (f, V): column 0 of V[b] holds the vector, the bottom
     eigenvector or the draw written over it.
+
+    Only the draws stay per member: a member whose cluster has m
+    eigenvalues, the first m of its ascending spectrum, calls its own rng's
+    standard_normal(2 m), so the order of the draws across members does not
+    matter. The combination c, its norm and its product with the cluster's
+    eigenvectors then run once for all members of one cluster size, with the
+    arithmetic of a single member's call, so each member gets the bits it
+    would get alone. The sums, square roots and divisions are elementwise;
+    the squared norm is a stacked (1 x m)(m x 1) product over the real and
+    the imaginary view, the strided BLAS dot of c.real.dot(c.real); and the
+    product is a stacked (n x m)(m x 1) product over per-member
+    Fortran-ordered copies of the cluster's columns, the gemv of
+    np.asfortranarray(V[b, :, :m]) @ c. A cluster size drawn by fewer than
+    BATCH_MIN_DRAWS members runs member by member, which is cheaper there.
     """
     w, V = np.linalg.eigh(hermitianize(D))
-    cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
-    sizes = cluster.sum(axis=1)
+    sizes = (w - w[:, :1] < EIG_DEGENERACY_GAP).sum(axis=1)
+    listed = sizes.tolist()
+    groups: dict[int, list[int]] = {}
     for b in (sizes != 1).nonzero()[0].tolist():
-        # bit for bit two draws of m, np.linalg.norm and a boolean-mask
-        # product: the cluster is a prefix, and a mask copy is Fortran-ordered
-        m = int(sizes[b])
-        z = rngs[b].standard_normal(2 * m)
-        c = z[:m] + 1j * z[m:]
-        c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
-        V[b, :, 0] = np.asfortranarray(V[b, :, :m]) @ c
+        groups.setdefault(listed[b], []).append(b)
+    for m, members in groups.items():
+        if len(members) < BATCH_MIN_DRAWS:
+            for b in members:
+                z = rngs[b].standard_normal(2 * m)
+                c = z[:m] + 1j * z[m:]
+                c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+                V[b, :, 0] = np.asfortranarray(V[b, :, :m]) @ c
+            continue
+        z = np.stack([rngs[b].standard_normal(2 * m) for b in members])
+        c = z[:, :m] + 1j * z[:, m:]
+        re, im = c.real[:, None], c.imag[:, None]
+        c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+        cols = np.ascontiguousarray(V[members, :, :m].swapaxes(1, 2)).swapaxes(1, 2)
+        V[members, :, 0] = (cols @ c[:, :, None])[:, :, 0]
     return w[:, 0], V
 
 

@@ -187,7 +187,11 @@ def budget_from(args, seed: int) -> SearchBudget:
 
 def cmd_construct(args, seed: int, t0: float) -> int:
     Phi = resolve_map(args, seed)
-    emit(args, seed, {"map": serialize.map_to_json(Phi, args.repr)}, t0)
+    try:
+        payload = {"map": serialize.map_to_json(Phi, args.repr)}
+    except ValueError as exc:  # --repr kraus of a map that is not CP
+        raise CliError(str(exc))
+    emit(args, seed, payload, t0)
     return 0
 
 
@@ -370,6 +374,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "d", None) is not None and args.d < 1:
             raise CliError(f"--d must be >= 1, got {args.d}")
         seed = args.seed if getattr(args, "seed", None) is not None else default_seed()
+        if seed < 0:
+            raise CliError(f"the seed (--seed or KSLAB_SEED) must be >= 0, got {seed}")
         return args.func(args, seed, t0)
     # a witness of a map that is not Hermiticity-preserving fails its recheck
     except (CliError, HermiticityError) as exc:

@@ -43,7 +43,6 @@ from kslab.certify import (
     paper_bound_for,
     phi_k_defect,
     scan_threshold,
-    strong_kadison_defects,
     tuple_to_block,
 )
 from kslab.linalg import (
@@ -131,17 +130,6 @@ def test_phi_k_defect_hermitian_and_zero_for_utp():
     D = phi_k_defect(Phi, 2, X)
     assert hs_norm(D - D.conj().T) < 1e-12
     assert min_eigenvalue(D) > -1e-9 * hs_norm(X) ** 2
-
-
-def test_strong_kadison_defects():
-    Phi = sample_utp_cp(2, seed=7)
-    X = ginibre(rng, 2)
-    Y = X.conj().T @ X + X @ X.conj().T + np.eye(2)
-    D1, D2 = strong_kadison_defects(Phi, X, Y)
-    assert min_eigenvalue(D1) > -1e-9 * hs_norm(Y)
-    assert min_eigenvalue(D2) > -1e-9 * hs_norm(Y)
-    with pytest.raises(ValueError, match="precondition"):
-        strong_kadison_defects(Phi, X, np.zeros((2, 2)))
 
 
 # -- KS falsifier -----------------------------------------------------------
@@ -496,24 +484,37 @@ def _looped_min_eig_vectors(D, rngs):
     return w[:, 0], V
 
 
-@pytest.mark.parametrize("n", [4, 9, 16])
-def test_min_eig_vectors_draws_match_the_looped_oracle(n):
-    # members whose bottom cluster has 1 to n eigenvalues, degenerate and
-    # split below EIG_DEGENERACY_GAP, in one stack
-    gen = np.random.default_rng(n)
+def _degenerate_stack(gen, n, clusters):
+    # one Hermitian n x n matrix per cluster size m: m bottom eigenvalues
+    # split below EIG_DEGENERACY_GAP, the rest well above them
     stack = []
-    for m in [1, 2, 3, n, 2, 1, n - 1, 3]:
+    for m in clusters:
         U = np.linalg.qr(ginibre(gen, n))[0]
         w = np.concatenate([gen.uniform(-1e-9, 1e-9, m) - 0.5, gen.uniform(0.5, 2.0, n - m)])
         stack.append((U * w) @ dagger(U))
-    D = np.stack(stack)
-    seeds = np.random.SeedSequence(n).spawn(len(stack))
-    rngs = [np.random.default_rng(ss) for ss in seeds]
-    oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
-    f, V = _min_eig_vectors(D.copy(), rngs)
-    g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
-    assert np.array_equal(f, g) and np.array_equal(V, W)
-    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
+    return np.stack(stack)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 16])
+def test_min_eig_vectors_draws_match_the_looped_oracle(n):
+    # members whose bottom cluster has 1 to n eigenvalues in one stack, once
+    # as 8 members and once as 48; and plateau stacks, whose members all have
+    # one cluster size, as after a clean restart's first step, with fewer and
+    # with at least BATCH_MIN_DRAWS members
+    gen, root = np.random.default_rng(n), np.random.SeedSequence(n)
+    mixed = [min(m, n) for m in [1, 2, 3, n, 2, 1, n - 1, 3]]
+    stacks = [mixed, mixed * 6]
+    for m in sorted({2, n}):
+        stacks += [[m] * members for members in (1, 3, certify.BATCH_MIN_DRAWS, 45)]
+    for clusters in stacks:
+        D = _degenerate_stack(gen, n, clusters)
+        seeds = root.spawn(len(D))
+        rngs = [np.random.default_rng(ss) for ss in seeds]
+        oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
+        f, V = _min_eig_vectors(D.copy(), rngs)
+        g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
+        assert np.array_equal(f, g) and np.array_equal(V, W), clusters
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
 
 def _solo_alternating_restart(defect, xstep, n, budget, rng):
@@ -1419,6 +1420,8 @@ def test_budget_validation():
         SearchBudget(restarts=0)
     with pytest.raises(ValueError, match="max_iters"):
         SearchBudget(max_iters=0)
+    with pytest.raises(ValueError, match="seed"):
+        SearchBudget(seed=-1)
     with pytest.raises(ValueError):
         SearchBudget(violation_tol=0)
     with pytest.raises(ValueError):

@@ -91,7 +91,7 @@ def test_kpos(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", [("--restarts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "nan")]
+    "flag", [("--restarts", "0"), ("--max-iters", "0"), ("--tol", "0"), ("--tol", "nan"), ("--seed", "-1")]
 )
 @pytest.mark.parametrize(
     "command",
@@ -335,6 +335,26 @@ def test_bad_env_seed(capsys, monkeypatch):
     rc, _, err = run(capsys, "certify", "--family", "identity", "--d", "2")
     assert rc == 1
     assert "KSLAB_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--family", "random-utp", "--d", "2", "--seed", "-5"],
+     ["scan", "--family", "lambda-minus", "--d", "2", "--a-min", "0.1", "--a-max", "0.2", "--step", "0.1", "--seed", "-1"],
+     ["certify", "--family", "identity", "--d", "2"]],
+)
+def test_negative_seed_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setenv("KSLAB_SEED", "-1")  # read where --seed is not given
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert "kslab: error:" in err and "must be >= 0" in err
+    assert "Traceback" not in err
+
+
+def test_construct_kraus_of_a_non_cp_map_exits_1(capsys):
+    rc, out, err = run(capsys, "construct", "--family", "reduction", "--d", "2", "--a", "0.9", "--repr", "kraus")
+    assert rc == 1 and out == ""
+    assert err.startswith("kslab: error: map is not completely positive") and "Traceback" not in err
 
 
 def test_output_determinism_modulo_timing(capsys):
