@@ -890,9 +890,13 @@ def scan_threshold(
     whose restart 1 came back clean. The searched points run in chunks of
     STACK_SEARCHES, so a stack holds at most STACK_SEARCHES (R - 1) members,
     each a k d x k d iterate and, below the secular crossover, an
-    n d x n d X half-step form, n = k d, whatever the grid."""
-    if a_min >= a_max or grid_step <= 0:
-        raise ParameterDomainError("need a_min < a_max and grid_step > 0")
+    n d x n d X half-step form, n = k d, whatever the grid.
+
+    a_certified_ks is the last grid point, in scan order, whose verdict is
+    NoViolationFound before the first violation: search evidence, not a
+    certificate."""
+    if not (np.isfinite([a_min, a_max, grid_step]).all() and a_min < a_max and grid_step > 0):
+        raise ParameterDomainError("need finite a_min < a_max and grid_step > 0")
     n_pts = int(round((a_max - a_min) / grid_step)) + 1
     grid = [a_min + i * grid_step for i in range(n_pts) if a_min + i * grid_step <= a_max + 1e-12]
     if direction == "descending":

@@ -4,8 +4,10 @@ suite, with seeded reproducible JSON/CSV artifacts.
 
 Every output embeds the tool version, the seed, the fully resolved
 configuration and the wall clock, so a run can be reproduced from its own
-artifact. Exit codes: 0 success, 1 usage/domain errors, 2 when --expect
-contradicts the computed verdict.
+artifact. Exit codes: 0 success; 1 for usage errors and any input the
+library refuses (a ValueError or subclass), turned into exit 1 in main
+alone; 2 when --expect contradicts the computed verdict. A RuntimeError
+traceback means a broken internal invariant, not bad input.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .decompose import (
     decompose_reduction,
     verify_decomposition,
 )
-from .linalg import HermiticityError
 from .maps import QuantumMap
 from .suite import format_table, run_suite
-from .zoo import FAMILY_NAMES, HypothesisError, ParameterDomainError, build_family, reduction, transpose_map, lambda_plus
+from .zoo import FAMILY_NAMES, ParameterDomainError, build_family, reduction, transpose_map, lambda_plus
 
 
 class CliError(Exception):
@@ -122,14 +123,10 @@ def resolve_map(args, seed: int) -> QuantumMap:
         raise CliError("a map source is required: --family or --map")
     if args.d is None:
         raise CliError("--d is required with --family")
-    base = resolve_base(args, seed)
-    try:
-        return build_family(
-            args.family, args.d, a=getattr(args, "a", None), base=base,
-            seed=seed, n_kraus=args.n_kraus,
-        )
-    except (ParameterDomainError, HypothesisError) as exc:
-        raise CliError(str(exc))
+    return build_family(
+        args.family, args.d, a=getattr(args, "a", None), base=resolve_base(args, seed),
+        seed=seed, n_kraus=args.n_kraus,
+    )
 
 
 def resolved_config(args) -> dict:
@@ -171,13 +168,10 @@ def check_expect(expect: str | None, verdict: str) -> int:
 
 
 def budget_from(args, seed: int) -> SearchBudget:
-    try:
-        return SearchBudget(
-            restarts=args.restarts, max_iters=args.max_iters,
-            seed=seed, violation_tol=args.tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return SearchBudget(
+        restarts=args.restarts, max_iters=args.max_iters,
+        seed=seed, violation_tol=args.tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +181,7 @@ def budget_from(args, seed: int) -> SearchBudget:
 
 def cmd_construct(args, seed: int, t0: float) -> int:
     Phi = resolve_map(args, seed)
-    try:
-        payload = {"map": serialize.map_to_json(Phi, args.repr)}
-    except ValueError as exc:  # --repr kraus of a map that is not CP
-        raise CliError(str(exc))
-    emit(args, seed, payload, t0)
+    emit(args, seed, {"map": serialize.map_to_json(Phi, args.repr)}, t0)
     return 0
 
 
@@ -213,10 +203,7 @@ def cmd_certify(args, seed: int, t0: float) -> int:
 
 def cmd_kpos(args, seed: int, t0: float) -> int:
     Phi = resolve_map(args, seed)
-    try:
-        res = falsify_k_positivity(Phi, args.k, budget_from(args, seed))
-    except ParameterDomainError as exc:
-        raise CliError(str(exc))
+    res = falsify_k_positivity(Phi, args.k, budget_from(args, seed))
     emit(args, seed, {"k": args.k, "label": Phi.label,
                       "result": serialize.verdict_to_json(res)}, t0)
     return check_expect(args.expect, res.verdict)
@@ -224,27 +211,19 @@ def cmd_kpos(args, seed: int, t0: float) -> int:
 
 def cmd_scan(args, seed: int, t0: float) -> int:
     base = resolve_base(args, seed)
-    try:
-        scan = scan_threshold(
-            args.family, args.d, args.k, args.a_min, args.a_max, args.step,
-            budget_from(args, seed), base=base, direction=args.direction,
-        )
-    except (ParameterDomainError, ValueError) as exc:
-        raise CliError(str(exc))
+    scan = scan_threshold(
+        args.family, args.d, args.k, args.a_min, args.a_max, args.step,
+        budget_from(args, seed), base=base, direction=args.direction,
+    )
     emit(args, seed, {"scan": serialize.scan_to_json(scan)}, t0,
          csv_text=serialize.scan_to_csv(scan) if args.format == "csv" else None)
     return 0
 
 
 def _decompose(args) -> tuple:
-    try:
-        if args.family == "reduction":
-            target = reduction(args.d, args.a)
-            return target, decompose_reduction(args.d, args.a)
-        target = lambda_plus(transpose_map(args.d), args.a)
-        return target, decompose_lambda_plus_T(args.d, args.a)
-    except ParameterDomainError as exc:
-        raise CliError(str(exc))
+    if args.family == "reduction":
+        return reduction(args.d, args.a), decompose_reduction(args.d, args.a)
+    return lambda_plus(transpose_map(args.d), args.a), decompose_lambda_plus_T(args.d, args.a)
 
 
 def cmd_decompose(args, seed: int, t0: float) -> int:
@@ -267,11 +246,7 @@ def cmd_decompose(args, seed: int, t0: float) -> int:
 
 def cmd_verify(args, seed: int, t0: float) -> int:
     result = read_artifact(args.decomposition, "decomposition", serialize.decomposition_from_json)
-    target = resolve_map(args, seed)
-    try:
-        report = verify_decomposition(result, target, budget_from(args, seed))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = verify_decomposition(result, resolve_map(args, seed), budget_from(args, seed))
     emit(args, seed, {"verification": serialize.verification_to_json(report)}, t0)
     if args.expect == "pass" and not report.all_ok:
         sys.stderr.write("expectation failed: verification did not pass\n")
@@ -377,8 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         if seed < 0:
             raise CliError(f"the seed (--seed or KSLAB_SEED) must be >= 0, got {seed}")
         return args.func(args, seed, t0)
-    # a witness of a map that is not Hermiticity-preserving fails its recheck
-    except (CliError, HermiticityError) as exc:
+    # refused input is a ValueError; a broken invariant (RuntimeError) is not
+    except (CliError, ValueError) as exc:
         sys.stderr.write(f"kslab: error: {exc}\n")
         return 1
 

@@ -212,8 +212,8 @@ def build_family(
         raise ParameterDomainError(
             f"unknown family '{name}'; valid names: {', '.join(FAMILY_NAMES)}"
         )
-    if a is None:
-        raise ParameterDomainError(f"family '{name}' needs a parameter a")
+    if a is None or not np.isfinite(a):
+        raise ParameterDomainError(f"family '{name}' needs a finite parameter a, got {a}")
     if name == "reduction":
         return reduction(d, a)
     if name == "lambda-minus":

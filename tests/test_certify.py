@@ -1396,6 +1396,11 @@ def test_scan_threshold_validation():
     b = SearchBudget(restarts=2, max_iters=20, seed=0)
     with pytest.raises(ParameterDomainError):
         scan_threshold("lambda-minus", 2, 1, 0.7, 0.6, 0.01, b)
+    # a non-finite end or step is refused before the grid is sized
+    for a_min, a_max, step in [(0.1, np.inf, 0.1), (np.nan, 0.5, 0.1), (-np.inf, 0.5, 0.1),
+                               (0.1, 0.5, np.nan), (0.1, 0.5, np.inf)]:
+        with pytest.raises(ParameterDomainError, match="finite"):
+            scan_threshold("lambda-minus", 2, 1, a_min, a_max, step, b)
     with pytest.raises(ValueError, match="direction"):
         scan_threshold("lambda-minus", 2, 1, 0.6, 0.7, 0.05, b, direction="sideways")
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kslab import certify, serialize
+from kslab import certify, cli, serialize
 from kslab.cli import main
 from kslab.maps import QuantumMap
 
@@ -355,6 +355,41 @@ def test_construct_kraus_of_a_non_cp_map_exits_1(capsys):
     rc, out, err = run(capsys, "construct", "--family", "reduction", "--d", "2", "--a", "0.9", "--repr", "kraus")
     assert rc == 1 and out == ""
     assert err.startswith("kslab: error: map is not completely positive") and "Traceback" not in err
+
+
+SCAN = ["scan", "--family", "lambda-minus", "--d", "2", "--step", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--family", "lambda-plus", "--d", "2", "--a", "nan"],
+        ["construct", "--family", "lambda-minus", "--d", "2", "--a", "nan"],
+        ["certify", "--family", "lambda-plus", "--d", "2", "--a", "inf"],
+        ["kpos", "--family", "reduction", "--d", "2", "--a", "nan", "--k", "1"],
+        [*SCAN, "--a-min", "0.1", "--a-max", "inf"],
+        [*SCAN, "--a-min", "nan", "--a-max", "0.5"],
+    ],
+    ids=["certify-nan", "construct-nan", "certify-inf", "kpos-nan", "scan-a-max-inf", "scan-a-min-nan"],
+)
+def test_non_finite_input_exits_1(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on it
+        rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("kslab: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_broken_invariant_is_not_an_input_error(capsys, monkeypatch):
+    # main turns refused input (ValueError) into exit 1, and nothing more:
+    # a broken internal invariant (RuntimeError) keeps its traceback
+    def broken(*args, **kwargs):
+        raise certify.WitnessRecheckError("witness re-evaluates to nan")
+
+    monkeypatch.setattr(cli, "falsify_ks", broken)
+    with pytest.raises(certify.WitnessRecheckError):
+        main(["certify", "--family", "identity", "--d", "2", "--restarts", "2"])
 
 
 def test_output_determinism_modulo_timing(capsys):

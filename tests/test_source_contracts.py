@@ -1,7 +1,7 @@
 """Contracts on the source of kslab itself, read with ast: runtime
 invariants are explicit exceptions, seeds and verdicts are each made in one
-place, the KS search has one caller in the falsifiers, and there is one
-restart driver."""
+place, the KS search has one caller in the falsifiers, there is one restart
+driver, and the CLI has one error boundary."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,15 @@ def test_one_restart_driver():
     # one two-stage driver: the KS searches through _ks_search, the
     # k-positivity search from its falsifier
     assert _callers("_falsify") == {"certify._ks_search", "certify.falsify_k_positivity"}
+
+
+def test_cli_has_one_error_boundary():
+    # main turns every refused input into exit 1; the other handlers add
+    # context the exception lacks (a file name, the --base prefix, the
+    # KSLAB_SEED name) or turn an infeasible decomposition into an artifact
+    owners = set()
+    for fn in ast.walk(_tree(Path(kslab.__file__).parent / "cli.py")):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(isinstance(node, ast.ExceptHandler) for node in ast.walk(fn)):
+                owners.add(fn.name)
+    assert owners == {"default_seed", "read_artifact", "resolve_base", "cmd_decompose", "main"}

@@ -137,6 +137,10 @@ def test_build_family_registry():
         build_family("bogus", 2)
     with pytest.raises(ParameterDomainError, match="parameter a"):
         build_family("reduction", 2)
+    for name in ("reduction", "lambda-minus", "lambda-plus"):
+        for a in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterDomainError, match="finite parameter a"):
+                build_family(name, 2, a=a)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
