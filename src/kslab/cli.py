@@ -221,14 +221,15 @@ def cmd_scan(args, seed: int, t0: float) -> int:
 
 
 def _decompose(args) -> tuple:
+    # the decomposition refuses a bad a before the target does arithmetic on it
     if args.family == "reduction":
-        return reduction(args.d, args.a), decompose_reduction(args.d, args.a)
-    return lambda_plus(transpose_map(args.d), args.a), decompose_lambda_plus_T(args.d, args.a)
+        return decompose_reduction(args.d, args.a), reduction(args.d, args.a)
+    return decompose_lambda_plus_T(args.d, args.a), lambda_plus(transpose_map(args.d), args.a)
 
 
 def cmd_decompose(args, seed: int, t0: float) -> int:
     try:
-        target, result = _decompose(args)
+        result, target = _decompose(args)
     except DecompositionInfeasibleError as exc:
         emit(args, seed, {"feasible": False, "reason": str(exc)}, t0)
         return 0

@@ -56,11 +56,6 @@ def _result(lam: float, phi1: QuantumMap, phi2: QuantumMap, target: QuantumMap, 
     )
 
 
-def _psi(d: int, b: float) -> QuantumMap:
-    """Psi_b = b*Delta + (1-b)*T, the depolarized transposition."""
-    return lambda_plus(transpose_map(d), b)
-
-
 def ks_threshold_depolarized_transpose(d: int) -> float:
     """Smallest b for which Psi_b = b*Delta + (1-b)*T is a KS operator:
     (2d + 1 - sqrt(4d + 1)) / (2d)."""
@@ -77,7 +72,7 @@ def decompose_lambda_plus_T(d: int, a: float) -> DecompositionResult:
     if not 0 <= a <= 1:
         raise ParameterDomainError(f"decompose_lambda_plus_T needs a in [0, 1], got {a}")
     t = ks_threshold_depolarized_transpose(d)
-    target = _psi(d, a)
+    target = lambda_plus(transpose_map(d), a)
     if a >= t:
         lam, beta = 1.0, a
         phi1 = target
@@ -86,7 +81,7 @@ def decompose_lambda_plus_T(d: int, a: float) -> DecompositionResult:
         beta = t
         if not abs(lam * beta - a) <= IDENTITY_TOL:
             raise RuntimeError(f"split weights give lambda*beta = {lam * beta!r}, not a = {a!r}")
-        phi1 = _psi(d, beta)
+        phi1 = lambda_plus(transpose_map(d), beta)
     # at lambda = 1 the co-KS component has weight 0 but is still co-KS
     return _result(lam, phi1, transpose_map(d), target, params={"lambda": lam, "beta": beta})
 

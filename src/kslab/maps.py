@@ -42,6 +42,10 @@ class QuantumMap:
     on trust from the caller. A map whose flags are never read does not pay
     for them. ``bench/tracer.py`` wraps methods, not cached properties, so a
     flag's first read is timed as self time of the span that reads it.
+
+    One rule decides all three: the HS norm of the residual (Phi(I) - I,
+    T* vec(I) - vec(I) or C - C*) is at most STRUCT_TOL * max(||T||_HS, 1),
+    with ||C||_HS = ||T||_HS, so a mix scales its residual and the bound alike.
     """
 
     def __init__(self, transfer: np.ndarray, label: str = ""):
@@ -60,20 +64,24 @@ class QuantumMap:
     # -- structural flags ----------------------------------------------
 
     @cached_property
+    def _flag_tol(self) -> float:
+        return STRUCT_TOL * max(hs_norm(self.transfer), 1.0)
+
+    @cached_property
     def unital(self) -> bool:
         I = np.eye(self.d)
-        return hs_norm(self(I) - I) <= STRUCT_TOL
+        return hs_norm(self(I) - I) <= self._flag_tol
 
     @cached_property
     def trace_preserving(self) -> bool:
         # Tr Phi(X) = <vec(I), T vec(X)>; trace-preserving iff T* vec(I) = vec(I)
         v = vec(np.eye(self.d))
-        return np.linalg.norm(dagger(self.transfer) @ v - v) <= STRUCT_TOL
+        return np.linalg.norm(dagger(self.transfer) @ v - v) <= self._flag_tol
 
     @cached_property
     def hermiticity_preserving(self) -> bool:
         C = self.choi()
-        return hs_norm(C - dagger(C)) <= STRUCT_TOL * max(hs_norm(C), 1.0)
+        return hs_norm(C - dagger(C)) <= self._flag_tol
 
     # -- evaluation ----------------------------------------------------
 

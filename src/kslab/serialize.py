@@ -109,9 +109,7 @@ def verdict_from_json(obj: dict) -> CertificateVerdict:
 
 
 def scan_to_json(s: ScanResult) -> dict:
-    out = asdict(s)
-    out["points"] = [asdict(p) for p in s.points]
-    return out
+    return asdict(s)
 
 
 def scan_to_csv(s: ScanResult) -> str:

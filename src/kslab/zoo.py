@@ -69,18 +69,21 @@ def reduction(d: int, a: float) -> QuantumMap:
     return QuantumMap(T, label=f"reduction(d={d}, a={a})")
 
 
+def _lambda_line(base: QuantumMap, who: str, a: float, w_delta: float, w_base: float) -> QuantumMap:
+    """w_delta*Delta + w_base*Phi: both Lambda families lie on this line."""
+    _require_utp(base, who)
+    label = f"{who}(a={a}, base={base.label})"
+    out = mix([(w_delta, depolarizing(base.d)), (w_base, base)], label=label)
+    _check_utp(out)
+    return out
+
+
 def lambda_minus(base: QuantumMap, a: float) -> QuantumMap:
     """Lambda^-_a = (d*Delta - a*Phi) / (d - a) over a unital TP base."""
     d = base.d
     if a >= d:
         raise ParameterDomainError(f"lambda_minus needs a < d, got a={a}, d={d}")
-    _require_utp(base, "lambda_minus")
-    out = mix(
-        [(d / (d - a), depolarizing(d)), (-a / (d - a), base)],
-        label=f"lambda_minus(a={a}, base={base.label})",
-    )
-    _check_utp(out)
-    return out
+    return _lambda_line(base, "lambda_minus", a, d / (d - a), -a / (d - a))
 
 
 def lambda_plus(base: QuantumMap, a: float) -> QuantumMap:
@@ -89,14 +92,7 @@ def lambda_plus(base: QuantumMap, a: float) -> QuantumMap:
     Any real a is admitted; positivity outside [0, 1] is not assumed,
     only certified numerically downstream.
     """
-    d = base.d
-    _require_utp(base, "lambda_plus")
-    out = mix(
-        [(a, depolarizing(d)), (1 - a, base)],
-        label=f"lambda_plus(a={a}, base={base.label})",
-    )
-    _check_utp(out)
-    return out
+    return _lambda_line(base, "lambda_plus", a, a, 1 - a)
 
 
 def unitary_sandwich(Phi: QuantumMap, U: np.ndarray, V: np.ndarray) -> QuantumMap:
@@ -216,6 +212,5 @@ def build_family(
         raise ParameterDomainError(f"family '{name}' needs a finite parameter a, got {a}")
     if name == "reduction":
         return reduction(d, a)
-    if name == "lambda-minus":
-        return lambda_minus(base if base is not None else QuantumMap.identity(d), a)
-    return lambda_plus(base if base is not None else QuantumMap.identity(d), a)
+    family = lambda_minus if name == "lambda-minus" else lambda_plus
+    return family(base if base is not None else QuantumMap.identity(d), a)

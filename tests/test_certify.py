@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -58,6 +59,7 @@ from kslab.linalg import (
 from kslab.decompose import decompose_reduction
 from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
 from kslab.serialize import scan_to_json, verdict_to_json
+from kslab.suite import _utp_sample
 from kslab.zoo import (
     ParameterDomainError,
     bound_lambda_minus,
@@ -176,6 +178,17 @@ def test_falsify_ks_warns_on_non_unital():
     T[0, 0] = 1.0
     with pytest.warns(UserWarning, match="unital"):
         falsify_ks(QuantumMap(T), 1, SearchBudget(restarts=2, max_iters=20, seed=0))
+
+
+def test_falsify_ks_takes_a_far_out_lambda_map_as_unital():
+    # Lambda^+_3 over criterion 3's first d = 3 base: its unital residual is
+    # the base's times |1 - a|, within the map's flag bound, so no warning
+    _, Phi = next(_utp_sample(0, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = falsify_ks(lambda_plus(Phi, 3), 1, SearchBudget(restarts=2, max_iters=50, seed=0))
+    assert not [w for w in caught if "not unital" in str(w.message)]
+    assert res.violated
 
 
 @pytest.mark.parametrize("k", [0, -1])

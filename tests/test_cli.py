@@ -369,8 +369,11 @@ SCAN = ["scan", "--family", "lambda-minus", "--d", "2", "--step", "0.1"]
         ["kpos", "--family", "reduction", "--d", "2", "--a", "nan", "--k", "1"],
         [*SCAN, "--a-min", "0.1", "--a-max", "inf"],
         [*SCAN, "--a-min", "nan", "--a-max", "0.5"],
+        ["decompose", "--family", "reduction", "--d", "2", "--a", "nan"],
+        ["decompose", "--family", "lambda-plus-t", "--d", "2", "--a", "nan"],
     ],
-    ids=["certify-nan", "construct-nan", "certify-inf", "kpos-nan", "scan-a-max-inf", "scan-a-min-nan"],
+    ids=["certify-nan", "construct-nan", "certify-inf", "kpos-nan", "scan-a-max-inf", "scan-a-min-nan",
+         "decompose-reduction-nan", "decompose-lambda-plus-t-nan"],
 )
 def test_non_finite_input_exits_1(capsys, argv):
     with warnings.catch_warnings():
@@ -379,6 +382,15 @@ def test_non_finite_input_exits_1(capsys, argv):
     assert rc == 1 and out == ""
     assert err.startswith("kslab: error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_certify_far_out_lambda_plus_on_a_random_base(capsys):
+    # the mix of a random-utp base at a = 3 is unital and TP within the
+    # map's flag bound, so it is certified, not refused
+    rc, out, err = run(capsys, "certify", "--family", "lambda-plus", "--base", "random-utp",
+                       "--d", "3", "--a", "3", "--restarts", "2", "--max-iters", "50")
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["result"]["verdict"] == "Violated"
 
 
 def test_broken_invariant_is_not_an_input_error(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from kslab import maps
 from kslab.linalg import dagger, ginibre, hs_norm, partial_trace_second, vec
 from kslab.maps import STRUCT_TOL, AmplifiedMap, BlockOperator, QuantumMap, mix
-from kslab.zoo import depolarizing, reduction, sample_utp_cp, transpose_map
+from kslab.zoo import depolarizing, lambda_plus, reduction, sample_utp_cp, transpose_map
 
 rng = np.random.default_rng(99)
 
@@ -97,7 +97,22 @@ def test_flags_are_computed_on_first_read_and_once(monkeypatch):
         assert getattr(P, flag)
         seen.append(len(calls))
         assert getattr(P, flag) and len(calls) == seen[-1]
-    assert seen == [1, 2, 6]  # hs_norm; dagger; choi, dagger and two hs_norm
+    assert seen == [2, 3, 6]  # hs_norm of T and of the residual; dagger; choi, dagger and hs_norm
+
+
+def test_flag_bound_scales_with_the_map():
+    # a residual of 10 * STRUCT_TOL in Phi(I) and in T* vec(I) is within
+    # STRUCT_TOL * ||T||_HS far out on the Lambda line, and not for Delta,
+    # whose ||T||_HS is 1
+    E = np.zeros((4, 4))
+    E[0, 0] = 10 * STRUCT_TOL
+    far = lambda_plus(QuantumMap.identity(2), 1e3).transfer
+    near = depolarizing(2).transfer
+    assert hs_norm(far) > 1e3 and hs_norm(near) <= 1
+    for T, want in ((far, True), (near, False)):
+        P = QuantumMap(T + E)
+        assert hs_norm(P(np.eye(2)) - np.eye(2)) == pytest.approx(10 * STRUCT_TOL)
+        assert (P.unital, P.trace_preserving, P.hermiticity_preserving) == (want, want, True)
 
 
 def test_choi_of_known_maps():

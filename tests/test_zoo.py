@@ -4,6 +4,7 @@ import pytest
 from kslab import maps, zoo
 from kslab.linalg import ginibre, haar_isometry, hs_norm
 from kslab.maps import QuantumMap
+from kslab.suite import _utp_sample
 from kslab.zoo import (
     FAMILY_NAMES,
     HypothesisError,
@@ -65,6 +66,19 @@ def test_lambda_families_check_their_result(monkeypatch, family):
     monkeypatch.setattr(zoo, "depolarizing", lambda d: QuantumMap(2 * np.eye(d * d)))
     with pytest.raises(RuntimeError, match="unital=False"):
         family(QuantumMap.identity(2), 0.5)
+
+
+@pytest.mark.parametrize(
+    "family,a",
+    [(lambda_plus, 2.05), (lambda_plus, 3), (lambda_plus, 11), (lambda_minus, 2.999)],
+)
+def test_lambda_families_far_out_on_the_line_stay_utp(family, a):
+    # the mix scales the base's ~1e-10 residuals by |1 - b|, and the flag
+    # bound scales with the map alike, so none of criterion 3's d = 3 bases
+    # is refused
+    for _, Phi in _utp_sample(0, 3):
+        out = family(Phi, a)
+        assert out.unital and out.trace_preserving, out.label
 
 
 def test_lambda_families_require_utp_base():
