@@ -44,7 +44,8 @@ Hermitian quadratic form in vec(X), so both half-steps are global
 eigenvector computations. The iteration is monotone in f, which avoids the
 flat zero-level plateaus where plain projected gradient descent on
 lambda_min stalls. The co-KS defect of Phi is the transposed KS defect of
-tau o Phi, tau the transposition, so co-KS runs the KS search of tau o Phi.
+tau o Phi, tau the transposition, so co-KS is the KS verdict of tau o Phi,
+decided and searched on its transfer matrix transpose_rows(T).
 
 The k-KS defect separates over the block rows of X, so the X half-step
 matrix is M_v = I_k (x) M'_v up to the order of vec(X), with
@@ -58,6 +59,7 @@ crossover, the dense eigh of M'_v is used.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -67,7 +69,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import _derive_seed, dagger, ginibre, hermitianize, hs_norm, partial_trace_second
-from .maps import BlockOperator, QuantumMap, apply_amplified
+from .maps import BlockOperator, QuantumMap, apply_amplified, choi
 from .zoo import (
     ParameterDomainError,
     bound_lambda_minus,
@@ -580,17 +582,6 @@ def _alternating_restart(
     return out
 
 
-def _choi(Phi: QuantumMap, transposed: bool = False) -> np.ndarray:
-    """The Hermitian part of the Choi matrix of Phi, whose spectrum the
-    closed forms read; with ``transposed``, that of tau o Phi, tau the
-    transposition, which is C_Phi with its output factor transposed."""
-    C = hermitianize(Phi.choi())
-    if transposed:
-        d = Phi.d
-        C = C.reshape(d, d, d, d).swapaxes(1, 3).reshape(d * d, d * d)
-    return C
-
-
 def _schmidt_value(C: np.ndarray, w: SchmidtWitness) -> float:
     """<psi|C|psi> / <psi|psi>, the value a Schmidt witness re-checks."""
     psi = w.psi
@@ -644,13 +635,14 @@ def _kpos_restart(
 
 
 def _ks_search(
-    maps: list[QuantumMap], k: int, budgets: list[SearchBudget]
+    transfers: list[np.ndarray], k: int, budgets: list[SearchBudget]
 ) -> list[CertificateVerdict]:
-    """The k-KS searches of maps on one M_d, which the KS and co-KS
-    falsifiers reach through _ks_decide, at budgets that differ only in
-    their seeds; one verdict each. The maps are searched as lockstep stacks
-    (see _falsify) of at most STACK_SEARCHES maps."""
-    d = maps[0].d
+    """The k-KS searches of the maps on one M_d with these transfer
+    matrices, which the KS and co-KS falsifiers reach through _ks_decide, at
+    budgets that differ only in their seeds; one verdict each. The maps are
+    searched as lockstep stacks (see _falsify) of at most STACK_SEARCHES
+    maps."""
+    d = math.isqrt(len(transfers[0]))
     n = k * d
 
     def defect(X, T):
@@ -664,10 +656,10 @@ def _ks_search(
 
     restart = partial(_alternating_restart, defect, xstep, n, budgets[0])
     verdicts = []
-    for i in range(0, len(maps), STACK_SEARCHES):
+    for i in range(0, len(transfers), STACK_SEARCHES):
         chunk = slice(i, i + STACK_SEARCHES)
-        values = [partial(_min_eig_value, partial(amplified_ks_defect, M, k)) for M in maps[chunk]]
-        T = np.stack([M.transfer for M in maps[chunk]])
+        values = [partial(_min_eig_value, partial(_ks_defect, T, k)) for T in transfers[chunk]]
+        T = np.stack(transfers[chunk])
         verdicts += _falsify(restart, values, partial(BlockOperator, k, d), budgets[chunk], T)
     return verdicts
 
@@ -699,31 +691,26 @@ def _ks_decide(
     each Phi, tau the transposition, for the KS and co-KS falsifiers and the
     scan: decided from one eigh of the Choi matrix where the maths settles it
     (_ks_closed_form), and otherwise from one _ks_search call, which searches
-    every map left as one stack. tau o Phi is unital iff Phi is, and its
-    Choi matrix is C_Phi with its output factor transposed, so a decision on
-    it reads Phi; tau o Phi itself is built only for the search."""
+    every map left as one stack. Both read transfer matrices: tau o Phi is
+    decided and searched on transpose_rows(T), and it is unital iff Phi is,
+    so no map is built for it."""
+    transfers = [transpose_rows(Phi.transfer) if transposed else Phi.transfer for Phi in maps]
     verdicts = [
-        _ks_closed_form(Phi, k, budget, transposed) if Phi.unital else None
-        for Phi, budget in zip(maps, budgets)
+        _ks_closed_form(T, k, budget) if Phi.unital else None
+        for Phi, T, budget in zip(maps, transfers, budgets)
     ]
     searched = [i for i, v in enumerate(verdicts) if v is None]
     if searched:
-        targets = [
-            QuantumMap(transpose_rows(maps[i].transfer), label=f"transpose∘{maps[i].label}")
-            if transposed else maps[i]
-            for i in searched
-        ]
-        for i, v in zip(searched, _ks_search(targets, k, [budgets[i] for i in searched])):
+        found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched])
+        for i, v in zip(searched, found):
             verdicts[i] = v
     return verdicts
 
 
-def _ks_closed_form(
-    Phi: QuantumMap, k: int, budget: SearchBudget, transposed: bool
-) -> CertificateVerdict | None:
-    """The k-KS verdict of a unital Phi (of tau o Phi with ``transposed``)
-    from one eigh of its Choi matrix C, or None where that does not settle
-    it and the search must run.
+def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget) -> CertificateVerdict | None:
+    """The k-KS verdict of the unital Phi with transfer matrix T from one
+    eigh of its Choi matrix C, or None where that does not settle it and the
+    search must run.
 
     For k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i in C^k (x) C^d,
     has HS norm 1 and the amplified defect (C/d - C^2/d^2) (+) 0, so
@@ -740,8 +727,8 @@ def _ks_closed_form(
       runs the search.
     A decided verdict reads no restarts or max_iters, and is exact up to
     one float64 eigh."""
-    d = Phi.d
-    lam = np.linalg.eigh(_choi(Phi, transposed))[0][[0, -1]]
+    d = math.isqrt(len(T))
+    lam = np.linalg.eigh(hermitianize(choi(T)))[0][[0, -1]]
     w = lam / d
     worst = min(0.0, float(np.min(w - w * w)))
     if k < d:
@@ -754,7 +741,6 @@ def _ks_closed_form(
     omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
     X = np.zeros((k * d, k * d), dtype=complex)
     X[np.ix_(omega, omega)] = 1 / d
-    T = transpose_rows(Phi.transfer) if transposed else Phi.transfer
     recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
     # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
     scale = max(1.0, float(np.abs(w).max()) ** 2)
@@ -823,7 +809,7 @@ def falsify_k_positivity(
         raise ParameterDomainError(f"k-positivity needs 1 <= k <= d, got k={k}, d={d}")
     # a k-positive map is Hermiticity-preserving
     _refuse_non_hp(Phi, "Choi matrix")
-    C = _choi(Phi)
+    C = hermitianize(Phi.choi())
     if k == d:
         lam, V = np.linalg.eigh(C)
         witness = SchmidtWitness(np.eye(d, dtype=complex), V[:, 0].reshape(d, d).T)

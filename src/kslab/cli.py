@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -45,6 +46,12 @@ class CliError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only plain decimals, so that it reads
+        # the -1e6 of "--a -1e6" as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # a usage error is a CliError, so that main returns 1 for it as for
     # every other error, rather than argparse raising SystemExit
     def error(self, message):
@@ -343,10 +350,8 @@ def build_parser() -> Parser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        if extra:  # such as --format, which only scan takes
-            raise CliError(f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "d", None) is not None and args.d < 1:
             raise CliError(f"--d must be >= 1, got {args.d}")
         seed = args.seed if getattr(args, "seed", None) is not None else default_seed()

@@ -103,20 +103,15 @@ class QuantumMap:
 
     def choi(self) -> np.ndarray:
         """Unnormalized Choi matrix sum_ij E_ij (x) Phi(E_ij)."""
-        d = self.d
-        T4 = self.transfer.reshape(d, d, d, d)  # [q, p, j, i] of T[qd+p, jd+i]
-        return T4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
+        return choi(self.transfer)
 
     @classmethod
     def from_choi(cls, C: np.ndarray, label: str = "") -> "QuantumMap":
         C = np.asarray(C, dtype=complex)
         n = C.shape[0]
-        d = int(round(np.sqrt(n)))
-        if C.shape != (n, n) or d * d != n:
+        if C.shape != (n, n) or math.isqrt(n) ** 2 != n:
             raise ValueError(f"Choi matrix shape {C.shape} is not (d^2, d^2)")
-        C4 = C.reshape(d, d, d, d)  # [(i, p), (j, q)]
-        T = C4.transpose(3, 1, 2, 0).reshape(d * d, d * d)
-        return cls(T, label=label)
+        return cls(choi(C), label=label)
 
     @classmethod
     def from_kraus(cls, kraus: list[np.ndarray], label: str = "") -> "QuantumMap":
@@ -165,6 +160,13 @@ class QuantumMap:
         return QuantumMap(
             self.transfer @ other.transfer, label=f"{self.label}∘{other.label}"
         )
+
+
+def choi(T: np.ndarray) -> np.ndarray:
+    """The Choi matrix C[(i, p), (j, q)] of the map with transfer matrix
+    T[q d + p, j d + i], or back: the reshuffle is its own inverse."""
+    d = math.isqrt(len(T))
+    return T.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def apply_amplified(T: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:

@@ -9,6 +9,7 @@ a JSON round trip bit-exactly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 from typing import Any
 
@@ -167,10 +168,4 @@ def json_default(obj: Any) -> Any:
 def to_jsonable(obj: Any) -> Any:
     """Nested report structures as JSON types, leaves converted as by
     json_default: json.dumps(to_jsonable(x)) == json.dumps(x, default=json_default)."""
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (CertificateVerdict, np.generic)):
-        return to_jsonable(json_default(obj))
-    return obj
+    return json.loads(json.dumps(obj, default=json_default))

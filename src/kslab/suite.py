@@ -227,7 +227,8 @@ def criterion_6(seed: int):
     for d in (2, 3):
         seeds, maps = zip(*_utp_sample(seed, d))
         budgets = [SearchBudget(restarts=8, max_iters=200, seed=s) for s in seeds]
-        n_violated = {k: sum(v.violated for v in _ks_search(list(maps), k, budgets)) for k in (1, 2)}
+        transfers = [M.transfer for M in maps]
+        n_violated = {k: sum(v.violated for v in _ks_search(transfers, k, budgets)) for k in (1, 2)}
         reports += [
             {"d": d, "k": k, "n_samples": UTP_SAMPLE_SIZE, "n_violated": n}
             for k, n in n_violated.items()
@@ -407,12 +408,15 @@ def run_criterion(cid: int, seed: int) -> dict:
 
 
 def run_suite(seed: int = 0, filter: str | None = None) -> dict:
-    """Run the (possibly filtered) battery; deterministic given seed."""
+    """Run the (possibly filtered) battery; deterministic given seed. A
+    filter that selects no criterion is refused with a ValueError."""
     records = []
     for num, tags, desc, fn in CRITERIA:
         if filter and filter not in tags and filter != str(num):
             continue
         records.append(run_criterion(num, seed))
+    if not records:
+        raise ValueError(f"no criterion matches the filter '{filter}'")
     return {
         "seed": seed,
         "filter": filter,

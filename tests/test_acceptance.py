@@ -36,6 +36,12 @@ def _record(report, cid):
     return rec
 
 
+def test_run_suite_refuses_a_filter_that_selects_nothing():
+    # an empty selection would read as a vacuous pass
+    with pytest.raises(ValueError, match="no criterion matches the filter 'nosuchthing'"):
+        run_suite(seed=SEED, filter="nosuchthing")
+
+
 def test_suite_covers_all_ten(report):
     assert [r["id"] for r in report["criteria"]] == [c[0] for c in CRITERIA] == list(range(1, 11))
 

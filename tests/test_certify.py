@@ -310,7 +310,7 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
 
 
 def _search(Phi, k, budget):
-    return certify._ks_search([Phi], k, [budget])[0]
+    return certify._ks_search([Phi.transfer], k, [budget])[0]
 
 
 def _tau(Phi):

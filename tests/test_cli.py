@@ -431,3 +431,29 @@ def test_csv_format_rejected_outside_scan(capsys):
     )
     assert rc == 1
     assert "csv" in err
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["construct", "--family", "lambda-plus", "--d", "2", "--a", "-1e6"], "a", -1e6),
+    (["scan", "--family", "lambda-minus", "--d", "2", "--a-min", "-1E-1", "--a-max", "0.1",
+      "--step", "0.1", "--restarts", "2", "--max-iters", "20"], "a_min", -0.1),
+])
+def test_negative_number_with_an_exponent_is_a_value(capsys, argv, key, value):
+    # argparse's own pattern reads only plain decimals as negative numbers
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["config"][key] == value
+
+
+def test_unknown_argument_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "certify", "--family", "identity", "--d", "2", "--bogus")
+    assert rc == 1 and out == ""
+    assert err.startswith("usage: kslab ")
+    assert err.endswith("\nkslab: error: unrecognized arguments: --bogus\n")
+
+
+def test_suite_filter_that_selects_nothing_exits_1(capsys):
+    # an empty selection would pass vacuously
+    rc, out, err = run(capsys, "suite", "--filter", "nosuchthing", "--expect-pass")
+    assert rc == 1 and out == ""
+    assert err == "kslab: error: no criterion matches the filter 'nosuchthing'\n"

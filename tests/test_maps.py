@@ -132,6 +132,14 @@ def test_choi_round_trip():
     assert hs_norm(back.transfer - Phi.transfer) < 1e-12
 
 
+def test_choi_reshuffle_is_its_own_inverse():
+    # maps.choi only permutes entries, so both directions are bit-exact
+    T = sample_utp_cp(3, seed=5).transfer
+    assert maps.choi(maps.choi(T)).tobytes() == T.tobytes()
+    C = ginibre(rng, 9)
+    assert QuantumMap.from_choi(C).choi().tobytes() == C.tobytes()
+
+
 def test_kraus_round_trip():
     Phi = sample_utp_cp(2, seed=11)
     ops = Phi.kraus()

@@ -1,7 +1,7 @@
 """Contracts on the source of kslab itself, read with ast: runtime
 invariants are explicit exceptions, seeds and verdicts are each made in one
-place, the KS search has one caller in the falsifiers, there is one restart
-driver, and the CLI has one error boundary."""
+place, the KS search has one caller in the falsifiers, certify builds no
+map, there is one restart driver, and the CLI has one error boundary."""
 
 import ast
 from pathlib import Path
@@ -74,6 +74,12 @@ def test_ks_search_has_one_front_door():
     # decision; criterion 6 runs the search itself, as it tests the theorem
     # that decision rests on
     assert _callers("_ks_search") == {"certify._ks_decide", "suite.criterion_6"}
+
+
+def test_certify_builds_no_map():
+    # the KS decision and search read transfer matrices: co-KS of Phi reads
+    # transpose_rows(T), and no map is built for tau o Phi
+    assert not any(f.startswith("certify.") for f in _callers("QuantumMap"))
 
 
 def test_one_restart_driver():
