@@ -55,6 +55,24 @@ SECULAR_MIN_SIDE up that eigenvector is found without forming M'_v, as the
 root of a d x d secular equation (Golub 1973; Bunch, Nielsen and Sorensen
 1978). A residual check guards the result; when it fails, and below the
 crossover, the dense eigh of M'_v is used.
+
+Most steps of a clean search of a unital map are on the zero plateau, and
+there the X half-step needs no eigenvector. The null-space fact: for
+Y = c^T (x) I_d and unital Phi, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for every Z
+(Kadison 1952: equality at X = I), so the k vectors vec(e_C^T (x) I_d)/sqrt(d)
+span a null space N of every M'_v; for Phi(I) = I + E,
+||M'_v P_N|| <= eps = ||T||_HS ||E||_HS. The gate: a member whose map is
+unital by QuantumMap.unital's rule and whose last defect was one eigenvalue
+cluster takes one Cholesky factorization of
+M'_v + s (P_N - PLATEAU_MARGIN I), s = max(||T||_HS^2, 1). Where it exists,
+M'_v >= tau = PLATEAU_MARGIN s on the complement of N, up to the rounding of
+the factorization, which is far below tau. The inequality: splitting a unit
+x into its parts in N and off it gives x* M'_v x >= -eps - eps^2 / tau, while
+x_0 = vec(e_0^T (x) I_d)/sqrt(d) in N has x_0* M'_v x_0 <= eps; so x_0 is a
+bottom eigenvector of M'_v to within 2 eps + eps^2 / tau, exactly one when
+Phi(I) = I, and the step returns it, X with I_d/sqrt(d) in block (0, 0). A
+member that fails the factorization, or is not gated, takes the dense or
+secular step.
 """
 
 from __future__ import annotations
@@ -62,7 +80,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -93,6 +111,9 @@ STACK_SEARCHES = 16
 # the fewest members of one cluster size whose draws _min_eig_vectors combines
 # as one batch; a batch costs about two looped draws, and breaks even at 3-4
 BATCH_MIN_DRAWS = 4
+# the margin, relative to s = max(||T||_HS^2, 1), by which M'_v must exceed 0
+# off its null space N for the KS X half-step to return the plateau vector
+PLATEAU_MARGIN = 1e-6
 
 
 class WitnessRecheckError(RuntimeError):
@@ -233,6 +254,8 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # G vec(Y) = sum_C Phi(Y_C) v_C, and W = Phi_k*(vv*) is read off the same
 # contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G), all the
 # secular X half-step reads; _qform builds M'_v. At k = 1, M'_v is M_v.
+# On the plateau of a unital map, _plateau_test certifies the null space N
+# of M'_v as its bottom eigenspace (see the module docstring).
 # The kernels work on stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
@@ -335,16 +358,74 @@ def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | N
     return lam, x
 
 
-def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """X half-steps of the KS search for stacks W, G: the bottom eigenvector
-    of each M'_v = W^T (x) I_m - G*G. From a form side n m of
-    SECULAR_MIN_SIDE up it comes from the secular equation, member by member
-    since their Newton step counts differ; below that, and whenever the
-    secular solve is refused, from a dense eigh of M'_v."""
-    if G.shape[-1] < SECULAR_MIN_SIDE:
-        return np.linalg.eigh(_qform(W, G))[1][:, :, 0]
-    xs = np.empty((len(G), G.shape[2]), dtype=complex)
-    for b in range(len(W)):
+@cache
+def _plateau_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P_N - PLATEAU_MARGIN I, x_0) for the KS X half-step forms of side
+    k d^2: P_N the projection onto N = span{vec(e_C^T (x) I_d)/sqrt(d)},
+    whose vectors hold 1/sqrt(d) at (C d + p) d + p, p < d, and
+    x_0 = vec(e_0^T (x) I_d)/sqrt(d). Read-only, as they are shared."""
+    N = np.zeros((k, k * d * d))
+    N[np.arange(k)[:, None], np.arange(k)[:, None] * d * d + np.arange(d) * (d + 1)] = 1 / math.sqrt(d)
+    Q = N.T @ N - PLATEAU_MARGIN * np.eye(k * d * d)
+    Q.flags.writeable = N.flags.writeable = False
+    return Q, N[0]
+
+
+def _plateau_test(A: np.ndarray, s: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """For each M'_v of the stack A whether M'_v + s Q, Q = P_N -
+    PLATEAU_MARGIN I from _plateau_basis and s the member's entry of ``s``,
+    has a Cholesky factor: then the bottom eigenspace of M'_v is N (see the
+    module docstring). A is overwritten with M'_v + s Q, which saves a
+    stack of forms in a scan's lockstep stacks; the X half-step hands it a
+    copy. numpy refuses a whole stack for one member that does not factor,
+    so after a refused stack each member is tested on its own."""
+    A += s[:, None, None] * Q
+    if _factors(A):
+        return np.ones(len(A), dtype=bool)
+    return np.array([_factors(a) for a in A], dtype=bool)
+
+
+def _factors(A: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky factors A, a matrix or every matrix of a
+    stack."""
+    try:
+        np.linalg.cholesky(A)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _ks_xstep(W: np.ndarray, G: np.ndarray, plateau: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """X half-steps of the KS search for stacks W, G: a bottom eigenvector
+    of each M'_v = W^T (x) I_m - G*G, as a fresh array with one row per
+    member.
+
+    A member flagged in ``plateau`` (its map is unital and its last defect
+    was one eigenvalue cluster) first takes _plateau_test with its shift s;
+    where that passes, the vector is x_0 = vec(e_0^T (x) I_d)/sqrt(d),
+    block (0, 0) of X being I_d/sqrt(d), and no eigenvector is computed.
+    Every other member takes the step it would take alone: from a form side
+    n m of SECULAR_MIN_SIDE up the secular equation, member by member since
+    their Newton step counts differ; below that, and whenever the secular
+    solve is refused, a dense eigh of M'_v."""
+    B, n, side = len(G), W.shape[-1], G.shape[-1]
+    d = side // n  # the form side is n d, n = k d
+    xs = np.empty((B, side), dtype=complex)
+    M = _qform(W, G) if side < SECULAR_MIN_SIDE else None
+    rest = slice(None)  # the members whose eigenvector is computed
+    if np.count_nonzero(plateau):
+        Q, x0 = _plateau_basis(n // d, d)
+        held = np.zeros(B, dtype=bool)
+        held[plateau] = _plateau_test(M[plateau] if M is not None else _qform(W[plateau], G[plateau]),
+                                      s[plateau], Q)
+        xs[held] = x0
+        rest = ~held
+        if not np.count_nonzero(rest):
+            return xs
+    if M is not None:
+        xs[rest] = np.linalg.eigh(M[rest])[1][:, :, 0]
+        return xs
+    for b in np.arange(B)[rest].tolist():
         found = _bottom_eigvec(W[b], G[b])
         xs[b] = found[1] if found is not None else np.linalg.eigh(_qform(W[b], G[b]))[1][:, 0]
     return xs
@@ -482,13 +563,14 @@ def _falsify(
 
 def _min_eig_vectors(
     D: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smallest eigenvalue of each matrix of the stack D, and a vector from
     its eigenspace; inside a near-degenerate bottom cluster a random unit
     combination is taken (subgradient choice), drawn from that member's rng.
 
-    Returns (f, V): column 0 of V[b] holds the vector, the bottom
-    eigenvector or the draw written over it.
+    Returns (f, V, sizes): column 0 of V[b] holds the vector, the bottom
+    eigenvector or the draw written over it, and sizes[b] is the number of
+    eigenvalues in the bottom cluster.
 
     Only the draws stay per member: a member whose cluster has m
     eigenvalues, the first m of its ascending spectrum, calls its own rng's
@@ -524,7 +606,7 @@ def _min_eig_vectors(
         c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
         cols = np.ascontiguousarray(V[members, :, :m].swapaxes(1, 2)).swapaxes(1, 2)
         V[members, :, 0] = (cols @ c[:, :, None])[:, :, 0]
-    return w[:, 0], V
+    return w[:, 0], V, sizes
 
 
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
@@ -544,23 +626,25 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep`` maps a stack of vectors v to the stack of X with vec(X) a unit
-    bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
-    vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block row
-    0), so the X half-step is exact and f(X) = lambda_min(defect(X))
-    decreases monotonely. Both take the arrays of ``maps`` after their
-    stack: each has a row per member, and a member's row leaves the batch
-    with its vector. Returns (best value, best X, counters) per run.
+    ``xstep(v, full, *maps)`` maps a stack of vectors v to the stack of X
+    with vec(X) a unit bottom eigenvector of each Hermitian n^2 x n^2 matrix
+    M_v with vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in
+    block row 0), so the X half-step is exact and f(X) =
+    lambda_min(defect(X)) decreases monotonely; ``full`` flags the members
+    whose last defect was one eigenvalue cluster, the zero plateau of a
+    unital map. Both take the arrays of ``maps`` after their stack: each has
+    a row per member, and a member's row leaves the batch with its vector.
+    Returns (best value, best X, counters) per run.
     """
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
-    f, V = _min_eig_vectors(defect(X, *maps), rngs)
+    f, V, sizes = _min_eig_vectors(defect(X, *maps), rngs)
     best_f, best_X = f.tolist(), list(X)
     recent_best, stall = [np.inf] * len(rngs), [0] * len(rngs)
     live = list(range(len(rngs)))  # the members still iterating
     out: list = [None] * len(rngs)
     for it in range(1, budget.max_iters + 1):
-        X = xstep(V[:, :, 0], *maps)
-        f, V = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
+        X = xstep(V[:, :, 0], sizes == n, *maps)
+        f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         going = []
         for j, (b, fj) in enumerate(zip(live, f.tolist())):
             if fj < best_f[b]:
@@ -577,7 +661,7 @@ def _alternating_restart(
         if len(going) < len(live):
             if not going:
                 break
-            live, V = [live[j] for j in going], V[going]
+            live, V, sizes = [live[j] for j in going], V[going], sizes[going]
             maps = tuple(M[going] for M in maps)
     return out
 
@@ -635,23 +719,27 @@ def _kpos_restart(
 
 
 def _ks_search(
-    transfers: list[np.ndarray], k: int, budgets: list[SearchBudget]
+    transfers: list[np.ndarray], k: int, budgets: list[SearchBudget], unital: list[bool]
 ) -> list[CertificateVerdict]:
     """The k-KS searches of the maps on one M_d with these transfer
     matrices, which the KS and co-KS falsifiers reach through _ks_decide, at
-    budgets that differ only in their seeds; one verdict each. The maps are
-    searched as lockstep stacks (see _falsify) of at most STACK_SEARCHES
-    maps."""
+    budgets that differ only in their seeds; one verdict each. ``unital``
+    holds each map's QuantumMap.unital flag, which gates the plateau test of
+    the X half-step (_ks_xstep). The maps are searched as lockstep stacks
+    (see _falsify) of at most STACK_SEARCHES maps."""
     d = math.isqrt(len(transfers[0]))
     n = k * d
 
-    def defect(X, T):
+    def defect(X, T, unital, s):
         return _ks_defect(T, k, X)
 
-    def xstep(v, T):
-        # unvec into block row 0 of X; the copy frees a dense step's eigenvector stacks
+    def xstep(v, full, T, unital, s):
+        xs = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), full & unital, s)
+        if k == 1:  # block row 0 is all of X
+            return xs.reshape(-1, n, n).swapaxes(1, 2)
+        # unvec into block row 0 of X
         x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
-        x[:, :, :d] = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)).reshape(-1, n, d)
+        x[:, :, :d] = xs.reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
     restart = partial(_alternating_restart, defect, xstep, n, budgets[0])
@@ -660,7 +748,9 @@ def _ks_search(
         chunk = slice(i, i + STACK_SEARCHES)
         values = [partial(_min_eig_value, partial(_ks_defect, T, k)) for T in transfers[chunk]]
         T = np.stack(transfers[chunk])
-        verdicts += _falsify(restart, values, partial(BlockOperator, k, d), budgets[chunk], T)
+        s = np.maximum(np.linalg.norm(T, axis=(1, 2)) ** 2, 1.0)
+        verdicts += _falsify(restart, values, partial(BlockOperator, k, d), budgets[chunk],
+                             T, np.array(unital[chunk], dtype=bool), s)
     return verdicts
 
 
@@ -701,7 +791,8 @@ def _ks_decide(
     ]
     searched = [i for i, v in enumerate(verdicts) if v is None]
     if searched:
-        found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched])
+        found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched],
+                           [maps[i].unital for i in searched])
         for i, v in zip(searched, found):
             verdicts[i] = v
     return verdicts

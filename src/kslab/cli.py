@@ -59,6 +59,18 @@ class Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class Subparser(Parser):
+    """A subcommand's parser. argparse hands a subcommand's unrecognized
+    arguments up to the top-level parser, whose usage line would then be
+    printed; this one reports them itself, with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def default_seed() -> int:
     env = os.environ.get("KSLAB_SEED")
     if env is not None:
@@ -279,7 +291,7 @@ def build_parser() -> Parser:
     """The argument parser; it holds no per-call state, so it is built once."""
     parser = Parser(prog="kslab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"kslab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Subparser)
 
     p = sub.add_parser("construct", help="build a named map and write its JSON")
     add_map_source(p)

@@ -14,6 +14,7 @@ import kslab
 from kslab import certify
 from kslab.certify import (
     EIG_DEGENERACY_GAP,
+    PLATEAU_MARGIN,
     SECULAR_MIN_SIDE,
     STALL_TOL,
     STALL_WINDOW,
@@ -30,6 +31,7 @@ from kslab.certify import (
     _ks_xstep,
     _min_eig_value,
     _min_eig_vectors,
+    _plateau_test,
     _qform,
     _schmidt_value,
     amplified_ks_defect,
@@ -56,7 +58,7 @@ from kslab.linalg import (
     min_eigenvalue,
     vec,
 )
-from kslab.decompose import decompose_reduction
+from kslab.decompose import decompose_lambda_plus_T, decompose_reduction
 from kslab.maps import AmplifiedMap, BlockOperator, QuantumMap
 from kslab.serialize import scan_to_json, verdict_to_json
 from kslab.suite import _utp_sample
@@ -310,7 +312,7 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
 
 
 def _search(Phi, k, budget):
-    return certify._ks_search([Phi.transfer], k, [budget])[0]
+    return certify._ks_search([Phi.transfer], k, [budget], [Phi.unital])[0]
 
 
 def _tau(Phi):
@@ -474,13 +476,15 @@ def _solo_falsify(restart, value, make_witness, budget):
 
 
 def _solo_min_eig_vector(D, rng):
+    # the bottom value, a vector of its cluster, and whether the cluster is
+    # the whole spectrum
     w, V = np.linalg.eigh(hermitianize(D))
     cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
     if len(cluster) > 1:
         c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
         c /= np.linalg.norm(c)
         V[:, 0] = V[:, cluster] @ c
-    return float(w[0]), V[:, 0]
+    return float(w[0]), V[:, 0], len(cluster) == len(w)
 
 
 def _looped_min_eig_vectors(D, rngs):
@@ -524,9 +528,10 @@ def test_min_eig_vectors_draws_match_the_looped_oracle(n):
         seeds = root.spawn(len(D))
         rngs = [np.random.default_rng(ss) for ss in seeds]
         oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
-        f, V = _min_eig_vectors(D.copy(), rngs)
+        f, V, sizes = _min_eig_vectors(D.copy(), rngs)
         g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
         assert np.array_equal(f, g) and np.array_equal(V, W), clusters
+        assert sizes.tolist() == clusters
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
 
@@ -535,11 +540,11 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
     X /= hs_norm(X)
     stall = 0
     recent_best = np.inf
-    f, v = _solo_min_eig_vector(defect(X), rng)
+    f, v, full = _solo_min_eig_vector(defect(X), rng)
     best_f, best_X = f, X
     for iters in range(1, budget.max_iters + 1):
-        X = xstep(v).reshape(n, n, order="F")
-        f, v = _solo_min_eig_vector(defect(X), rng)
+        X = xstep(v, full).reshape(n, n, order="F")
+        f, v, full = _solo_min_eig_vector(defect(X), rng)
         if f < best_f:
             best_f, best_X = f, X
         if recent_best - best_f < STALL_TOL:
@@ -570,7 +575,29 @@ def _solo_qform(W, G):
     return M.reshape(n * m, n * m) - dagger(G) @ G
 
 
-def _solo_ks_xstep(W, G):
+def _null_basis(d, k):
+    # the columns vec(e_C^T (x) I_d)/sqrt(d), C < k, from their definition
+    return np.stack([vec(np.kron(np.eye(k)[C][None, :], np.eye(d))) for C in range(k)], axis=1) / np.sqrt(d)
+
+
+def _solo_plateau_vector(M, s, d):
+    # vec(e_0^T (x) I_d)/sqrt(d) where M + s (P_N - PLATEAU_MARGIN I) has a
+    # Cholesky factor, P_N the projection onto the span of the
+    # vec(e_C^T (x) I_d)/sqrt(d); else None
+    N = _null_basis(d, len(M) // (d * d))
+    try:
+        np.linalg.cholesky(M + s * (N @ N.T - PLATEAU_MARGIN * np.eye(len(M))))
+    except np.linalg.LinAlgError:
+        return None
+    return N[:, 0]
+
+
+def _solo_ks_xstep(W, G, plateau=False, s=1.0):
+    # the plateau test first, for a unital map whose last defect was one cluster
+    if plateau:
+        x = _solo_plateau_vector(_solo_qform(W, G), s, G.shape[1] // len(W))
+        if x is not None:
+            return x
     if G.shape[1] >= SECULAR_MIN_SIDE:
         found = _bottom_eigvec(W, G)
         if found is not None:
@@ -602,11 +629,12 @@ def _solo_ks(Phi, k, budget):
     n = k * d
     T3 = Phi.transfer.reshape(d, d, d * d)
     defect = partial(amplified_ks_defect, Phi, k)
+    s = max(hs_norm(Phi.transfer) ** 2, 1.0)
 
-    def xstep(v):
+    def xstep(v, full):
         # the bottom vector of M'_v fills block row 0 of X
         X = np.zeros((n, n), dtype=complex)
-        X[:d] = _solo_ks_xstep(*_solo_ks_parts(T3, v)).reshape(d, n, order="F")
+        X[:d] = _solo_ks_xstep(*_solo_ks_parts(T3, v), full and Phi.unital, s).reshape(d, n, order="F")
         return vec(X)
 
     restart = partial(_solo_alternating_restart, defect, xstep, n, budget)
@@ -666,13 +694,17 @@ def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
 
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    def batch_xstep(v):
-        return _ks_xstep(*_ks_parts(T3, v)).reshape(-1, 3, 3).swapaxes(1, 2)  # unvec
+    s = max(hs_norm(Phi.transfer) ** 2, 1.0)
+
+    def batch_xstep(v, full):
+        # some members are on the plateau, the others not
+        xs = _ks_xstep(*_ks_parts(T3, v), full, np.full(len(v), s))
+        return xs.reshape(-1, 3, 3).swapaxes(1, 2)  # unvec
 
     batch = _alternating_restart(defect, batch_xstep, 3, budget, rngs)
     assert (True, False) in kinds  # some batch mixed drawn and plain vectors
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    xstep = lambda v: _solo_ks_xstep(*_solo_ks_parts(T3, v))  # noqa: E731
+    xstep = lambda v, full: _solo_ks_xstep(*_solo_ks_parts(T3, v), full, s)  # noqa: E731
     for (f, X, used), rng in zip(batch, rngs):
         g, Y, solo_used = _solo_alternating_restart(defect, xstep, 3, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
@@ -800,7 +832,8 @@ def _phi_k_search(Phi, k, budget):
     T4 = Phi.amplify(k).transfer_matrix().reshape(k, d, n, n * n)
     defect = partial(phi_k_defect, Phi, k)
 
-    def xstep(v):
+    def xstep(v, full):
+        # no plateau test: the dense step on every iteration
         return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
 
     return _solo_falsify(
@@ -1181,7 +1214,7 @@ def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
     tol = 1e-10 * _secular_scale(W, G)
     if found is not None:
         assert abs(found[0] - lam_min) < tol
-    x = _ks_xstep(W[None], G[None])[0]
+    x = _ks_xstep(W[None], G[None], np.zeros(1, dtype=bool), np.ones(1))[0]
     assert abs(np.linalg.norm(x) - 1) < 1e-12
     assert abs((x.conj() @ M @ x).real - lam_min) < tol
     assert np.linalg.norm(M @ x - lam_min * x) < tol
@@ -1197,8 +1230,179 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
     M, lam_min = _dense_bottom(W, G)
     monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
     assert _bottom_eigvec(W, G) is None
-    x = _ks_xstep(W[None], G[None])[0]
+    x = _ks_xstep(W[None], G[None], np.zeros(1, dtype=bool), np.ones(1))[0]
     assert abs((x.conj() @ M @ x).real - lam_min) < 1e-10 * _secular_scale(W, G)
+
+
+# -- the plateau test of the X half-step ------------------------------------
+
+
+def test_plateau_basis_is_the_block_identity_null_space():
+    for d, k in [(2, 1), (3, 2), (4, 2)]:
+        Q, x0 = certify._plateau_basis(k, d)
+        N = _null_basis(d, k)
+        assert np.allclose(Q, N @ N.T - PLATEAU_MARGIN * np.eye(k * d * d), rtol=0, atol=1e-15)
+        X = np.zeros((k * d, k * d), dtype=complex)
+        X[:d] = x0.reshape(d, k * d, order="F")  # block row 0, as the X half-step fills it
+        assert np.array_equal(X[:d, :d], np.eye(d) / np.sqrt(d)) and not X[:, d:].any() and not X[d:].any()
+        assert not (Q.flags.writeable or x0.flags.writeable)
+
+
+def _plateau_spy(monkeypatch):
+    # every member the plateau test passed, per call
+    held = []
+
+    def spy(A, s, Q):
+        out = _plateau_test(A, s, Q)
+        held.append(out.tolist())
+        return out
+
+    monkeypatch.setattr(certify, "_plateau_test", spy)
+    return held
+
+
+def _dense_only(monkeypatch):
+    monkeypatch.setattr(certify, "_plateau_test", lambda A, s, Q: np.zeros(len(A), dtype=bool))
+
+
+def _count_solves(monkeypatch, side):
+    # the X half-step's eigenvector solves: forms of this side through a
+    # dense eigh, one per matrix of a stack, and secular solves
+    solves = []
+    eigh, secular = np.linalg.eigh, certify._bottom_eigvec
+
+    def counted_eigh(A):
+        if A.shape[-1] == side:
+            solves.extend([side] * (A.size // side**2))
+        return eigh(A)
+
+    def counted_secular(W, G):
+        solves.append("secular")
+        return secular(W, G)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(certify, "_bottom_eigvec", counted_secular)
+    return solves
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 2), (5, 2)])
+def test_clean_unital_search_skips_the_eigh_on_the_plateau(monkeypatch, d, k):
+    # a clean restart reaches the zero plateau, where the test passes and
+    # no eigenvector is solved for (a dense eigh, or at (5, 2) a secular
+    # solve); the counters and verdict string are those of the dense route
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) - 0.02)
+    budget = SearchBudget(restarts=3, max_iters=100, seed=1)
+    held = _plateau_spy(monkeypatch)
+    solves = _count_solves(monkeypatch, k * d * d)
+    res = falsify_ks(Phi, k, budget)
+    monkeypatch.undo()
+    _dense_only(monkeypatch)
+    dense_solves = _count_solves(monkeypatch, k * d * d)
+    dense = falsify_ks(Phi, k, budget)
+    assert sum(map(sum, held)) == len(dense_solves) - len(solves) >= 20
+    assert res.verdict == dense.verdict == "NoViolationFound"
+    assert res.budget_used == dense.budget_used
+    assert abs(res.worst_value - dense.worst_value) < 1e-14
+
+
+def _ks_component(d):
+    return decompose_lambda_plus_T(d, 0.25).phi1
+
+
+@pytest.mark.parametrize("case", ["violated", "non-unital", "ks-component-3", "ks-component-4"])
+def test_these_searches_take_the_dense_route(monkeypatch, case):
+    # a violated search that never reaches the plateau; a map that is not
+    # unital, whose block-identity rows are no null space; and the KS part
+    # of Lambda^+_0.25(T) at d = 3, 4, whose form has other null vectors
+    # besides N, so that its defect never becomes one cluster: no member
+    # takes the plateau vector, and the bytes are those of the dense route
+    Phi, k = {
+        "violated": (lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.05), 2),
+        "non-unital": (QuantumMap(0.5 * np.eye(9)), 1),
+        "ks-component-3": (_ks_component(3), 1),
+        "ks-component-4": (_ks_component(4), 1),
+    }[case]
+    budget = SearchBudget(restarts=4, max_iters=100, seed=2)
+    held = _plateau_spy(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-unital warning
+        res = falsify_ks(Phi, k, budget)
+        assert not any(map(any, held))
+        _dense_only(monkeypatch)
+        assert _bytes(res) == _bytes(falsify_ks(Phi, k, budget))
+    assert res.violated == (case == "violated")
+
+
+def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
+    # the flag _ks_search is handed for each member is QuantumMap.unital,
+    # for KS and co-KS; far out on the Lambda line, the residual of Phi(I)
+    # is above STRUCT_TOL but inside the flag's scaled bound
+    flags = []
+
+    def spy(defect, xstep, n, budget, rngs, T, unital, s):
+        flags.append(unital.tolist())
+        return _alternating_restart(defect, xstep, n, budget, rngs, T, unital, s)
+
+    monkeypatch.setattr(certify, "_alternating_restart", spy)
+    base = sample_utp_cp(3, seed=4)
+    budget = SearchBudget(restarts=2, max_iters=30, seed=0)
+    for Phi, unital in ((lambda_plus(base, 11), True), (lambda_minus(base, 2.999), True),
+                        (QuantumMap(0.5 * np.eye(9)), False)):
+        assert Phi.unital == unital
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the non-unital warning
+            for falsify in (partial(falsify_ks, k=1), falsify_co_ks):
+                flags.clear()
+                falsify(Phi, budget=budget)
+                assert flags and all(row == [unital] * len(row) for row in flags)
+
+
+def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
+    # with every defect reported as one cluster, the members of a unital
+    # map take the test and those of a non-unital one never do, although
+    # the test alone would pass there: 0.9 Psi, Psi unital CP, has
+    # M'_v > 0 with N no null space, so x_0 is no bottom eigenvector
+    real = certify._min_eig_vectors
+
+    def one_cluster(D, rngs):
+        f, V, sizes = real(D, rngs)
+        return f, V, np.full_like(sizes, D.shape[-1])
+
+    monkeypatch.setattr(certify, "_min_eig_vectors", one_cluster)
+    held = _plateau_spy(monkeypatch)
+    budget = SearchBudget(restarts=2, max_iters=20, seed=0)
+    Psi = sample_utp_cp(3, seed=4)
+    Phi = QuantumMap(0.9 * Psi.transfer)
+    v = _unit(ginibre(np.random.default_rng(3), 3, 1)[:, 0])
+    M = _qform(*_ks_parts(_base_t3(Phi), v[None]))
+    s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0)])
+    assert _plateau_test(M.copy(), s, certify._plateau_basis(1, 3)[0])[0]
+    x0 = certify._plateau_basis(1, 3)[1]
+    assert (x0 @ M[0] @ x0).real - np.linalg.eigvalsh(M[0])[0] > 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-unital warning
+        falsify_ks(Phi, 1, budget)
+    assert held == []
+    falsify_ks(lambda_plus(Psi, 11), 1, budget)
+    assert held
+
+
+def test_a_refused_stack_is_tested_member_by_member():
+    # numpy refuses the whole stack for its one member that does not
+    # factor (a map that is not KS); the other members still take the
+    # plateau vector, and each member's vector is the one it gets alone
+    base = sample_utp_cp(3, seed=4)
+    maps = [base, lambda_plus(base, 11), sample_utp_cp(3, seed=5)]
+    T3 = np.stack([_base_t3(Phi) for Phi in maps])
+    v = np.stack([_unit(ginibre(np.random.default_rng(b), 3, 1)[:, 0]) for b in range(3)])
+    W, G = _ks_parts(T3, v)
+    s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0) for Phi in maps])
+    on = np.ones(3, dtype=bool)
+    xs = _ks_xstep(W, G, on, s)
+    x0 = certify._plateau_basis(1, 3)[1]
+    assert [np.array_equal(x, x0) for x in xs] == [True, False, True]
+    for b in range(3):
+        assert np.array_equal(xs[b], _ks_xstep(W[b : b + 1], G[b : b + 1], on[:1], s[b : b + 1])[0])
 
 
 def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
@@ -1229,7 +1433,7 @@ def _drifting_search(drift):
         calls.append(X)
         return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
 
-    def xstep(v):
+    def xstep(v, full):
         # X = E_00, from the bottom eigenvector eigh gives for M_v = I
         return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2)
 

@@ -452,6 +452,14 @@ def test_unknown_argument_is_a_usage_error(capsys):
     assert err.endswith("\nkslab: error: unrecognized arguments: --bogus\n")
 
 
+def test_unknown_argument_prints_the_subcommand_usage(capsys):
+    rc, out, err = run(capsys, "certify", "--family", "identity", "--d", "2", "--format", "csv")
+    assert rc == 1 and out == ""
+    assert err.startswith("usage: kslab certify [-h]")
+    assert err.endswith("\nkslab: error: unrecognized arguments: --format csv\n")
+    assert err.count("usage:") == 1
+
+
 def test_suite_filter_that_selects_nothing_exits_1(capsys):
     # an empty selection would pass vacuously
     rc, out, err = run(capsys, "suite", "--filter", "nosuchthing", "--expect-pass")

@@ -9,11 +9,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.certify import SearchBudget, check_phi_k_condition, falsify_ks
+from kslab.certify import (
+    PLATEAU_MARGIN,
+    SearchBudget,
+    _ks_parts,
+    _plateau_basis,
+    _plateau_test,
+    _qform,
+    check_phi_k_condition,
+    falsify_ks,
+)
 from kslab.linalg import dagger, ginibre, haar_isometry, hs_norm, unvec, vec
-from kslab.maps import mix
+from kslab.maps import QuantumMap, mix
 from kslab.serialize import matrix_from_json, matrix_to_json
-from kslab.zoo import lambda_minus, reduction, sample_utp_cp, unitary_sandwich
+from kslab.zoo import lambda_minus, lambda_plus, reduction, sample_utp_cp, transpose_map, unitary_sandwich
 
 FAST = SearchBudget(restarts=8, max_iters=200, seed=0)
 
@@ -74,6 +83,90 @@ def test_defect_of_cp_map_hermitian(X):
 
     D = ks_defect(Phi, X)
     assert hs_norm(D - dagger(D)) < 1e-9 * max(hs_norm(X) ** 2, 1)
+
+
+# -- the null space of the KS X half-step form on a unital map ----------------
+#
+# For unital Phi and Y = c^T (x) I_d, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for every
+# Z, so the vectors vec(e_C^T (x) I_d)/sqrt(d) span a null space N of every
+# M'_v; for Phi(I) = I + E, ||M'_v N|| <= ||T||_HS ||E||_HS.
+
+PLATEAU_DK = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2)]
+
+
+def _null_basis(d, k):
+    # the columns vec(e_C^T (x) I_d)/sqrt(d), C < k
+    return np.stack([vec(np.kron(np.eye(k)[C][None, :], np.eye(d))) for C in range(k)], axis=1) / np.sqrt(d)
+
+
+@st.composite
+def unital_case(draw):
+    d, k = draw(st.sampled_from(PLATEAU_DK))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["random-utp", "lambda-plus", "lambda-minus", "identity", "transpose"]))
+    if kind == "identity":
+        Phi = QuantumMap.identity(d)
+    elif kind == "transpose":
+        Phi = transpose_map(d)
+    else:
+        base = draw(st.sampled_from([QuantumMap.identity(d), transpose_map(d), sample_utp_cp(d, seed % 50)]))
+        if kind == "random-utp":
+            Phi = sample_utp_cp(d, seed % 50)
+        elif kind == "lambda-plus":
+            Phi = lambda_plus(base, draw(st.floats(-20, 20)))
+        else:
+            Phi = lambda_minus(base, draw(st.floats(0, d - 1e-3)))
+    v = ginibre(np.random.default_rng(seed), k * d, 1)[:, 0]
+    return Phi, k, v / np.linalg.norm(v)
+
+
+def _plateau_parts(Phi, k, v):
+    d = Phi.d
+    T = Phi.transfer
+    M = _qform(*_ks_parts(T.reshape(1, d, d, d * d), v[None]))[0]
+    return M, _null_basis(d, k), max(hs_norm(T) ** 2, 1.0)
+
+
+@given(unital_case())
+@settings(max_examples=60, deadline=None)
+def test_block_identity_rows_are_a_null_space_of_the_form(case):
+    Phi, k, v = case
+    assert Phi.unital
+    M, N, s = _plateau_parts(Phi, k, v)
+    eps = hs_norm(Phi(np.eye(Phi.d)) - np.eye(Phi.d))
+    # 1e-12 s where Phi is unital to rounding; a random base is unital to
+    # about 1e-10, which the ||T|| ||E|| term carries
+    assert np.linalg.norm(M @ N, 2) <= 1e-12 * s + hs_norm(Phi.transfer) * eps
+
+
+@given(st.sampled_from(PLATEAU_DK), st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_block_identity_rows_are_no_null_space_of_a_non_unital_form(dk, seed):
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    Phi = QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])  # CP, not unital
+    assert not Phi.unital
+    v = ginibre(rng, k * d, 1)[:, 0]
+    M, N, s = _plateau_parts(Phi, k, v / np.linalg.norm(v))
+    eps = hs_norm(Phi(np.eye(d)) - np.eye(d))
+    assert 1e-12 * s < np.linalg.norm(M @ N, 2) <= 1e-12 * s + hs_norm(Phi.transfer) * eps
+
+
+@given(unital_case())
+@settings(max_examples=60, deadline=None)
+def test_where_the_plateau_test_passes_the_bottom_eigenvector_lies_in_the_null_space(case):
+    Phi, k, v = case
+    M, N, s = _plateau_parts(Phi, k, v)
+    if not _plateau_test(M[None].copy(), np.array([s]), _plateau_basis(k, Phi.d)[0])[0]:
+        return
+    w, U = np.linalg.eigh(M)
+    x = U[:, 0]
+    assert np.linalg.norm(N.T @ x) >= 1 - 1e-9
+    # the returned vector, N's first column, is a bottom eigenvector up to
+    # 2 eps + eps^2 / (PLATEAU_MARGIN s), eps = ||M N||
+    eps = np.linalg.norm(M @ N, 2)
+    x0 = N[:, 0]
+    assert (x0.conj() @ M @ x0).real - w[0] <= 2 * eps + eps**2 / (PLATEAU_MARGIN * s) + 1e-12 * s
 
 
 # -- closure properties of the certified classes ----------------------------
