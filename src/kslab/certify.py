@@ -70,9 +70,15 @@ the factorization, which is far below tau. The inequality: splitting a unit
 x into its parts in N and off it gives x* M'_v x >= -eps - eps^2 / tau, while
 x_0 = vec(e_0^T (x) I_d)/sqrt(d) in N has x_0* M'_v x_0 <= eps; so x_0 is a
 bottom eigenvector of M'_v to within 2 eps + eps^2 / tau, exactly one when
-Phi(I) = I, and the step returns it, X with I_d/sqrt(d) in block (0, 0). A
-member that fails the factorization, or is not gated, takes the dense or
-secular step.
+Phi(I) = I, and the step returns it, X_0 with I_d/sqrt(d) in block (0, 0).
+Such steps repeat: at X_0 the defect, its spectrum and so the stall rule's
+input are the same bits at every pass, and only the combination v drawn
+from its one cluster changes. So a gated member runs the rest of its stall
+window at once (_alternating_restart): one evaluation of D(X_0), the
+window's draws made ahead, and the factorizations of its forms as stacked
+Cholesky calls. A member whose factorization fails, or that is not gated,
+takes the dense or secular step from there, with the counters and draws of
+the step-by-step route.
 """
 
 from __future__ import annotations
@@ -108,11 +114,11 @@ SECULAR_RESIDUAL_RTOL = 1e-10
 # the most maps one KS stack searches at once; a longer list runs in chunks,
 # so that the memory of a threshold scan does not grow with its grid
 STACK_SEARCHES = 16
-# the fewest members of one cluster size whose draws _min_eig_vectors combines
-# as one batch; a batch costs about two looped draws, and breaks even at 3-4
+# the fewest cluster draws that _cluster_draws combines as one batch; a batch
+# costs about two looped draws, and breaks even at 3-4
 BATCH_MIN_DRAWS = 4
 # the margin, relative to s = max(||T||_HS^2, 1), by which M'_v must exceed 0
-# off its null space N for the KS X half-step to return the plateau vector
+# off its null space N for a KS X half-step to be the plateau point
 PLATEAU_MARGIN = 1e-6
 
 
@@ -255,7 +261,8 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G), all the
 # secular X half-step reads; _qform builds M'_v. At k = 1, M'_v is M_v.
 # On the plateau of a unital map, _plateau_test certifies the null space N
-# of M'_v as its bottom eigenspace (see the module docstring).
+# of M'_v as its bottom eigenspace (see the module docstring), for the
+# forms of a fast-forward that _plateau_passes builds.
 # The kernels work on stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
@@ -376,9 +383,9 @@ def _plateau_test(A: np.ndarray, s: np.ndarray, Q: np.ndarray) -> np.ndarray:
     PLATEAU_MARGIN I from _plateau_basis and s the member's entry of ``s``,
     has a Cholesky factor: then the bottom eigenspace of M'_v is N (see the
     module docstring). A is overwritten with M'_v + s Q, which saves a
-    stack of forms in a scan's lockstep stacks; the X half-step hands it a
-    copy. numpy refuses a whole stack for one member that does not factor,
-    so after a refused stack each member is tested on its own."""
+    stack of forms; _plateau_passes hands it fresh ones. numpy refuses a
+    whole stack for one member that does not factor, so after a refused
+    stack each member is tested on its own."""
     A += s[:, None, None] * Q
     if _factors(A):
         return np.ones(len(A), dtype=bool)
@@ -395,37 +402,41 @@ def _factors(A: np.ndarray) -> bool:
         return False
 
 
-def _ks_xstep(W: np.ndarray, G: np.ndarray, plateau: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _plateau_passes(k: int, d: int, vs: np.ndarray, windows: list[int], cap: int, T: np.ndarray) -> list[int]:
+    """For each member of a plateau fast-forward (see _alternating_restart),
+    how many leading vectors of its window pass _plateau_test.
+
+    ``vs`` holds the windows one after another: windows[i] vectors v of side
+    k d for member i, whose map has transfer matrix T[i] and so the shift
+    s = max(||T[i]||_HS^2, 1). The forms M'_v are built and tested at most
+    ``cap`` to a stack, which keeps them to the memory of one X half-step of
+    the live members."""
+    owner = np.repeat(np.arange(len(windows)), windows)
+    s = np.maximum(np.linalg.norm(T, axis=(1, 2)) ** 2, 1.0)
+    T3, Q = T.reshape(-1, d, d, d * d), _plateau_basis(k, d)[0]
+    ok = np.concatenate([
+        _plateau_test(_qform(*_ks_parts(T3[owner[c]], vs[c])), s[owner[c]], Q)
+        for c in (slice(a, a + cap) for a in range(0, len(vs), cap))
+    ])
+    ends = np.cumsum(windows).tolist()
+    # the first refused vector of each window, or its length
+    return [int(np.argmin(np.append(ok[e - L : e], False))) for L, e in zip(windows, ends)]
+
+
+def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """X half-steps of the KS search for stacks W, G: a bottom eigenvector
     of each M'_v = W^T (x) I_m - G*G, as a fresh array with one row per
-    member.
-
-    A member flagged in ``plateau`` (its map is unital and its last defect
-    was one eigenvalue cluster) first takes _plateau_test with its shift s;
-    where that passes, the vector is x_0 = vec(e_0^T (x) I_d)/sqrt(d),
-    block (0, 0) of X being I_d/sqrt(d), and no eigenvector is computed.
-    Every other member takes the step it would take alone: from a form side
-    n m of SECULAR_MIN_SIDE up the secular equation, member by member since
-    their Newton step counts differ; below that, and whenever the secular
-    solve is refused, a dense eigh of M'_v."""
-    B, n, side = len(G), W.shape[-1], G.shape[-1]
-    d = side // n  # the form side is n d, n = k d
+    member. From a form side n m of SECULAR_MIN_SIDE up it solves the
+    secular equation, member by member since their Newton step counts
+    differ; below that, and whenever the secular solve is refused, it takes
+    a dense eigh of M'_v. A member on the zero plateau of a unital map gets
+    here only once its plateau test fails (see _alternating_restart)."""
+    B, side = len(G), G.shape[-1]
     xs = np.empty((B, side), dtype=complex)
-    M = _qform(W, G) if side < SECULAR_MIN_SIDE else None
-    rest = slice(None)  # the members whose eigenvector is computed
-    if np.count_nonzero(plateau):
-        Q, x0 = _plateau_basis(n // d, d)
-        held = np.zeros(B, dtype=bool)
-        held[plateau] = _plateau_test(M[plateau] if M is not None else _qform(W[plateau], G[plateau]),
-                                      s[plateau], Q)
-        xs[held] = x0
-        rest = ~held
-        if not np.count_nonzero(rest):
-            return xs
-    if M is not None:
-        xs[rest] = np.linalg.eigh(M[rest])[1][:, :, 0]
+    if side < SECULAR_MIN_SIDE:
+        xs[:] = np.linalg.eigh(_qform(W, G))[1][:, :, 0]
         return xs
-    for b in np.arange(B)[rest].tolist():
+    for b in range(B):
         found = _bottom_eigvec(W[b], G[b])
         xs[b] = found[1] if found is not None else np.linalg.eigh(_qform(W[b], G[b]))[1][:, 0]
     return xs
@@ -561,6 +572,46 @@ def _falsify(
 # ---------------------------------------------------------------------------
 
 
+def _clusters(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending spectrum w and the eigenvectors V of each matrix of
+    the stack D, Hermitianized, and the number of eigenvalues in its bottom
+    cluster, those within EIG_DEGENERACY_GAP of the smallest."""
+    w, V = np.linalg.eigh(hermitianize(D))
+    return w, V, (w - w[:, :1] < EIG_DEGENERACY_GAP).sum(axis=1)
+
+
+def _cluster_draws(cols: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """cols[i] @ c_i for each n x m matrix of the stack cols, c_i a random
+    unit vector of C^m drawn by rngs[i]; a generator listed more than once
+    draws for its rows in order.
+
+    Only the draws stay per row: row i calls standard_normal(2 m) on its
+    generator. The combination c, its norm and its product with the columns
+    run once for all rows, with the arithmetic of a single row's call, so
+    each row gets the bits it would get alone. The sums, square roots and
+    divisions are elementwise; the squared norm is a stacked (1 x m)(m x 1)
+    product over the real and the imaginary view, the strided BLAS dot of
+    c.real.dot(c.real); and the product is a stacked (n x m)(m x 1) product
+    over per-row Fortran-ordered copies of the columns, the gemv of
+    np.asfortranarray(cols[i]) @ c. Fewer than BATCH_MIN_DRAWS rows run one
+    by one, which is cheaper there."""
+    m = cols.shape[-1]
+    if len(cols) < BATCH_MIN_DRAWS:
+        out = np.empty(cols.shape[:2], dtype=complex)
+        for i, rng in enumerate(rngs):
+            z = rng.standard_normal(2 * m)
+            c = z[:m] + 1j * z[m:]
+            c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+            out[i] = np.asfortranarray(cols[i]) @ c
+        return out
+    z = np.stack([rng.standard_normal(2 * m) for rng in rngs])
+    c = z[:, :m] + 1j * z[:, m:]
+    re, im = c.real[:, None], c.imag[:, None]
+    c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    cols = np.ascontiguousarray(cols.swapaxes(1, 2)).swapaxes(1, 2)
+    return (cols @ c[:, :, None])[:, :, 0]
+
+
 def _min_eig_vectors(
     D: np.ndarray, rngs: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,42 +621,18 @@ def _min_eig_vectors(
 
     Returns (f, V, sizes): column 0 of V[b] holds the vector, the bottom
     eigenvector or the draw written over it, and sizes[b] is the number of
-    eigenvalues in the bottom cluster.
-
-    Only the draws stay per member: a member whose cluster has m
-    eigenvalues, the first m of its ascending spectrum, calls its own rng's
-    standard_normal(2 m), so the order of the draws across members does not
-    matter. The combination c, its norm and its product with the cluster's
-    eigenvectors then run once for all members of one cluster size, with the
-    arithmetic of a single member's call, so each member gets the bits it
-    would get alone. The sums, square roots and divisions are elementwise;
-    the squared norm is a stacked (1 x m)(m x 1) product over the real and
-    the imaginary view, the strided BLAS dot of c.real.dot(c.real); and the
-    product is a stacked (n x m)(m x 1) product over per-member
-    Fortran-ordered copies of the cluster's columns, the gemv of
-    np.asfortranarray(V[b, :, :m]) @ c. A cluster size drawn by fewer than
-    BATCH_MIN_DRAWS members runs member by member, which is cheaper there.
+    eigenvalues in the bottom cluster, the first m of the ascending
+    spectrum. The members of one cluster size m > 1 draw through one
+    _cluster_draws call, each from its own rng, so the order of the draws
+    across members does not matter.
     """
-    w, V = np.linalg.eigh(hermitianize(D))
-    sizes = (w - w[:, :1] < EIG_DEGENERACY_GAP).sum(axis=1)
+    w, V, sizes = _clusters(D)
     listed = sizes.tolist()
     groups: dict[int, list[int]] = {}
     for b in (sizes != 1).nonzero()[0].tolist():
         groups.setdefault(listed[b], []).append(b)
     for m, members in groups.items():
-        if len(members) < BATCH_MIN_DRAWS:
-            for b in members:
-                z = rngs[b].standard_normal(2 * m)
-                c = z[:m] + 1j * z[m:]
-                c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
-                V[b, :, 0] = np.asfortranarray(V[b, :, :m]) @ c
-            continue
-        z = np.stack([rngs[b].standard_normal(2 * m) for b in members])
-        c = z[:, :m] + 1j * z[:, m:]
-        re, im = c.real[:, None], c.imag[:, None]
-        c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
-        cols = np.ascontiguousarray(V[members, :, :m].swapaxes(1, 2)).swapaxes(1, 2)
-        V[members, :, 0] = (cols @ c[:, :, None])[:, :, 0]
+        V[members, :, 0] = _cluster_draws(V[members, :, :m], [rngs[b] for b in members])
     return w[:, 0], V, sizes
 
 
@@ -617,6 +644,7 @@ def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) ->
 def _alternating_restart(
     defect: Callable[..., np.ndarray],
     xstep: Callable[..., np.ndarray],
+    plateau: tuple[Callable[[int], np.ndarray], Callable[..., list[int]]] | None,
     n: int,
     budget: SearchBudget,
     rngs: list[np.random.Generator],
@@ -626,43 +654,113 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep(v, full, *maps)`` maps a stack of vectors v to the stack of X
-    with vec(X) a unit bottom eigenvector of each Hermitian n^2 x n^2 matrix
-    M_v with vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in
-    block row 0), so the X half-step is exact and f(X) =
-    lambda_min(defect(X)) decreases monotonely; ``full`` flags the members
-    whose last defect was one eigenvalue cluster, the zero plateau of a
-    unital map. Both take the arrays of ``maps`` after their stack: each has
-    a row per member, and a member's row leaves the batch with its vector.
-    Returns (best value, best X, counters) per run.
+    ``xstep`` maps a stack of vectors v to the stack of X with vec(X) a unit
+    bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
+    vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block
+    row 0), so the X half-step is exact and f(X) = lambda_min(defect(X))
+    decreases monotonely. Both take the arrays of ``maps`` after their
+    stack: each has a row per member, and a member's row leaves the batch
+    with its vector. Each member counts its own iterations and stops by its
+    own stall rule. Returns (best value, best X, counters) per run.
+
+    ``plateau`` is None, or (points, passes) for maps with a zero plateau
+    at a point X_0 (see the module docstring): points(m) is a stack of m
+    copies of X_0, laid out as xstep lays out its X, since the bits of the
+    defect depend on it; passes(vs, windows, cap, *rows) is
+    _plateau_passes, which tells for each member how many leading vectors of
+    its window have X_0 as their X half-step. A member whose last defect was
+    one cluster takes its next steps at X_0 for as long as that holds, and
+    then every step gives the same D(X_0) and spectrum; only the draw v
+    changes. So before each X half-step such a member runs the rest of its
+    stall window at once. D(X_0) is evaluated once; the window is the L
+    steps after which the stall rule or max_iters would stop the member, or
+    one step where D(X_0) is not one cluster; its L - 1 draws are made
+    ahead, and passes tests its L vectors, at most max(live members,
+    STALL_WINDOW) to a stack. A member whose first j vectors pass takes j
+    steps at D(X_0), counted as j iterations and defect evaluations. Unless
+    that stops it, its generator is set back and advanced by those j steps'
+    draws only, and it takes xstep with the vector it then holds.
     """
+    B = len(rngs)
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
     f, V, sizes = _min_eig_vectors(defect(X, *maps), rngs)
     best_f, best_X = f.tolist(), list(X)
-    recent_best, stall = [np.inf] * len(rngs), [0] * len(rngs)
-    live = list(range(len(rngs)))  # the members still iterating
-    out: list = [None] * len(rngs)
-    for it in range(1, budget.max_iters + 1):
-        X = xstep(V[:, :, 0], sizes == n, *maps)
-        f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
-        going = []
-        for j, (b, fj) in enumerate(zip(live, f.tolist())):
-            if fj < best_f[b]:
-                best_f[b], best_X[b] = fj, X[j].copy()
-            if recent_best[b] - best_f[b] < STALL_TOL:
-                stall[b] += 1
-            else:
-                stall[b], recent_best[b] = 0, best_f[b]
-            if stall[b] >= STALL_WINDOW or it == budget.max_iters:
-                # one defect evaluation at the start and one per iteration
-                out[b] = (best_f[b], best_X[b], {"iterations": it, "defect_evals": it + 1})
-            else:
-                going.append(j)
-        if len(going) < len(live):
-            if not going:
+    recent_best, stall, iters = [np.inf] * B, [0] * B, [0] * B
+    live = list(range(B))  # the members still iterating
+    out: list = [None] * B
+
+    def stops(b: int, fb: float, Xb: np.ndarray) -> bool:
+        """Count one iteration of member b that ended at the value fb at Xb;
+        whether its stall rule or max_iters stops it there."""
+        iters[b] += 1
+        if fb < best_f[b]:
+            best_f[b], best_X[b] = fb, Xb.copy()
+        if recent_best[b] - best_f[b] < STALL_TOL:
+            stall[b] += 1
+        else:
+            stall[b], recent_best[b] = 0, best_f[b]
+        if stall[b] >= STALL_WINDOW or iters[b] == budget.max_iters:
+            # one defect evaluation at the start and one per iteration
+            out[b] = (best_f[b], best_X[b], {"iterations": iters[b], "defect_evals": iters[b] + 1})
+            return True
+        return False
+
+    def going() -> tuple:
+        """live, V, sizes and maps without the members that stopped."""
+        keep = [j for j, b in enumerate(live) if out[b] is None]
+        if len(keep) == len(live):
+            return live, V, sizes, maps
+        return [live[j] for j in keep], V[keep], sizes[keep], tuple(M[keep] for M in maps)
+
+    def fast_forward(on: list[int]) -> None:
+        """Run the rest of the stall window of the members at the positions
+        ``on`` of live, whose last defect was one cluster."""
+        points, passes = plateau
+        rows = tuple(M[on] for M in maps)
+        X0 = points(len(on))
+        w, U, cluster = _clusters(defect(X0, *rows))
+        f0, cluster = w[:, 0].tolist(), cluster.tolist()
+        windows = []
+        for i, j in enumerate(on):
+            b = live[j]
+            # the stall count after the first step; each later step adds 1
+            first = stall[b] + 1 if recent_best[b] - min(best_f[b], f0[i]) < STALL_TOL else 0
+            L = STALL_WINDOW + 1 - first if cluster[i] == n else 1
+            windows.append(min(L, budget.max_iters - iters[b]))
+        ahead = [i for i, L in enumerate(windows) for _ in range(L - 1)]
+        saved = {i: rngs[live[on[i]]].bit_generator.state for i in set(ahead)}
+        vs = np.empty((len(ahead) + len(on), n), dtype=complex)
+        starts = np.cumsum(windows) - windows
+        vs[starts] = V[on, :, 0]
+        drawn = np.ones(len(vs), dtype=bool)
+        drawn[starts] = False
+        # a window of more than one step has one cluster: all n columns
+        vs[drawn] = _cluster_draws(U[ahead], [rngs[live[on[i]]] for i in ahead])
+        passed = passes(vs, windows, max(len(live), STALL_WINDOW), *rows)
+        for i, (j, p) in enumerate(zip(on, passed)):
+            b = live[j]
+            if i in saved:
+                rngs[b].bit_generator.state = saved[i]
+            for _ in range(p):
+                if stops(b, f0[i], X0[i]):
+                    break
+            if p and out[b] is None:  # on from its p-th step at X_0
+                V[j], sizes[j] = U[i], cluster[i]
+                if cluster[i] > 1:
+                    V[j, :, 0] = _cluster_draws(U[[i] * p, :, : cluster[i]], [rngs[b]] * p)[-1]
+
+    while True:
+        if plateau is not None and n in (listed := sizes.tolist()):
+            fast_forward([j for j, m in enumerate(listed) if m == n])
+            live, V, sizes, maps = going()
+            if not live:
                 break
-            live, V, sizes = [live[j] for j in going], V[going], sizes[going]
-            maps = tuple(M[going] for M in maps)
+        X = xstep(V[:, :, 0], *maps)
+        f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
+        if any([stops(b, fj, X[j]) for j, (b, fj) in enumerate(zip(live, f.tolist()))]):
+            live, V, sizes, maps = going()
+            if not live:
+                break
     return out
 
 
@@ -724,33 +822,40 @@ def _ks_search(
     """The k-KS searches of the maps on one M_d with these transfer
     matrices, which the KS and co-KS falsifiers reach through _ks_decide, at
     budgets that differ only in their seeds; one verdict each. ``unital``
-    holds each map's QuantumMap.unital flag, which gates the plateau test of
-    the X half-step (_ks_xstep). The maps are searched as lockstep stacks
-    (see _falsify) of at most STACK_SEARCHES maps."""
+    holds each map's QuantumMap.unital flag: the searches of unital maps
+    fast-forward across the zero plateau (see _alternating_restart), those
+    of the others do not. The maps of each kind are searched as lockstep
+    stacks (see _falsify) of at most STACK_SEARCHES maps."""
     d = math.isqrt(len(transfers[0]))
     n = k * d
 
-    def defect(X, T, unital, s):
+    def defect(X, T):
         return _ks_defect(T, k, X)
 
-    def xstep(v, full, T, unital, s):
-        xs = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), full & unital, s)
+    def unvec(xs):
+        # X with vec(block row 0) = xs, for each row of xs
         if k == 1:  # block row 0 is all of X
             return xs.reshape(-1, n, n).swapaxes(1, 2)
-        # unvec into block row 0 of X
-        x = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
+        x = np.zeros((len(xs), n, n), dtype=complex)  # [., column, row]
         x[:, :, :d] = xs.reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
-    restart = partial(_alternating_restart, defect, xstep, n, budgets[0])
-    verdicts = []
-    for i in range(0, len(transfers), STACK_SEARCHES):
-        chunk = slice(i, i + STACK_SEARCHES)
-        values = [partial(_min_eig_value, partial(_ks_defect, T, k)) for T in transfers[chunk]]
-        T = np.stack(transfers[chunk])
-        s = np.maximum(np.linalg.norm(T, axis=(1, 2)) ** 2, 1.0)
-        verdicts += _falsify(restart, values, partial(BlockOperator, k, d), budgets[chunk],
-                             T, np.array(unital[chunk], dtype=bool), s)
+    def xstep(v, T):
+        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)))
+
+    x0 = _plateau_basis(k, d)[1]
+    plateau = (lambda m: unvec(np.tile(x0, (m, 1))), partial(_plateau_passes, k, d))
+    verdicts: list = [None] * len(transfers)
+    for kind in (True, False):
+        group = [i for i, u in enumerate(unital) if u == kind]
+        restart = partial(_alternating_restart, defect, xstep, plateau if kind else None, n, budgets[0])
+        for c in range(0, len(group), STACK_SEARCHES):
+            chunk = group[c : c + STACK_SEARCHES]
+            values = [partial(_min_eig_value, partial(_ks_defect, transfers[i], k)) for i in chunk]
+            T = np.stack([transfers[i] for i in chunk])
+            found = _falsify(restart, values, partial(BlockOperator, k, d), [budgets[i] for i in chunk], T)
+            for i, v in zip(chunk, found):
+                verdicts[i] = v
     return verdicts
 
 

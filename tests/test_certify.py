@@ -678,12 +678,103 @@ def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
         assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
+# a clean unital search whose max_iters ends a restart inside, at the edge
+# of, or one and two steps past its stall window on the zero plateau
+@pytest.mark.parametrize("max_iters", [1, 2, 3, STALL_WINDOW, STALL_WINDOW + 1, STALL_WINDOW + 2])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (5, 2)])
+def test_lockstep_ks_matches_sequential_oracle_where_max_iters_cuts_the_window(monkeypatch, d, k, max_iters):
+    Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
+    budget = SearchBudget(restarts=4, max_iters=max_iters, seed=d + 10 * k)
+    calls = _plateau_windows(monkeypatch)
+    res = falsify_ks(Phi, k, budget)
+    # a window begins after the first X half-step, as a Ginibre start's
+    # defect is not one cluster, and runs no step past max_iters
+    assert all(L < max_iters for _, windows, _, _ in calls for L in windows)
+    assert bool(calls) == (max_iters > 1)
+    assert res.verdict == "NoViolationFound"
+    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+
+
+def _refusing(monkeypatch, refuse):
+    # the plateau test refuses, besides what it refuses itself, every form
+    # M'_v with refuse(M'_v), in the stack and in the oracle alike
+    test, solo = _plateau_test, _solo_plateau_vector
+
+    def stacked(A, s, Q):
+        kept = np.array([not refuse(M) for M in A], dtype=bool)
+        return test(A, s, Q) & kept
+
+    monkeypatch.setattr(certify, "_plateau_test", stacked)
+    monkeypatch.setattr(sys.modules[__name__], "_solo_plateau_vector",
+                        lambda M, s, d: None if refuse(M) else solo(M, s, d))
+
+
+def _plateau_windows(monkeypatch):
+    # each fast-forward's (vs, windows, T, passes)
+    calls = []
+    passes = certify._plateau_passes
+
+    def spy(k, d, vs, windows, cap, T):
+        out = passes(k, d, vs, windows, cap, T)
+        calls.append((vs.copy(), list(windows), T.copy(), list(out)))
+        return out
+
+    monkeypatch.setattr(certify, "_plateau_passes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_lockstep_ks_matches_sequential_oracle_when_a_window_is_refused_part_way(monkeypatch, d, k, where):
+    # one form of the first window of a clean search, told apart by its
+    # contents, is refused: the member takes the plateau steps before it,
+    # then the dense step from it, as the oracle does step by step
+    Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
+    budget = SearchBudget(restarts=3, max_iters=80, seed=d + 10 * k)
+    calls = _plateau_windows(monkeypatch)
+    falsify_ks(Phi, k, budget)
+    vs, windows, T, _ = calls[0]
+    L = windows[0]
+    assert L >= 3
+    j = {"first": 0, "middle": L // 2, "last": L - 1}[where]
+    z = _unit(ginibre(np.random.default_rng(1), k * d * d, 1)[:, 0])
+    feature = lambda M: (z.conj() @ M @ z).real  # noqa: E731
+    target = feature(_qform(*_ks_parts(T[0].reshape(d, d, d * d), vs[j][None]))[0])
+    calls.clear()
+    _refusing(monkeypatch, lambda M: abs(feature(M) - target) < 1e-9)
+    res = falsify_ks(Phi, k, budget)
+    assert calls[0][1][0] == L and calls[0][3][0] == j  # the refusal took
+    assert res.verdict == "NoViolationFound"
+    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+
+
+def _ks_plateau_restart(Phi, defect, budget, rngs):
+    # the KS restart of Phi at k = 1, plateau included, on a given defect
+    d = Phi.d
+    T = np.stack([Phi.transfer] * len(rngs))
+
+    def unvec(xs):
+        return xs.reshape(-1, d, d).swapaxes(1, 2)
+
+    def xstep(v, T):
+        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)))
+
+    x0 = certify._plateau_basis(1, d)[1]
+    plateau = (lambda m: unvec(np.tile(x0, (m, 1))), partial(certify._plateau_passes, 1, d))
+    return _alternating_restart(lambda X, T: defect(X), xstep, plateau, d, budget, rngs, T)
+
+
+def _solo_ks_plateau_restart(Phi, defect, budget, rng):
+    T3, s = _base_t3(Phi), max(hs_norm(Phi.transfer) ** 2, 1.0)
+    xstep = lambda v, full: _solo_ks_xstep(*_solo_ks_parts(T3, v), full, s)  # noqa: E731
+    return _solo_alternating_restart(defect, xstep, Phi.d, budget, rng)
+
+
 def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
     # the defect vanishes, so the vector step draws from a degenerate
     # cluster, exactly for the members with Re X_00 > 0: one batch then
     # holds drawn and plain vectors
     Phi = sample_utp_cp(3, seed=5)
-    T3 = Phi.transfer.reshape(3, 3, 9)
     kinds = []
 
     def defect(X):
@@ -694,19 +785,38 @@ def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
 
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    s = max(hs_norm(Phi.transfer) ** 2, 1.0)
-
-    def batch_xstep(v, full):
-        # some members are on the plateau, the others not
-        xs = _ks_xstep(*_ks_parts(T3, v), full, np.full(len(v), s))
-        return xs.reshape(-1, 3, 3).swapaxes(1, 2)  # unvec
-
-    batch = _alternating_restart(defect, batch_xstep, 3, budget, rngs)
+    batch = _ks_plateau_restart(Phi, defect, budget, rngs)
     assert (True, False) in kinds  # some batch mixed drawn and plain vectors
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    xstep = lambda v, full: _solo_ks_xstep(*_solo_ks_parts(T3, v), full, s)  # noqa: E731
     for (f, X, used), rng in zip(batch, rngs):
-        g, Y, solo_used = _solo_alternating_restart(defect, xstep, 3, budget, rng)
+        g, Y, solo_used = _solo_ks_plateau_restart(Phi, defect, budget, rng)
+        assert f == g and np.array_equal(X, Y) and used == solo_used
+
+
+@pytest.mark.parametrize("spectrum", [(0.0, 0.0, 1e-3), (0.0, 1e-3, 2e-3)])
+def test_lockstep_restart_matches_solo_runs_when_the_plateau_defect_is_not_one_cluster(spectrum):
+    # the defect vanishes for Re X_00 > 0, as above, except at X_0 = I/sqrt(3),
+    # where it has a bottom cluster of 2 or 1 of its 3 eigenvalues: a window
+    # is then one step, after which the member draws from that cluster or
+    # takes its bottom vector, and takes the dense step
+    Phi = sample_utp_cp(3, seed=5)
+    x0 = np.eye(3) / np.sqrt(3)
+    at_x0 = []
+
+    def defect(X):
+        D = amplified_ks_defect(Phi, 1, X)
+        D = np.where(X[..., :1, :1].real > 0, 0 * D, D)
+        here = (X == x0).all(axis=(-1, -2))
+        at_x0.append(bool(np.any(here)))
+        return np.where(here[..., None, None], np.diag(spectrum).astype(complex), D)
+
+    budget = SearchBudget(restarts=1, max_iters=40, seed=0)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    batch = _ks_plateau_restart(Phi, defect, budget, rngs)
+    assert any(at_x0)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    for (f, X, used), rng in zip(batch, rngs):
+        g, Y, solo_used = _solo_ks_plateau_restart(Phi, defect, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
 
 
@@ -1214,7 +1324,7 @@ def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
     tol = 1e-10 * _secular_scale(W, G)
     if found is not None:
         assert abs(found[0] - lam_min) < tol
-    x = _ks_xstep(W[None], G[None], np.zeros(1, dtype=bool), np.ones(1))[0]
+    x = _ks_xstep(W[None], G[None])[0]
     assert abs(np.linalg.norm(x) - 1) < 1e-12
     assert abs((x.conj() @ M @ x).real - lam_min) < tol
     assert np.linalg.norm(M @ x - lam_min * x) < tol
@@ -1230,7 +1340,7 @@ def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
     M, lam_min = _dense_bottom(W, G)
     monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
     assert _bottom_eigvec(W, G) is None
-    x = _ks_xstep(W[None], G[None], np.zeros(1, dtype=bool), np.ones(1))[0]
+    x = _ks_xstep(W[None], G[None])[0]
     assert abs((x.conj() @ M @ x).real - lam_min) < 1e-10 * _secular_scale(W, G)
 
 
@@ -1249,15 +1359,16 @@ def test_plateau_basis_is_the_block_identity_null_space():
 
 
 def _plateau_spy(monkeypatch):
-    # every member the plateau test passed, per call
+    # the plateau steps each member of a fast-forward took, per call
     held = []
+    passes = certify._plateau_passes
 
-    def spy(A, s, Q):
-        out = _plateau_test(A, s, Q)
-        held.append(out.tolist())
+    def spy(*args):
+        out = passes(*args)
+        held.append(list(out))
         return out
 
-    monkeypatch.setattr(certify, "_plateau_test", spy)
+    monkeypatch.setattr(certify, "_plateau_passes", spy)
     return held
 
 
@@ -1334,14 +1445,15 @@ def test_these_searches_take_the_dense_route(monkeypatch, case):
 
 
 def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
-    # the flag _ks_search is handed for each member is QuantumMap.unital,
-    # for KS and co-KS; far out on the Lambda line, the residual of Phi(I)
-    # is above STRUCT_TOL but inside the flag's scaled bound
+    # a search fast-forwards across the plateau iff its map's
+    # QuantumMap.unital flag is set, for KS and co-KS; far out on the Lambda
+    # line, the residual of Phi(I) is above STRUCT_TOL but inside the flag's
+    # scaled bound
     flags = []
 
-    def spy(defect, xstep, n, budget, rngs, T, unital, s):
-        flags.append(unital.tolist())
-        return _alternating_restart(defect, xstep, n, budget, rngs, T, unital, s)
+    def spy(defect, xstep, plateau, n, budget, rngs, *maps):
+        flags.append([plateau is not None] * len(rngs))
+        return _alternating_restart(defect, xstep, plateau, n, budget, rngs, *maps)
 
     monkeypatch.setattr(certify, "_alternating_restart", spy)
     base = sample_utp_cp(3, seed=4)
@@ -1359,7 +1471,7 @@ def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
 
 def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
     # with every defect reported as one cluster, the members of a unital
-    # map take the test and those of a non-unital one never do, although
+    # map fast-forward and those of a non-unital one never do, although
     # the test alone would pass there: 0.9 Psi, Psi unital CP, has
     # M'_v > 0 with N no null space, so x_0 is no bottom eigenvector
     real = certify._min_eig_vectors
@@ -1389,20 +1501,22 @@ def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
 
 def test_a_refused_stack_is_tested_member_by_member():
     # numpy refuses the whole stack for its one member that does not
-    # factor (a map that is not KS); the other members still take the
-    # plateau vector, and each member's vector is the one it gets alone
+    # factor (a map that is not KS); the other members still pass, each
+    # as it does alone, and a fast-forward over the three counts the
+    # leading passes of each window
     base = sample_utp_cp(3, seed=4)
     maps = [base, lambda_plus(base, 11), sample_utp_cp(3, seed=5)]
     T3 = np.stack([_base_t3(Phi) for Phi in maps])
     v = np.stack([_unit(ginibre(np.random.default_rng(b), 3, 1)[:, 0]) for b in range(3)])
-    W, G = _ks_parts(T3, v)
+    M = _qform(*_ks_parts(T3, v))
     s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0) for Phi in maps])
-    on = np.ones(3, dtype=bool)
-    xs = _ks_xstep(W, G, on, s)
-    x0 = certify._plateau_basis(1, 3)[1]
-    assert [np.array_equal(x, x0) for x in xs] == [True, False, True]
-    for b in range(3):
-        assert np.array_equal(xs[b], _ks_xstep(W[b : b + 1], G[b : b + 1], on[:1], s[b : b + 1])[0])
+    Q = certify._plateau_basis(1, 3)[0]
+    assert _plateau_test(M.copy(), s, Q).tolist() == [True, False, True]
+    assert [_plateau_test(M[b : b + 1].copy(), s[b : b + 1], Q)[0] for b in range(3)] == [True, False, True]
+    # windows of 3, 2 and 4 steps, in stacks of 2 that straddle them
+    vs = v[[0, 1, 2, 1, 2, 0, 1, 2, 0]]
+    T = np.stack([Phi.transfer for Phi in maps])
+    assert certify._plateau_passes(1, 3, vs, [3, 2, 4], 2, T) == [3, 0, 4]
 
 
 def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
@@ -1433,13 +1547,13 @@ def _drifting_search(drift):
         calls.append(X)
         return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
 
-    def xstep(v, full):
+    def xstep(v):
         # X = E_00, from the bottom eigenvector eigh gives for M_v = I
         return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2)
 
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
     return _falsify(
-        partial(_alternating_restart, defect, xstep, 2, budget),
+        partial(_alternating_restart, defect, xstep, None, 2, budget),
         [partial(_min_eig_value, defect)],
         partial(BlockOperator, 1, 2),
         [budget],
@@ -1573,9 +1687,9 @@ def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
     # than 2 (R - 1) members, and the scan is still the per-point loop
     stacks = []
 
-    def counted(defect, xstep, n, budget, rngs, *maps):
+    def counted(defect, xstep, plateau, n, budget, rngs, *maps):
         stacks.append(len(rngs))
-        return _alternating_restart(defect, xstep, n, budget, rngs, *maps)
+        return _alternating_restart(defect, xstep, plateau, n, budget, rngs, *maps)
 
     monkeypatch.setattr(certify, "STACK_SEARCHES", 2)
     monkeypatch.setattr(certify, "_alternating_restart", counted)
@@ -1585,6 +1699,36 @@ def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
     assert len(scan.points) == 7
     assert 4 <= len(stacks) and max(stacks) <= 2 * (budget.restarts - 1)
     assert scan == _scan_loop("lambda-minus", 2, 1, 0.6, 0.72, 0.02, budget)[0]
+
+
+def test_a_plateau_stack_holds_at_most_the_live_members_or_a_stall_window(monkeypatch):
+    # the 9-point (3, 2) scan of Lambda^-(id) at 16 restarts: its second
+    # stage fast-forwards the clean restarts of its clean points together,
+    # with windows of up to STALL_WINDOW + 1 forms each; no stack of forms
+    # holds more than max(live members, STALL_WINDOW), the live members
+    # being at most those of the last defect evaluation
+    live, stacks, split = [], [], []
+    vectors, test, passes = certify._min_eig_vectors, _plateau_test, certify._plateau_passes
+
+    def counted_vectors(D, rngs):
+        live.append(len(rngs))
+        return vectors(D, rngs)
+
+    def counted_test(A, s, Q):
+        stacks.append((len(A), live[-1]))
+        return test(A, s, Q)
+
+    def counted_passes(k, d, vs, windows, cap, T):
+        split.append(len(vs) > cap)
+        return passes(k, d, vs, windows, cap, T)
+
+    monkeypatch.setattr(certify, "_min_eig_vectors", counted_vectors)
+    monkeypatch.setattr(certify, "_plateau_test", counted_test)
+    monkeypatch.setattr(certify, "_plateau_passes", counted_passes)
+    bound = bound_lambda_minus(3, 2)
+    scan = scan_threshold("lambda-minus", 3, 2, bound - 0.03, bound + 0.05, 0.01, SearchBudget(16, 200, 0))
+    assert len(scan.points) == 9 and any(split)
+    assert all(size <= max(members, STALL_WINDOW) for size, members in stacks)
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])

@@ -1,12 +1,15 @@
 """Contracts on the source of kslab itself, read with ast: runtime
 invariants are explicit exceptions, seeds and verdicts are each made in one
 place, the KS search has one caller in the falsifiers, certify builds no
-map, there is one restart driver, and the CLI has one error boundary."""
+map, there is one restart driver, the plateau test runs only in the
+restart's fast-forward, and the CLI has one error boundary."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import kslab
+from kslab import certify
 
 SOURCES = sorted(Path(kslab.__file__).parent.glob("*.py"))
 
@@ -87,6 +90,14 @@ def test_one_restart_driver():
     # one two-stage driver: the KS searches through _ks_search, the
     # k-positivity search from its falsifier
     assert _callers("_falsify") == {"certify._ks_search", "certify.falsify_k_positivity"}
+
+
+def test_the_plateau_test_runs_only_in_the_fast_forward():
+    # a member on the zero plateau of a unital map runs its stall window at
+    # once, and _plateau_passes, the restart's hook for it, is the one caller
+    # of _plateau_test; the X half-step has no plateau branch of its own
+    assert _callers("_plateau_test") == {"certify._plateau_passes"}
+    assert list(inspect.signature(certify._ks_xstep).parameters) == ["W", "G"]
 
 
 def test_cli_has_one_error_boundary():
