@@ -12,8 +12,10 @@ unital Phi at k >= d holds iff C_Phi >= 0 (k-KS implies k-positive, which
 for k >= d is CP (Choi 1975), and a unital CP map is KS at every k (Choi
 1974)); a unital Phi with C_Phi >= 0 is k-KS at every k < d too, and
 co-KS when C_{tau o Phi} >= 0, so below d the KS and co-KS searches run
-only on a map that is not unital or not CP; and d-positivity holds iff
-lambda_min(C_Phi) >= 0. These verdicts are exact up to one float64 eigh.
+only on a map that is not unital or not CP; a map that is not unital is
+violated at every k when spec Phi(1) leaves [0, 1], read from one eigh of
+Phi(1); and d-positivity holds iff lambda_min(C_Phi) >= 0. These verdicts
+are exact up to one float64 eigh.
 
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
@@ -50,11 +52,7 @@ decided and searched on its transfer matrix transpose_rows(T).
 The k-KS defect separates over the block rows of X, so the X half-step
 matrix is M_v = I_k (x) M'_v up to the order of vec(X), with
 M'_v = W^T (x) I_d - G*G of side n d read from the base transfer matrix;
-its bottom eigenvector fills block row 0 of X. From a form side of
-SECULAR_MIN_SIDE up that eigenvector is found without forming M'_v, as the
-root of a d x d secular equation (Golub 1973; Bunch, Nielsen and Sorensen
-1978). A residual check guards the result; when it fails, and below the
-crossover, the dense eigh of M'_v is used.
+its bottom eigenvector, from one dense eigh, fills block row 0 of X.
 
 Most steps of a clean search of a unital map are on the zero plateau, and
 there the X half-step needs no eigenvector. The null-space fact: for
@@ -77,7 +75,7 @@ from its one cluster changes. So a gated member runs the rest of its stall
 window at once (_alternating_restart): one evaluation of D(X_0), the
 window's draws made ahead, and the factorizations of its forms as stacked
 Cholesky calls. A member whose factorization fails, or that is not gated,
-takes the dense or secular step from there, with the counters and draws of
+takes the dense step from there, with the counters and draws of
 the step-by-step route.
 """
 
@@ -106,11 +104,6 @@ EIG_DEGENERACY_GAP = 1e-8
 STALL_TOL = 1e-12
 STALL_WINDOW = 10
 WITNESS_RECHECK_TOL = 1e-8
-# the KS X half-step solves the secular equation from a form side of 7^2 up;
-# at k = 1 the dense eigh measured faster for n <= 6 and slower for n = 7
-SECULAR_MIN_SIDE = 49
-SECULAR_MAX_STEPS = 60
-SECULAR_RESIDUAL_RTOL = 1e-10
 # the most maps one KS stack searches at once; a longer list runs in chunks,
 # so that the memory of a threshold scan does not grow with its grid
 STACK_SEARCHES = 16
@@ -258,8 +251,8 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # T3[q, p, :] = T[q*d + p, :] (output column q, output row p) for the base
 # transfer matrix T and G = [G_0 | ... | G_{k-1}], G_C = sum_q (v_C)_q T3[q],
 # G vec(Y) = sum_C Phi(Y_C) v_C, and W = Phi_k*(vv*) is read off the same
-# contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G), all the
-# secular X half-step reads; _qform builds M'_v. At k = 1, M'_v is M_v.
+# contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G) and
+# _qform builds M'_v from them. At k = 1, M'_v is M_v.
 # On the plateau of a unital map, _plateau_test certifies the null space N
 # of M'_v as its bottom eigenspace (see the module docstring), for the
 # forms of a fast-forward that _plateau_passes builds.
@@ -295,74 +288,6 @@ def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     M = M.reshape(W.shape[:-2] + (n * m, n * m))
     M -= dagger(G) @ G  # in place: a batch holds a stack of these
     return M
-
-
-def _bottom_eigvec(W: np.ndarray, G: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Bottom eigenpair (lambda, x), x of unit norm, of M = W^T (x) I_m - G*G
-    for Hermitian n x n W and n' x n m G, found without forming M.
-
-    With W^T = U diag(mu) U* (mu ascending) and H = G (U (x) I_m), M is
-    unitarily similar to D - H*H, D = diag(mu) (x) I_m. Below mu_0, lambda is
-    an eigenvalue iff 1 is an eigenvalue of the n' x n' matrix
-    K(lambda) = H (D - lambda)^-1 H* = sum_b P_b / (mu_b - lambda), with
-    P_b = H_b H_b* over the column block b of H, and then
-    x = (U (x) I_m)(D - lambda)^-1 H* y for K(lambda) y = y. On (-inf, mu_0)
-    f = lambda_max(K) increases, and 1/f is concave (it is the minimum over
-    y of 1/(y* K y), each a reciprocal sum of positive poles), so the
-    bottom eigenvalue is the one root of f = 1 in
-    [mu_0 - ||H||_F^2 - 1, mu_0), and Newton steps on 1/f approach it
-    monotonically from the right. (Such a step fits f by c/(p - lambda);
-    pinning the pole p at mu_0 instead took more steps.) The first point,
-    min_b mu_b - Tr(P_b)/m, lies right of the root whenever it is below
-    mu_0, since there K >= m P_b / Tr(P_b) and P_b has rank <= m. A step
-    that leaves the bracket is replaced by bisection.
-
-    The pair is returned only if ||M x - lambda x|| <= 1e-10 max(|mu|,
-    ||H||_F^2, 1), computed as vec(XW) - G*(G x) for the m x n X = unvec(x);
-    otherwise, as when the bottom eigenvalue sits at mu_0, it is None.
-    """
-    n = len(W)
-    m = G.shape[-1] // n
-    mu, U = np.linalg.eigh(W.T)
-    # Hb[b, r, i] = sum_a U[a, b] G[r, a*m + i]: the column blocks of H
-    Hb = (U.T @ G.reshape(-1, n, m).transpose(1, 0, 2).reshape(n, -1)).reshape(n, -1, m)
-    P = Hb @ Hb.conj().swapaxes(1, 2)  # P[b] = H_b H_b*
-    traces = np.trace(P, axis1=1, axis2=2).real
-    h2 = float(traces.sum())
-    if not h2 > 0:
-        return None  # H = 0: M = D is diagonal in the U basis already
-    scale = max(float(np.abs(mu).max()), h2, 1.0)
-    lo, hi = mu[0] - h2 - 1.0, mu[0]
-    lam = float(np.min(mu - traces / m))
-    if not lam < hi:
-        lam = lo
-    tol = 4 * np.finfo(float).eps * scale
-    for _ in range(SECULAR_MAX_STEPS):
-        w = 1.0 / (mu - lam)
-        kappa, Y = np.linalg.eigh((w @ P.reshape(n, -1)).reshape(P.shape[1:]))
-        f, y = float(kappa[-1]), Y[:, -1]
-        Hy = y.conj() @ Hb  # Hy[b, i] = (H_b* y)_i conjugated
-        slope = float((np.abs(Hy) ** 2).sum(axis=1) @ (w * w))  # y* K'(lambda) y
-        step = f * (1.0 - f) / slope
-        if abs(step) <= tol:
-            break
-        if f < 1:
-            lo = lam
-        else:
-            hi = lam
-        lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
-        if not lo < lam < hi:
-            return None  # the bracket collapsed onto mu_0: no root below the pole
-    else:
-        return None
-    x = (U @ (w[:, None] * Hy.conj())).reshape(-1)
-    x /= np.linalg.norm(x)
-    X = x.reshape(m, n, order="F")
-    residual = np.linalg.norm((X @ W).reshape(-1, order="F") - dagger(G) @ (G @ x) - lam * x)
-    # explicit branch, written so that a NaN residual fails too
-    if not residual <= SECULAR_RESIDUAL_RTOL * scale:
-        return None
-    return lam, x
 
 
 @cache
@@ -425,21 +350,11 @@ def _plateau_passes(k: int, d: int, vs: np.ndarray, windows: list[int], cap: int
 
 def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     """X half-steps of the KS search for stacks W, G: a bottom eigenvector
-    of each M'_v = W^T (x) I_m - G*G, as a fresh array with one row per
-    member. From a form side n m of SECULAR_MIN_SIDE up it solves the
-    secular equation, member by member since their Newton step counts
-    differ; below that, and whenever the secular solve is refused, it takes
-    a dense eigh of M'_v. A member on the zero plateau of a unital map gets
-    here only once its plateau test fails (see _alternating_restart)."""
-    B, side = len(G), G.shape[-1]
-    xs = np.empty((B, side), dtype=complex)
-    if side < SECULAR_MIN_SIDE:
-        xs[:] = np.linalg.eigh(_qform(W, G))[1][:, :, 0]
-        return xs
-    for b in range(B):
-        found = _bottom_eigvec(W[b], G[b])
-        xs[b] = found[1] if found is not None else np.linalg.eigh(_qform(W[b], G[b]))[1][:, 0]
-    return xs
+    of each M'_v = W^T (x) I_m - G*G from one stacked dense eigh, as a fresh
+    C-contiguous array with one row per member, since the bits of the defect
+    depend on the layout of X. A member on the zero plateau of a unital map
+    gets here only once its plateau test fails (see _alternating_restart)."""
+    return np.linalg.eigh(_qform(W, G))[1][:, :, 0].copy()
 
 
 def _compress_right(C4: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -884,14 +799,14 @@ def _ks_decide(
 ) -> list[CertificateVerdict]:
     """The k-KS verdicts of maps, or with ``transposed`` of tau o Phi for
     each Phi, tau the transposition, for the KS and co-KS falsifiers and the
-    scan: decided from one eigh of the Choi matrix where the maths settles it
-    (_ks_closed_form), and otherwise from one _ks_search call, which searches
-    every map left as one stack. Both read transfer matrices: tau o Phi is
-    decided and searched on transpose_rows(T), and it is unital iff Phi is,
-    so no map is built for it."""
+    scan: decided from one eigh where the maths settles it (_ks_closed_form),
+    and otherwise from one _ks_search call, which searches every map left as
+    one stack. Both read transfer matrices: tau o Phi is decided and searched
+    on transpose_rows(T), and it is unital iff Phi is, so no map is built for
+    it."""
     transfers = [transpose_rows(Phi.transfer) if transposed else Phi.transfer for Phi in maps]
     verdicts = [
-        _ks_closed_form(T, k, budget) if Phi.unital else None
+        _ks_closed_form(T, k, budget, Phi.unital)
         for Phi, T, budget in zip(maps, transfers, budgets)
     ]
     searched = [i for i, v in enumerate(verdicts) if v is None]
@@ -903,10 +818,15 @@ def _ks_decide(
     return verdicts
 
 
-def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget) -> CertificateVerdict | None:
-    """The k-KS verdict of the unital Phi with transfer matrix T from one
-    eigh of its Choi matrix C, or None where that does not settle it and the
-    search must run.
+def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget, unital: bool) -> CertificateVerdict | None:
+    """The k-KS verdict of the map Phi with transfer matrix T from one eigh,
+    or None where that does not settle it and the search must run.
+
+    A Phi that is not ``unital`` is read through Phi(1) = unvec(T vec I), mu
+    its spectrum: X = I/sqrt(kd) has HS norm 1 and the defect
+    I_k (x) (Phi(1) - Phi(1)^2)/(kd), so Phi is violated at every k, with
+    that witness, when min(mu - mu^2)/(kd) < -violation_tol, and searched
+    otherwise. For a unital Phi the eigh is that of its Choi matrix C.
 
     For k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i in C^k (x) C^d,
     has HS norm 1 and the amplified defect (C/d - C^2/d^2) (+) 0, so
@@ -924,6 +844,15 @@ def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget) -> CertificateV
     A decided verdict reads no restarts or max_iters, and is exact up to
     one float64 eigh."""
     d = math.isqrt(len(T))
+    recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
+    if not unital:
+        mu = np.linalg.eigvalsh(hermitianize(linalg.unvec(T @ linalg.vec(np.eye(d)), d)))
+        worst = float(np.min(mu - mu * mu)) / (k * d)
+        if not worst < -budget.violation_tol:
+            return None
+        X = np.eye(k * d, dtype=complex) / math.sqrt(k * d)
+        scale = max(1.0, float(np.abs(mu).max()) ** 2)
+        return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
     lam = np.linalg.eigh(hermitianize(choi(T)))[0][[0, -1]]
     w = lam / d
     worst = min(0.0, float(np.min(w - w * w)))
@@ -937,7 +866,6 @@ def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget) -> CertificateV
     omega = np.arange(d) * (d + 1)  # the support of Omega in C^k (x) C^d
     X = np.zeros((k * d, k * d), dtype=complex)
     X[np.ix_(omega, omega)] = 1 / d
-    recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
     # scaled, as the d^2 and (kd)^2 eighs drift apart with the size of C^2/d^2
     scale = max(1.0, float(np.abs(w).max()) ** 2)
     return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
@@ -947,8 +875,10 @@ def falsify_ks(
     Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
     """Search for a violation of the k-KS inequality of Phi. A unital Phi is
-    decided from one eigh of C_Phi at k >= d, and below d when C_Phi >= 0
-    (see _ks_closed_form); every other map runs the search."""
+    decided from one eigh of C_Phi at k >= d, and below d when C_Phi >= 0; a
+    Phi that is not unital is decided violated, with the witness I/sqrt(kd),
+    when spec Phi(1) leaves [0, 1] (see _ks_closed_form). Every other map
+    runs the search."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_ks_map(Phi, "KS")
@@ -1071,8 +1001,8 @@ def scan_threshold(
     restart 1 of every searched point, then restarts 2..R of every point
     whose restart 1 came back clean. The searched points run in chunks of
     STACK_SEARCHES, so a stack holds at most STACK_SEARCHES (R - 1) members,
-    each a k d x k d iterate and, below the secular crossover, an
-    n d x n d X half-step form, n = k d, whatever the grid.
+    each a k d x k d iterate and an n d x n d X half-step form, n = k d,
+    whatever the grid.
 
     a_certified_ks is the last grid point, in scan order, whose verdict is
     NoViolationFound before the first violation: search evidence, not a

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,14 +16,12 @@ from kslab import certify
 from kslab.certify import (
     EIG_DEGENERACY_GAP,
     PLATEAU_MARGIN,
-    SECULAR_MIN_SIDE,
     STALL_TOL,
     STALL_WINDOW,
     SchmidtWitness,
     SearchBudget,
     WitnessRecheckError,
     _alternating_restart,
-    _bottom_eigvec,
     _compress_left,
     _compress_right,
     _falsify,
@@ -288,7 +287,11 @@ def test_falsify_ks_at_k_ge_d_runs_no_restart(monkeypatch):
     assert verdicts == {"Violated", "NoViolationFound"}
 
 
-def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
+# maps that are not unital, with Phi(1) = I/2 inside [0, 1]: 0.5 tau is not
+# CP, 0.5 id is CP and KS
+@pytest.mark.parametrize("Phi", [QuantumMap(0.5 * transpose_map(2).transfer), QuantumMap(0.5 * np.eye(4))],
+                         ids=["half-transpose", "half-identity"])
+def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch, Phi):
     restarts = []
 
     def counted(*args):
@@ -296,12 +299,65 @@ def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch):
         return _alternating_restart(*args)
 
     monkeypatch.setattr(certify, "_alternating_restart", counted)
-    Phi = QuantumMap(2 * np.eye(4))  # 2 id: CP, not unital, and not KS
     budget = SearchBudget(restarts=2, max_iters=20, seed=0)
     with pytest.warns(UserWarning, match="unital"):
         res = falsify_ks(Phi, 2, budget)
     assert restarts
     assert _bytes(res) == _bytes(_search(Phi, 2, budget))
+
+
+# -- Phi(1) outside [0, 1]: violated at every k with X = I/sqrt(kd) ----------
+
+
+def _superunital_cp_map():
+    # CP with ||Phi(1)|| = 1.03; a search of 8 x 200 missed its violation at 5
+    # of the seeds 0-7
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        Ks = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+    T = sum(np.kron(K.conj(), K) for K in Ks)
+    one = (T @ np.eye(2).reshape(-1)).reshape(2, 2)
+    return QuantumMap(T * 1.03 / np.linalg.eigvalsh(one).max())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_falsify_ks_decides_a_map_with_phi_one_outside_the_unit_interval(monkeypatch, seed):
+    def no_restart(*args):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(certify, "_alternating_restart", no_restart)
+    Phi = _superunital_cp_map()
+    mu = np.linalg.eigvalsh(Phi(np.eye(2)))
+    budget = SearchBudget(restarts=8, max_iters=200, seed=seed)
+    runs = {("KS", 1): partial(falsify_ks, Phi, 1), ("KS", 2): partial(falsify_ks, Phi, 2),
+            ("co-KS", 1): partial(falsify_co_ks, Phi)}
+    for (kind, k), falsify in runs.items():
+        with pytest.warns(UserWarning, match="not unital"):
+            res = falsify(budget=budget)
+        assert res.violated and res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 1}
+        assert abs(res.worst_value - np.min(mu - mu**2) / (2 * k)) < 1e-12
+        X = res.witness.data
+        assert np.array_equal(X, np.eye(2 * k) / np.sqrt(2 * k))
+        D = amplified_ks_defect(Phi, k, X) if kind == "KS" else co_ks_defect(Phi, X)
+        assert abs(min_eigenvalue(D) - res.worst_value) < 1e-12
+
+
+def test_decided_verdicts_of_unital_maps_keep_their_bytes():
+    # sha256 prefixes of decided verdicts of unital maps, pinned before the
+    # Phi(1) rule for maps that are not unital was added
+    lm = partial(lambda_minus, QuantumMap.identity(3))
+    found = {
+        name: hashlib.sha256(_bytes(res).encode()).hexdigest()[:12]
+        for name, res in [
+            ("lm3+", falsify_ks(lm(1 / 3 + 0.01), 3, FAST)),
+            ("lm3-", falsify_ks(lm(1 / 3 - 0.01), 3, FAST)),
+            ("lm2k4", falsify_ks(lambda_minus(QuantumMap.identity(2), 0.6), 4, FAST)),
+            ("cp3k1", falsify_ks(sample_utp_cp(3, seed=2), 1, FAST)),
+            ("co_tau3", falsify_co_ks(transpose_map(3), FAST)),
+        ]
+    }
+    assert found == {"lm3+": "f2fc90ffae30", "lm3-": "acc5bc8b1cda", "lm2k4": "0c5296dda1c4",
+                     "cp3k1": "b1c3b95657c2", "co_tau3": "88f000332bba"}
 
 
 # -- closed form below k = d ------------------------------------------------
@@ -598,10 +654,6 @@ def _solo_ks_xstep(W, G, plateau=False, s=1.0):
         x = _solo_plateau_vector(_solo_qform(W, G), s, G.shape[1] // len(W))
         if x is not None:
             return x
-    if G.shape[1] >= SECULAR_MIN_SIDE:
-        found = _bottom_eigvec(W, G)
-        if found is not None:
-            return found[1]
     return np.linalg.eigh(_solo_qform(W, G))[1][:, 0]
 
 
@@ -652,9 +704,8 @@ def _bytes(res):
     return json.dumps(verdict_to_json(res), sort_keys=True)
 
 
-# (d, k) whose form side n d is below SECULAR_MIN_SIDE = 49 take the dense X
-# half-step, (7, 1), (5, 2) and (4, 4) the secular one; each at a clean and a
-# violated Lambda^-(id) point. falsify_ks decides k >= d in closed form, so
+# every (d, k) takes the dense X half-step, (7, 1), (5, 2) and (4, 4) at form
+# sides 49-64; each at a clean and a violated Lambda^-(id) point. falsify_ks decides k >= d in closed form, so
 # there the search itself is compared
 @pytest.mark.parametrize("offset", [-0.02, 0.05])
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (7, 1), (5, 2), (4, 4)])
@@ -1277,7 +1328,7 @@ def test_kpos_compressions(d, k):
     assert abs(x.conj() @ _compress_left(C4, U) @ x - psi.conj() @ C @ psi) < 1e-10
 
 
-# -- structured X half-step ---------------------------------------------------
+# -- the dense X half-step ----------------------------------------------------
 
 
 def _dense_bottom(W, G):
@@ -1285,63 +1336,27 @@ def _dense_bottom(W, G):
     return M, float(np.linalg.eigvalsh(M)[0])
 
 
-def _secular_scale(W, G):
+def _form_scale(W, G):
     return max(float(np.abs(np.linalg.eigvalsh(W)).max()), hs_norm(G) ** 2, 1.0)
 
 
-@pytest.mark.parametrize("kind,d,k", [("ks", 4, 2), ("ks", 3, 3), ("ks", 2, 4), ("ks", 4, 4), ("co-ks", 8, 1)])
-def test_bottom_eigvec_matches_dense(kind, d, k):
-    # the co-KS search is the KS search of the transposed map
-    Phi = _random_hp_map(d)
-    if kind == "co-ks":
-        Phi = transpose_map(d).compose(Phi)
-    n = k * d
-    for _ in range(3):
-        W, G = (P[0] for P in _ks_parts(_base_t3(Phi), _unit(ginibre(rng, n, 1)[:, 0])[None]))
-        M, lam_min = _dense_bottom(W, G)
-        found = _bottom_eigvec(W, G)
-        assert found is not None
-        lam, x = found
-        tol = 1e-10 * _secular_scale(W, G)
-        assert abs(np.linalg.norm(x) - 1) < 1e-12
-        assert abs(lam - lam_min) < tol
-        assert abs((x.conj() @ M @ x).real - lam_min) < tol
-        assert np.linalg.norm(M @ x - lam * x) < tol
-
-
-def test_bottom_eigvec_pole_case_still_gives_bottom_vector():
-    # H_0 = 0: the columns of the mu_0 block of G vanish, so lambda* = mu_0 is
-    # the pole of the secular equation, and G is small enough that nothing
-    # lies below it; the shapes are those of (d, k) = (4, 4), a form side of
-    # 64, so that _ks_xstep takes the secular path
+def test_ks_xstep_gives_a_bottom_vector_of_a_degenerate_form():
+    # the first m columns of G vanish, and G is small enough that nothing lies
+    # below the bottom eigenvalue 1 of W^T (x) I_m, which has multiplicity m;
+    # the shapes are those of (d, k) = (4, 4), a form side of 64
     n, m = 16, 4
     W = np.diag(np.arange(1.0, n + 1))
     G = 0.1 * ginibre(rng, m, n * m)
     G[:, :m] = 0
     M, lam_min = _dense_bottom(W, G)
     assert abs(lam_min - 1.0) < 1e-12
-    found = _bottom_eigvec(W, G)
-    tol = 1e-10 * _secular_scale(W, G)
-    if found is not None:
-        assert abs(found[0] - lam_min) < tol
-    x = _ks_xstep(W[None], G[None])[0]
+    tol = 1e-10 * _form_scale(W, G)
+    xs = _ks_xstep(W[None], G[None])
+    assert xs.shape == (1, n * m) and xs.flags.c_contiguous and xs.flags.owndata
+    x = xs[0]
     assert abs(np.linalg.norm(x) - 1) < 1e-12
     assert abs((x.conj() @ M @ x).real - lam_min) < tol
     assert np.linalg.norm(M @ x - lam_min * x) < tol
-
-
-def test_ks_xstep_falls_back_when_residual_check_fails(monkeypatch):
-    # a negative tolerance fails every residual check: the secular solve is
-    # refused and the dense eigh gives the half-step; (4, 4) has form side 64
-    d, k = 4, 4
-    v = _unit(ginibre(rng, k * d, 1)[:, 0])
-    W, G = (P[0] for P in _ks_parts(_base_t3(_random_hp_map(d)), v[None]))
-    assert G.shape[-1] >= SECULAR_MIN_SIDE
-    M, lam_min = _dense_bottom(W, G)
-    monkeypatch.setattr(certify, "SECULAR_RESIDUAL_RTOL", -1.0)
-    assert _bottom_eigvec(W, G) is None
-    x = _ks_xstep(W[None], G[None])[0]
-    assert abs((x.conj() @ M @ x).real - lam_min) < 1e-10 * _secular_scale(W, G)
 
 
 # -- the plateau test of the X half-step ------------------------------------
@@ -1378,29 +1393,24 @@ def _dense_only(monkeypatch):
 
 def _count_solves(monkeypatch, side):
     # the X half-step's eigenvector solves: forms of this side through a
-    # dense eigh, one per matrix of a stack, and secular solves
+    # dense eigh, one per matrix of a stack
     solves = []
-    eigh, secular = np.linalg.eigh, certify._bottom_eigvec
+    eigh = np.linalg.eigh
 
     def counted_eigh(A):
         if A.shape[-1] == side:
             solves.extend([side] * (A.size // side**2))
         return eigh(A)
 
-    def counted_secular(W, G):
-        solves.append("secular")
-        return secular(W, G)
-
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(certify, "_bottom_eigvec", counted_secular)
     return solves
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 2), (5, 2)])
 def test_clean_unital_search_skips_the_eigh_on_the_plateau(monkeypatch, d, k):
     # a clean restart reaches the zero plateau, where the test passes and
-    # no eigenvector is solved for (a dense eigh, or at (5, 2) a secular
-    # solve); the counters and verdict string are those of the dense route
+    # no dense eigh solves for an eigenvector; the counters and verdict
+    # string are those of the dense route
     Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) - 0.02)
     budget = SearchBudget(restarts=3, max_iters=100, seed=1)
     held = _plateau_spy(monkeypatch)
@@ -1519,12 +1529,10 @@ def test_a_refused_stack_is_tested_member_by_member():
     assert certify._plateau_passes(1, 3, vs, [3, 2, 4], 2, T) == [3, 0, 4]
 
 
-def test_falsify_ks_secular_path_brackets_lambda_minus_bound():
-    # (d, k) = (5, 2): k < d, so falsify_ks searches, and the form side
-    # n d = 50 is above the crossover, so the X half-steps solve the secular
-    # equation
+def test_falsify_ks_at_form_side_50_brackets_lambda_minus_bound():
+    # (d, k) = (5, 2): k < d, so falsify_ks searches, with X half-step forms
+    # of side n d = 50
     d, k = 5, 2
-    assert k * d * d >= SECULAR_MIN_SIDE
     bound = d / (k * d + 1)
     budget = SearchBudget(restarts=2, max_iters=200, seed=3)
     clean = falsify_ks(lambda_minus(QuantumMap.identity(d), bound - 0.02), k, budget)

@@ -2,7 +2,8 @@
 invariants are explicit exceptions, seeds and verdicts are each made in one
 place, the KS search has one caller in the falsifiers, certify builds no
 map, there is one restart driver, the plateau test runs only in the
-restart's fast-forward, and the CLI has one error boundary."""
+restart's fast-forward, every module constant is read and certify has a
+fixed set of them, and the CLI has one error boundary."""
 
 import ast
 import inspect
@@ -98,6 +99,38 @@ def test_the_plateau_test_runs_only_in_the_fast_forward():
     # of _plateau_test; the X half-step has no plateau branch of its own
     assert _callers("_plateau_test") == {"certify._plateau_passes"}
     assert list(inspect.signature(certify._ks_xstep).parameters) == ["W", "G"]
+
+
+def _constants(path):
+    """The upper-case names that the module at path assigns at its top level."""
+    return {
+        target.id
+        for node in _tree(path).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+
+
+def test_certify_constants_are_a_fixed_set():
+    # a new search knob, or the removal of one, is an edit to this list
+    assert _constants(Path(certify.__file__)) == {
+        "EIG_DEGENERACY_GAP", "STALL_TOL", "STALL_WINDOW", "WITNESS_RECHECK_TOL",
+        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "PLATEAU_MARGIN",
+    }
+
+
+def test_every_module_constant_is_read():
+    # read by name or as a module attribute, anywhere in kslab: no knob that
+    # nothing reads
+    read = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for p in SOURCES
+        for node in ast.walk(_tree(p))
+        if isinstance(getattr(node, "ctx", None), ast.Load) and isinstance(node, (ast.Name, ast.Attribute))
+    }
+    constants = {name for p in SOURCES for name in _constants(p)}
+    assert constants and constants <= read, constants - read
 
 
 def test_cli_has_one_error_boundary():
