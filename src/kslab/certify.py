@@ -77,6 +77,15 @@ window's draws made ahead, and the factorizations of its forms as stacked
 Cholesky calls. A member whose factorization fails, or that is not gated,
 takes the dense step from there, with the counters and draws of
 the step-by-step route.
+
+Near a threshold a violated restart converges linearly, slowly and along
+a line, so the restart takes a safeguarded Aitken step (Aitken 1926) on
+every second of a run of descending steps whose defects have one bottom
+eigenvalue: from its last three X, phase-aligned, it evaluates D once at
+X_2 + r/(1 - r) (X_2 - X_1), r the ratio of the last two step lengths,
+when those steps point the same way within EXTRAPOLATION_ALIGNMENT and
+shrink, and keeps that point only where its bottom eigenvalue is single
+and lower (_aitken, _alternating_restart). The step draws nothing.
 """
 
 from __future__ import annotations
@@ -113,6 +122,11 @@ BATCH_MIN_DRAWS = 4
 # the margin, relative to s = max(||T||_HS^2, 1), by which M'_v must exceed 0
 # off its null space N for a KS X half-step to be the plateau point
 PLATEAU_MARGIN = 1e-6
+# the cosine |<d_0, d_1>| / (||d_0|| ||d_1||) of two successive steps from
+# which _aitken extrapolates; the near-threshold Lambda^-(id) runs at (3,2)
+# and (4,3) read above it, and most steps of the (4,2) ones, whose minimizers
+# are degenerate and whose iterates move by O(1), below it
+EXTRAPOLATION_ALIGNMENT = 0.99
 
 
 class WitnessRecheckError(RuntimeError):
@@ -529,7 +543,7 @@ def _cluster_draws(cols: np.ndarray, rngs: list[np.random.Generator]) -> np.ndar
 
 def _min_eig_vectors(
     D: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Smallest eigenvalue of each matrix of the stack D, and a vector from
     its eigenspace; inside a near-degenerate bottom cluster a random unit
     combination is taken (subgradient choice), drawn from that member's rng.
@@ -542,10 +556,11 @@ def _min_eig_vectors(
     across members does not matter.
     """
     w, V, sizes = _clusters(D)
-    listed = sizes.tolist()
+    sizes = sizes.tolist()
     groups: dict[int, list[int]] = {}
-    for b in (sizes != 1).nonzero()[0].tolist():
-        groups.setdefault(listed[b], []).append(b)
+    for b, m in enumerate(sizes):
+        if m != 1:
+            groups.setdefault(m, []).append(b)
     for m, members in groups.items():
         V[members, :, 0] = _cluster_draws(V[members, :, :m], [rngs[b] for b in members])
     return w[:, 0], V, sizes
@@ -554,6 +569,25 @@ def _min_eig_vectors(
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
     """f(X) = lambda_min(defect(X)), the value a sphere witness re-checks."""
     return linalg.min_eigenvalue(defect(X))
+
+
+def _aitken(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None:
+    """The safeguarded Aitken point of three successive unit iterates vec(X):
+    each is phase-aligned to the one before (D(e^{it} X) = D(X)), and where
+    d_0 = x1 - x0 and d_1 = x2 - x1 point the same way (cosine at least
+    EXTRAPOLATION_ALIGNMENT) and shrink, r = ||d_1|| / ||d_0|| < 1, it is
+    x2 + r/(1 - r) d_1 scaled to norm 1; else None. One member's arithmetic
+    on its own 1-D arrays, so a stack member gets the bits of a run alone."""
+    c = np.vdot(x0, x1)
+    x1 = x1 * (c.conjugate() / abs(c)) if c else x1
+    c = np.vdot(x1, x2)
+    x2 = x2 * (c.conjugate() / abs(c)) if c else x2
+    d0, d1 = x1 - x0, x2 - x1
+    n0, n1 = math.sqrt(np.vdot(d0, d0).real), math.sqrt(np.vdot(d1, d1).real)
+    if not (abs(np.vdot(d0, d1)) >= EXTRAPOLATION_ALIGNMENT * n0 * n1 and n1 < n0):
+        return None
+    x = x2 + (n1 / (n0 - n1)) * d1
+    return x / math.sqrt(np.vdot(x, x).real)
 
 
 def _alternating_restart(
@@ -595,12 +629,22 @@ def _alternating_restart(
     steps at D(X_0), counted as j iterations and defect evaluations. Unless
     that stops it, its generator is set back and advanced by those j steps'
     draws only, and it takes xstep with the vector it then holds.
+
+    A member whose last 3, 5, 7, ... xsteps each left a one-eigenvalue
+    bottom cluster and lowered its best value by STALL_TOL or more evaluates
+    D at the _aitken point of its last three X, if its gate lets one
+    through, and takes it in place of the last X where its cluster is one
+    eigenvalue and its lambda_min lower: no draw, one more defect
+    evaluation, and a real point that _verdict rechecks as any other.
     """
     B = len(rngs)
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
     f, V, sizes = _min_eig_vectors(defect(X, *maps), rngs)
     best_f, best_X = f.tolist(), list(X)
     recent_best, stall, iters = [np.inf] * B, [0] * B, [0] * B
+    # the xsteps in a row that qualify for the Aitken step, the candidates
+    # evaluated, and the X of the two xsteps before the last, rows as live
+    run, tried, past = [0] * B, [0] * B, (X, X)
     live = list(range(B))  # the members still iterating
     out: list = [None] * B
 
@@ -615,17 +659,33 @@ def _alternating_restart(
         else:
             stall[b], recent_best[b] = 0, best_f[b]
         if stall[b] >= STALL_WINDOW or iters[b] == budget.max_iters:
-            # one defect evaluation at the start and one per iteration
-            out[b] = (best_f[b], best_X[b], {"iterations": iters[b], "defect_evals": iters[b] + 1})
+            # one defect evaluation at the start, one per iteration and one
+            # per candidate
+            out[b] = (best_f[b], best_X[b], {"iterations": iters[b], "defect_evals": iters[b] + 1 + tried[b]})
             return True
         return False
 
     def going() -> tuple:
-        """live, V, sizes and maps without the members that stopped."""
+        """live, V, sizes, maps and past without the members that stopped."""
         keep = [j for j, b in enumerate(live) if out[b] is None]
         if len(keep) == len(live):
-            return live, V, sizes, maps
-        return [live[j] for j in keep], V[keep], sizes[keep], tuple(M[keep] for M in maps)
+            return live, V, sizes, maps, past
+        return ([live[j] for j in keep], V[keep], [sizes[j] for j in keep],
+                tuple(M[keep] for M in maps), tuple(P[keep] for P in past))
+
+    def extrapolate(due: list[int]) -> None:
+        """The Aitken step of the members at the positions ``due`` of live,
+        which may replace their rows of X, f, V and sizes."""
+        found = [(j, x) for j in due if (x := _aitken(*(P[j].T.ravel() for P in (*past, X)))) is not None]
+        if not found:
+            return
+        on = [j for j, _ in found]
+        Xa = np.stack([x for _, x in found]).reshape(-1, n, n).swapaxes(1, 2)  # laid out as xstep's
+        w, U, cluster = _clusters(defect(Xa, *(M[on] for M in maps)))
+        for i, (j, fa, m) in enumerate(zip(on, w[:, 0].tolist(), cluster.tolist())):
+            tried[live[j]] += 1
+            if m == 1 and fa < f[j]:
+                X[j], f[j], V[j], sizes[j] = Xa[i], fa, U[i], 1
 
     def fast_forward(on: list[int]) -> None:
         """Run the rest of the stall window of the members at the positions
@@ -665,15 +725,23 @@ def _alternating_restart(
                     V[j, :, 0] = _cluster_draws(U[[i] * p, :, : cluster[i]], [rngs[b]] * p)[-1]
 
     while True:
-        if plateau is not None and n in (listed := sizes.tolist()):
-            fast_forward([j for j, m in enumerate(listed) if m == n])
-            live, V, sizes, maps = going()
+        if plateau is not None and n in sizes:
+            fast_forward([j for j, m in enumerate(sizes) if m == n])
+            live, V, sizes, maps, past = going()
             if not live:
                 break
         X = xstep(V[:, :, 0], *maps)
         f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
-        if any([stops(b, fj, X[j]) for j, (b, fj) in enumerate(zip(live, f.tolist()))]):
-            live, V, sizes, maps = going()
+        f, due = f.tolist(), []
+        for j, b in enumerate(live):
+            run[b] = run[b] + 1 if sizes[j] == 1 and best_f[b] - f[j] >= STALL_TOL else 0
+            if run[b] > 2 and run[b] % 2:
+                due.append(j)
+        if due:
+            extrapolate(due)
+        past = (past[1], X)
+        if any([stops(b, f[j], X[j]) for j, b in enumerate(live)]):
+            live, V, sizes, maps, past = going()
             if not live:
                 break
     return out

@@ -15,6 +15,7 @@ import kslab
 from kslab import certify
 from kslab.certify import (
     EIG_DEGENERACY_GAP,
+    EXTRAPOLATION_ALIGNMENT,
     PLATEAU_MARGIN,
     STALL_TOL,
     STALL_WINDOW,
@@ -532,15 +533,14 @@ def _solo_falsify(restart, value, make_witness, budget):
 
 
 def _solo_min_eig_vector(D, rng):
-    # the bottom value, a vector of its cluster, and whether the cluster is
-    # the whole spectrum
+    # the bottom value, a vector of its cluster, and the cluster's size
     w, V = np.linalg.eigh(hermitianize(D))
     cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
     if len(cluster) > 1:
         c = rng.standard_normal(len(cluster)) + 1j * rng.standard_normal(len(cluster))
         c /= np.linalg.norm(c)
         V[:, 0] = V[:, cluster] @ c
-    return float(w[0]), V[:, 0], len(cluster) == len(w)
+    return float(w[0]), V[:, 0], len(cluster)
 
 
 def _looped_min_eig_vectors(D, rngs):
@@ -587,8 +587,26 @@ def test_min_eig_vectors_draws_match_the_looped_oracle(n):
         f, V, sizes = _min_eig_vectors(D.copy(), rngs)
         g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
         assert np.array_equal(f, g) and np.array_equal(V, W), clusters
-        assert sizes.tolist() == clusters
+        assert sizes == clusters
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
+
+
+def _solo_aitken(x0, x1, x2):
+    # the Aitken point of three successive unit vec(X), each phase-aligned
+    # to the one before, where the steps d0, d1 point the same way and
+    # shrink; else None
+    def aligned(a, b):
+        c = np.vdot(a, b)
+        return b * (c.conjugate() / abs(c)) if c else b
+
+    x1 = aligned(x0, x1)
+    x2 = aligned(x1, x2)
+    d0, d1 = x1 - x0, x2 - x1
+    n0, n1 = np.sqrt(np.vdot(d0, d0).real), np.sqrt(np.vdot(d1, d1).real)
+    if abs(np.vdot(d0, d1)) >= EXTRAPOLATION_ALIGNMENT * n0 * n1 and n1 < n0:
+        x = x2 + (n1 / (n0 - n1)) * d1
+        return x / np.sqrt(np.vdot(x, x).real)
+    return None
 
 
 def _solo_alternating_restart(defect, xstep, n, budget, rng):
@@ -596,11 +614,23 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
     X /= hs_norm(X)
     stall = 0
     recent_best = np.inf
-    f, v, full = _solo_min_eig_vector(defect(X), rng)
+    f, v, m = _solo_min_eig_vector(defect(X), rng)
     best_f, best_X = f, X
+    # the Aitken step: after 3, 5, 7, ... steps in a row that each left one
+    # bottom eigenvalue and lowered best_f by STALL_TOL or more
+    run, tried, past = 0, 0, [None, None]
     for iters in range(1, budget.max_iters + 1):
-        X = xstep(v, full).reshape(n, n, order="F")
-        f, v, full = _solo_min_eig_vector(defect(X), rng)
+        X = xstep(v, m == n).reshape(n, n, order="F")
+        f, v, m = _solo_min_eig_vector(defect(X), rng)
+        run = run + 1 if m == 1 and best_f - f >= STALL_TOL else 0
+        x = _solo_aitken(*past, vec(X)) if run > 2 and run % 2 else None
+        if x is not None:
+            tried += 1
+            Xa = x.reshape(n, n, order="F")
+            w, U = np.linalg.eigh(hermitianize(defect(Xa)))
+            if w[1] - w[0] >= EIG_DEGENERACY_GAP and w[0] < f:
+                X, f, v = Xa, float(w[0]), U[:, 0]
+        past = [past[1], vec(X)]
         if f < best_f:
             best_f, best_X = f, X
         if recent_best - best_f < STALL_TOL:
@@ -610,7 +640,7 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
         else:
             stall = 0
             recent_best = best_f
-    return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1}
+    return best_f, best_X, {"iterations": iters, "defect_evals": iters + 1 + tried}
 
 
 def _solo_ks_parts(T3, v):
@@ -744,6 +774,157 @@ def test_lockstep_ks_matches_sequential_oracle_where_max_iters_cuts_the_window(m
     assert bool(calls) == (max_iters > 1)
     assert res.verdict == "NoViolationFound"
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+
+
+def _aitken_spy(monkeypatch):
+    # for each gate the Aitken step opened, whether it let a candidate through
+    gates = []
+    aitken = certify._aitken
+
+    def spy(*xs):
+        x = aitken(*xs)
+        gates.append(x is not None)
+        return x
+
+    monkeypatch.setattr(certify, "_aitken", spy)
+    return gates
+
+
+def _shut(monkeypatch):
+    # the plain restart: the Aitken gate never lets a candidate through, so
+    # the search is the one before that step, bit for bit
+    monkeypatch.setattr(certify, "_aitken", lambda *xs: None)
+
+
+# violated Lambda^-(id) searches: at (3, 2) just above the bound a candidate
+# is accepted, and the run is shorter than the plain one; at (4, 2), whose
+# iterates move by O(1) between steps, the gate refuses
+@pytest.mark.parametrize("d,k,offset", [(3, 2, 0.005), (4, 2, 0.05)])
+def test_lockstep_ks_matches_sequential_oracle_through_the_aitken_step(monkeypatch, d, k, offset):
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + offset)
+    budget = SearchBudget(restarts=5, max_iters=120, seed=d + 10 * k)
+    gates = _aitken_spy(monkeypatch)
+    res = falsify_ks(Phi, k, budget)
+    assert res.verdict == "Violated"
+    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+    if d == 3:
+        _shut(monkeypatch)
+        assert res.budget_used["iterations"] < falsify_ks(Phi, k, budget).budget_used["iterations"]
+    else:
+        assert not all(gates)
+
+
+# recall: the Lambda^-(id) thresholds below d at budgets of the bench's scans
+# keep every violation of the plain search, and at (3, 2) and (4, 3) the
+# near-threshold points converge in fewer iterations
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("offset", [0.002, 0.01, 0.05])
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (4, 3)])
+def test_the_aitken_step_loses_no_violation_of_the_plain_search(monkeypatch, d, k, offset, seed):
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + offset)
+    budget = SearchBudget(restarts=16, max_iters=300, seed=seed)
+    res = falsify_ks(Phi, k, budget)
+    _shut(monkeypatch)
+    plain = falsify_ks(Phi, k, budget)
+    assert res.violated or not plain.violated
+    assert res.worst_value <= plain.worst_value + 1e-12
+    if (d, k) in ((3, 2), (4, 3)) and offset < 0.05:
+        assert res.budget_used["iterations"] < plain.budget_used["iterations"]
+
+
+def test_aitken_extrapolates_along_aligned_shrinking_steps_only():
+    # real steps d_0 = 0.1 e_1 and d_1 = 0.1 r (c e_1 + s e_2) from e_0: the
+    # point is x_2 + r/(1 - r) d_1 where the cosine c reaches
+    # EXTRAPOLATION_ALIGNMENT and r < 1, and a phase on x_1 or x_2 is
+    # aligned away
+    e = np.eye(4, dtype=complex)
+
+    def iterates(c, r):
+        d1 = 0.1 * r * (c * e[1] + np.sqrt(1 - c * c) * e[2])
+        return e[0], e[0] + 0.1 * e[1], e[0] + 0.1 * e[1] + d1
+
+    x0, x1, x2 = iterates(1.0, 0.5)
+    assert np.allclose(certify._aitken(x0, x1, x2), _unit(e[0] + 0.2 * e[1]), rtol=0, atol=1e-15)
+    assert np.allclose(certify._aitken(x0, np.exp(0.3j) * x1, np.exp(-1.1j) * x2), _unit(e[0] + 0.2 * e[1]),
+                       rtol=0, atol=1e-15)
+    c = EXTRAPOLATION_ALIGNMENT
+    assert certify._aitken(*iterates(c + 0.005, 0.5)) is not None
+    assert certify._aitken(*iterates(c - 0.005, 0.5)) is None
+    assert certify._aitken(*iterates(1.0, 1.01)) is None
+
+
+def test_an_aitken_candidate_without_a_single_bottom_eigenvalue_is_refused(monkeypatch):
+    # iterates (A + eps_t B)/norm, eps_t = 0.1 2^-t, converge to A along a
+    # line; the defect diag(e - 1, e - 1 + max(e - 1e-3, 0)), e = ||X - A||,
+    # has one bottom eigenvalue along them, but a pair at their Aitken
+    # points, which lie within 1e-3 of A: those are refused, although lower
+    A = np.eye(2, dtype=complex) / np.sqrt(2)
+    B = np.array([[0, 1], [1j, 0]]) / np.sqrt(2)
+    steps = []
+
+    def xstep(v):
+        steps.append(v)
+        X = A + 0.1 * 2.0 ** -len(steps) * B
+        return (X / hs_norm(X))[None]
+
+    def defect(X):
+        e = np.linalg.norm(X - A, axis=(1, 2))
+        return np.stack([np.diag([x - 1, x - 1 + max(x - 1e-3, 0)]) for x in e]).astype(complex)
+
+    gates = _aitken_spy(monkeypatch)
+    (f, X, used), = _alternating_restart(defect, xstep, None, 2, SearchBudget(max_iters=6),
+                                         [np.random.default_rng(0)])
+    assert sum(gates) == 2 and used == {"iterations": 6, "defect_evals": 9}
+    assert f == defect(X[None])[0, 0, 0].real > 1e-3 - 1
+
+
+def test_each_aitken_candidate_counts_as_a_defect_evaluation(monkeypatch):
+    # one violated restart: it evaluates its defect once at the start, once
+    # per iteration and once per candidate, and once more for the recheck
+    evaluated = []
+    ks_defect = certify._ks_defect
+
+    def counted(T, k, X):
+        evaluated.append(len(X) if X.ndim == 3 else 1)
+        return ks_defect(T, k, X)
+
+    monkeypatch.setattr(certify, "_ks_defect", counted)
+    gates = _aitken_spy(monkeypatch)
+    Phi = lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.005)
+    res = falsify_ks(Phi, 2, SearchBudget(restarts=1, max_iters=120, seed=23))
+    used = res.budget_used
+    assert res.violated and sum(gates) >= 2
+    assert used["defect_evals"] == used["iterations"] + 1 + sum(gates) == sum(evaluated) - 1
+
+
+def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(monkeypatch):
+    # every defect of this violated (3, 2) restart has a one-eigenvalue bottom
+    # cluster, so neither its vector steps nor its Aitken candidates draw:
+    # its generator ends where the Ginibre start left it
+    d, k = 3, 2
+    n = k * d
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + 0.005)
+    sizes, gates = [], _aitken_spy(monkeypatch)
+    vectors = certify._min_eig_vectors
+
+    def counted(D, rngs):
+        f, V, m = vectors(D, rngs)
+        sizes.extend(m)
+        return f, V, m
+
+    def xstep(v, T):
+        X = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
+        X[:, :, :d] = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)).reshape(-1, n, d)
+        return X.swapaxes(1, 2)
+
+    monkeypatch.setattr(certify, "_min_eig_vectors", counted)
+    rng, start = (np.random.default_rng(ss) for ss in np.random.SeedSequence(5).spawn(1) * 2)
+    (f, _, used), = _alternating_restart(lambda X, T: certify._ks_defect(T, k, X), xstep, None, n,
+                                         SearchBudget(max_iters=120), [rng], Phi.transfer[None])
+    ginibre(start, n)
+    assert f < -1e-3 and sum(gates) >= 2 and set(sizes) == {1}
+    assert used["defect_evals"] == used["iterations"] + 1 + sum(gates)
+    assert rng.bit_generator.state == start.bit_generator.state
 
 
 def _refusing(monkeypatch, refuse):
@@ -1488,7 +1669,7 @@ def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
 
     def one_cluster(D, rngs):
         f, V, sizes = real(D, rngs)
-        return f, V, np.full_like(sizes, D.shape[-1])
+        return f, V, [D.shape[-1]] * len(sizes)
 
     monkeypatch.setattr(certify, "_min_eig_vectors", one_cluster)
     held = _plateau_spy(monkeypatch)

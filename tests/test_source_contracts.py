@@ -116,7 +116,7 @@ def test_certify_constants_are_a_fixed_set():
     # a new search knob, or the removal of one, is an edit to this list
     assert _constants(Path(certify.__file__)) == {
         "EIG_DEGENERACY_GAP", "STALL_TOL", "STALL_WINDOW", "WITNESS_RECHECK_TOL",
-        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "PLATEAU_MARGIN",
+        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "PLATEAU_MARGIN", "EXTRAPOLATION_ALIGNMENT",
     }
 
 
