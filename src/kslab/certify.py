@@ -6,16 +6,14 @@ contraction, from one SVD of the transfer matrix.
 A falsifier searches for a witness making a defect negative. Its verdicts
 are one-sided: ``Violated`` comes with a self-certifying witness,
 ``NoViolationFound`` is evidence that the property holds, not a proof.
-The exceptions are where the maths settles the question and one
-eigendecomposition of the Choi matrix C_Phi replaces the search. k-KS of a
-unital Phi at k >= d holds iff C_Phi >= 0 (k-KS implies k-positive, which
-for k >= d is CP (Choi 1975), and a unital CP map is KS at every k (Choi
-1974)); a unital Phi with C_Phi >= 0 is k-KS at every k < d too, and
-co-KS when C_{tau o Phi} >= 0, so below d the KS and co-KS searches run
-only on a map that is not unital or not CP; a map that is not unital is
-violated at every k when spec Phi(1) leaves [0, 1], read from one eigh of
-Phi(1); and d-positivity holds iff lambda_min(C_Phi) >= 0. These verdicts
-are exact up to one float64 eigh.
+The exceptions are where the maths settles the question and an eigh of
+Phi(1) and one of the Choi matrix C_Phi replace the search. One rule
+decides k-KS: spec Phi(1) outside [0, 1] is violated at every k; else a
+CP Phi is k-KS at every k, as a CP map with Phi(1) <= I is (Choi 1974);
+else at k >= d Phi is violated, as k-KS implies k-positive, which for
+k >= d is CP (Choi 1975); else the search runs. co-KS reads the rule on
+tau o Phi, and d-positivity holds iff lambda_min(C_Phi) >= 0. These
+verdicts are exact up to float64 eighs.
 
 The three falsifiers (KS, co-KS and k-positivity) run on one
 random-restart driver, ``_falsify``, which seeds every restart from the
@@ -803,12 +801,13 @@ def _ks_search(
     transfers: list[np.ndarray], k: int, budgets: list[SearchBudget], unital: list[bool]
 ) -> list[CertificateVerdict]:
     """The k-KS searches of the maps on one M_d with these transfer
-    matrices, which the KS and co-KS falsifiers reach through _ks_decide, at
-    budgets that differ only in their seeds; one verdict each. ``unital``
-    holds each map's QuantumMap.unital flag: the searches of unital maps
-    fast-forward across the zero plateau (see _alternating_restart), those
-    of the others do not. The maps of each kind are searched as lockstep
-    stacks (see _falsify) of at most STACK_SEARCHES maps."""
+    matrices, which the KS and co-KS falsifiers reach through _ks_decide
+    only for maps that are not CP, below d, at budgets that differ only in
+    their seeds; one verdict each. ``unital`` holds each map's
+    QuantumMap.unital flag: the searches of unital maps fast-forward across
+    the zero plateau (see _alternating_restart), those of the others do
+    not. The maps of each kind are searched as lockstep stacks (see
+    _falsify) of at most STACK_SEARCHES maps."""
     d = math.isqrt(len(transfers[0]))
     n = k * d
 
@@ -863,67 +862,59 @@ def _check_ks_map(Phi: QuantumMap, inequality: str) -> None:
 
 
 def _ks_decide(
-    maps: list[QuantumMap], k: int, budgets: list[SearchBudget], transposed: bool = False
+    transfers: list[np.ndarray], unital: list[bool], k: int, budgets: list[SearchBudget]
 ) -> list[CertificateVerdict]:
-    """The k-KS verdicts of maps, or with ``transposed`` of tau o Phi for
-    each Phi, tau the transposition, for the KS and co-KS falsifiers and the
-    scan: decided from one eigh where the maths settles it (_ks_closed_form),
-    and otherwise from one _ks_search call, which searches every map left as
-    one stack. Both read transfer matrices: tau o Phi is decided and searched
-    on transpose_rows(T), and it is unital iff Phi is, so no map is built for
-    it."""
-    transfers = [transpose_rows(Phi.transfer) if transposed else Phi.transfer for Phi in maps]
-    verdicts = [
-        _ks_closed_form(T, k, budget, Phi.unital)
-        for Phi, T, budget in zip(maps, transfers, budgets)
-    ]
+    """The k-KS verdicts of the maps on one M_d with these transfer matrices
+    and QuantumMap.unital flags, for the KS and co-KS falsifiers and the
+    scan: decided in closed form where the maths settles it
+    (_ks_closed_form), and otherwise from one _ks_search call, which
+    searches every map left as one stack. co-KS of Phi is the KS verdict of
+    tau o Phi, on transpose_rows(T), which is unital iff Phi is."""
+    verdicts = [_ks_closed_form(T, k, b, u) for T, u, b in zip(transfers, unital, budgets)]
     searched = [i for i, v in enumerate(verdicts) if v is None]
     if searched:
         found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched],
-                           [maps[i].unital for i in searched])
+                           [unital[i] for i in searched])
         for i, v in zip(searched, found):
             verdicts[i] = v
     return verdicts
 
 
 def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget, unital: bool) -> CertificateVerdict | None:
-    """The k-KS verdict of the map Phi with transfer matrix T from one eigh,
-    or None where that does not settle it and the search must run.
-
-    A Phi that is not ``unital`` is read through Phi(1) = unvec(T vec I), mu
-    its spectrum: X = I/sqrt(kd) has HS norm 1 and the defect
-    I_k (x) (Phi(1) - Phi(1)^2)/(kd), so Phi is violated at every k, with
-    that witness, when min(mu - mu^2)/(kd) < -violation_tol, and searched
-    otherwise. For a unital Phi the eigh is that of its Choi matrix C.
-
-    For k >= d, X = P_Omega/d, Omega = sum_i e_i (x) e_i in C^k (x) C^d,
-    has HS norm 1 and the amplified defect (C/d - C^2/d^2) (+) 0, so
-    lambda_min of it is the smaller of f(lambda) = lambda/d - lambda^2/d^2
-    at the two ends of the spectrum of C. With the 0 that X = I/sqrt(kd)
-    attains, that is the k = d value; for a unital CP map, whose C >= 0 has
-    trace d, it is 0, up to the rounding of a zero eigenvalue.
-    - At k >= d it is the verdict, with the witness P_Omega/d: a unital map
-      is k-KS there iff C >= 0.
-    - At k < d a unital CP map is decided clean: a k-block witness pads
-      with zero blocks into a d-block one, so d-KS implies k-KS. The gate
-      is C >= 0 up to the rounding of its eigh, not the k = d value, which
-      only bounds the k-level minimum from above; a map that is not CP
-      runs the search.
-    A decided verdict reads no restarts or max_iters, and is exact up to
-    one float64 eigh."""
+    """The k-KS verdict of the map Phi with transfer matrix T in closed
+    form, or None where that does not settle it and the search must run:
+    - spec Phi(1) outside [0, 1]: Violated at every k, with X = I/sqrt(kd);
+    - else C >= 0, C the Choi matrix: NoViolationFound at every k;
+    - else k >= d: Violated, with X = P_Omega/d;
+    - else None.
+    The witnesses: X = I/sqrt(kd) has the defect I_k (x) (Phi(1) -
+    Phi(1)^2)/(kd), so it attains min(mu - mu^2)/(kd), mu = spec Phi(1), at
+    every k, and 0 on a unital Phi, whose Phi(1) is not read. For k >= d,
+    X = P_Omega/d, Omega = sum_i e_i (x) e_i in C^k (x) C^d, has the defect
+    (C/d - C^2/d^2) (+) 0 for any Phi, so it attains the smaller of
+    f(lambda) = lambda/d - lambda^2/d^2 at the two ends of spec C at k = d,
+    and min(0, .) of that at k > d. Both have HS norm 1, and the verdict
+    reports the least value they attain at k, an upper bound on the infimum
+    as a search's value is; a unital Phi's clean value below d keeps its
+    k = d value, the rounding of a zero eigenvalue. At k >= d the value is
+    the verdict, as a CP Phi's is >= 0 there; below d the gate is C >= 0 up
+    to the rounding of its eigh. A decided verdict reads no restarts or
+    max_iters."""
     d = math.isqrt(len(T))
     recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
+    worst = 0.0
     if not unital:
         mu = np.linalg.eigvalsh(hermitianize(linalg.unvec(T @ linalg.vec(np.eye(d)), d)))
         worst = float(np.min(mu - mu * mu)) / (k * d)
-        if not worst < -budget.violation_tol:
-            return None
-        X = np.eye(k * d, dtype=complex) / math.sqrt(k * d)
-        scale = max(1.0, float(np.abs(mu).max()) ** 2)
-        return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
+        if worst < -budget.violation_tol:
+            X = np.eye(k * d, dtype=complex) / math.sqrt(k * d)
+            scale = max(1.0, float(np.abs(mu).max()) ** 2)
+            return _decided(worst, X, recheck, partial(BlockOperator, k, d), budget, scale)
     lam = np.linalg.eigh(hermitianize(choi(T)))[0][[0, -1]]
     w = lam / d
-    worst = min(0.0, float(np.min(w - w * w)))
+    if unital or k >= d:  # P_Omega/d's value, and at k > d the 0 of its (+) 0
+        worst = min(worst, float(np.min(w - w * w)))
+        worst = min(worst, 0.0) if k > d else worst
     if k < d:
         # C >= 0 up to the rounding of a d^2 x d^2 eigh; a value below
         # -violation_tol (a tol under that rounding) has no witness to give
@@ -942,15 +933,14 @@ def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget, unital: bool) -
 def falsify_ks(
     Phi: QuantumMap, k: int = 1, budget: SearchBudget = SearchBudget()
 ) -> CertificateVerdict:
-    """Search for a violation of the k-KS inequality of Phi. A unital Phi is
-    decided from one eigh of C_Phi at k >= d, and below d when C_Phi >= 0; a
-    Phi that is not unital is decided violated, with the witness I/sqrt(kd),
-    when spec Phi(1) leaves [0, 1] (see _ks_closed_form). Every other map
-    runs the search."""
+    """Search for a violation of the k-KS inequality of Phi. The closed
+    form decides every Phi with spec Phi(1) outside [0, 1], every CP Phi and
+    every Phi at k >= d (see _ks_closed_form); a Phi that is not CP runs the
+    search below d."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_ks_map(Phi, "KS")
-    return _ks_decide([Phi], k, [budget])[0]
+    return _ks_decide([Phi.transfer], [Phi.unital], k, [budget])[0]
 
 
 def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> CertificateVerdict:
@@ -959,7 +949,7 @@ def falsify_co_ks(Phi: QuantumMap, budget: SearchBudget = SearchBudget()) -> Cer
     defect of tau o Phi at X, so this is the KS verdict of tau o Phi at
     k = 1 (see _ks_decide), and a witness X serves both."""
     _check_ks_map(Phi, "co-KS")
-    return _ks_decide([Phi], 1, [budget], transposed=True)[0]
+    return _ks_decide([transpose_rows(Phi.transfer)], [Phi.unital], 1, [budget])[0]
 
 
 def check_phi_k_condition(
@@ -1093,7 +1083,7 @@ def scan_threshold(
     points: list[ScanPoint] = []
     a_first_violation = None
     a_certified = None
-    for a, res in zip(grid, _ks_decide(maps, k, budgets)):
+    for a, res in zip(grid, _ks_decide([M.transfer for M in maps], [M.unital for M in maps], k, budgets)):
         points.append(ScanPoint(a=a, verdict=res.verdict, worst_value=res.worst_value))
         if res.violated:
             if a_first_violation is None:

@@ -47,10 +47,10 @@ def _residual(lam: float, phi1: QuantumMap, phi2: QuantumMap, target: QuantumMap
 def _result(lam: float, phi1: QuantumMap, phi2: QuantumMap, target: QuantumMap, params: dict) -> DecompositionResult:
     residual = _residual(lam, phi1, phi2, target)
     if residual > RECONSTRUCTION_TOL:
-        raise AssertionError(f"reconstruction residual {residual:.3e} exceeds tolerance")
+        raise RuntimeError(f"reconstruction residual {residual:.3e} exceeds tolerance")
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
         if not phi.unital:
-            raise AssertionError(f"decomposition component {name} is not unital")
+            raise RuntimeError(f"decomposition component {name} is not unital")
     return DecompositionResult(
         lam=lam, phi1=phi1, phi2=phi2, params=params, reconstruction_residual=residual
     )
@@ -169,7 +169,7 @@ def decompose_reduction(d: int, a: float) -> DecompositionResult:
     p = reduction_split_params(d, a, alpha, lam)
     failing = _check_reduction_split(d, a, lam, p)
     if failing is not None:
-        raise AssertionError(
+        raise RuntimeError(
             f"reduction split construction violated '{failing}' "
             f"(d={d}, a={a}, alpha={alpha}, lambda={lam})"
         )

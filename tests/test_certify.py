@@ -288,23 +288,48 @@ def test_falsify_ks_at_k_ge_d_runs_no_restart(monkeypatch):
     assert verdicts == {"Violated", "NoViolationFound"}
 
 
-# maps that are not unital, with Phi(1) = I/2 inside [0, 1]: 0.5 tau is not
-# CP, 0.5 id is CP and KS
-@pytest.mark.parametrize("Phi", [QuantumMap(0.5 * transpose_map(2).transfer), QuantumMap(0.5 * np.eye(4))],
-                         ids=["half-transpose", "half-identity"])
-def test_falsify_ks_non_unital_at_k_ge_d_warns_and_searches(monkeypatch, Phi):
-    restarts = []
+def _restart_spy(monkeypatch):
+    # the calls of the KS restart, one per lockstep stack
+    calls = []
 
     def counted(*args):
-        restarts.append(args)
+        calls.append(args)
         return _alternating_restart(*args)
 
     monkeypatch.setattr(certify, "_alternating_restart", counted)
+    return calls
+
+
+def _forbid_restarts(monkeypatch):
+    def no_restart(*args):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(certify, "_alternating_restart", no_restart)
+
+
+# maps that are not unital, with Phi(1) = I/2 inside [0, 1]: 0.5 tau is not
+# CP, so violated at k >= d, and 0.5 id is CP and KS; both are decided there
+@pytest.mark.parametrize("Phi,violated", [(QuantumMap(0.5 * transpose_map(2).transfer), True),
+                                          (QuantumMap(0.5 * np.eye(4)), False)],
+                         ids=["half-transpose", "half-identity"])
+def test_falsify_ks_non_unital_at_k_ge_d_warns_and_is_decided(monkeypatch, Phi, violated):
+    _forbid_restarts(monkeypatch)
+    with pytest.warns(UserWarning, match="unital"):
+        res = falsify_ks(Phi, 2, SearchBudget(restarts=2, max_iters=20, seed=0))
+    assert res.violated == violated
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": int(violated)}
+
+
+# 0.5 tau at d = 3, not CP, below d: it warns and searches
+@pytest.mark.parametrize("k", [1, 2])
+def test_falsify_ks_non_unital_below_d_warns_and_searches(monkeypatch, k):
+    Phi = QuantumMap(0.5 * transpose_map(3).transfer)
+    restarts = _restart_spy(monkeypatch)
     budget = SearchBudget(restarts=2, max_iters=20, seed=0)
     with pytest.warns(UserWarning, match="unital"):
-        res = falsify_ks(Phi, 2, budget)
+        res = falsify_ks(Phi, k, budget)
     assert restarts
-    assert _bytes(res) == _bytes(_search(Phi, 2, budget))
+    assert _bytes(res) == _bytes(_search(Phi, k, budget))
 
 
 # -- Phi(1) outside [0, 1]: violated at every k with X = I/sqrt(kd) ----------
@@ -330,8 +355,10 @@ def test_falsify_ks_decides_a_map_with_phi_one_outside_the_unit_interval(monkeyp
     Phi = _superunital_cp_map()
     mu = np.linalg.eigvalsh(Phi(np.eye(2)))
     budget = SearchBudget(restarts=8, max_iters=200, seed=seed)
+    # CP, so the rule for CP maps would call it clean: the Phi(1) test comes
+    # first, at k < d, k = d and k > d
     runs = {("KS", 1): partial(falsify_ks, Phi, 1), ("KS", 2): partial(falsify_ks, Phi, 2),
-            ("co-KS", 1): partial(falsify_co_ks, Phi)}
+            ("KS", 3): partial(falsify_ks, Phi, 3), ("co-KS", 1): partial(falsify_co_ks, Phi)}
     for (kind, k), falsify in runs.items():
         with pytest.warns(UserWarning, match="not unital"):
             res = falsify(budget=budget)
@@ -359,6 +386,94 @@ def test_decided_verdicts_of_unital_maps_keep_their_bytes():
     }
     assert found == {"lm3+": "f2fc90ffae30", "lm3-": "acc5bc8b1cda", "lm2k4": "0c5296dda1c4",
                      "cp3k1": "b1c3b95657c2", "co_tau3": "88f000332bba"}
+
+
+# -- maps that are not unital, spec Phi(1) inside [0, 1] -----------------------
+#
+# A CP map with Phi(1) <= I is KS at every k (Choi 1974; Paulsen 2002, Prop.
+# 3.3), and at k >= d a k-KS map is k-positive, hence CP: the closed form
+# decides both, as for unital maps, and reports a value that one of its
+# witnesses, I/sqrt(kd) or P_Omega/d at k >= d, attains at that k.
+
+
+def _cp_map_with_top(seed, d, top):
+    # a random CP map scaled to ||Phi(1)|| = top
+    rng = np.random.default_rng(seed)
+    Phi = QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])
+    return QuantumMap(Phi.transfer * top / np.linalg.eigvalsh(hermitianize(Phi(np.eye(d))))[-1])
+
+
+def _p_omega(d, k):
+    omega = np.zeros(k * d)
+    omega[np.arange(d) * (d + 1)] = 1
+    return np.outer(omega, omega) / d
+
+
+def _witness_value(Phi, k):
+    # the least value I/sqrt(kd), and P_Omega/d at k >= d, attain
+    n = k * Phi.d
+    witnesses = [np.eye(n) / np.sqrt(n)] + ([_p_omega(Phi.d, k)] if k >= Phi.d else [])
+    return min(min_eigenvalue(amplified_ks_defect(Phi, k, X)) for X in witnesses)
+
+
+SUBUNITAL_CP = {
+    "half-identity-2": QuantumMap(0.5 * np.eye(4)),
+    "half-identity-3": QuantumMap(0.5 * np.eye(9)),
+    "half-delta-2": QuantumMap(0.5 * depolarizing(2).transfer),
+    "0.9-psi": QuantumMap(0.9 * sample_utp_cp(3, seed=4).transfer),
+    "random-2": _cp_map_with_top(0, 2, 0.98),
+    "random-3": _cp_map_with_top(1, 3, 0.98),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBUNITAL_CP))
+def test_subunital_cp_maps_are_decided_clean_at_every_k(monkeypatch, name):
+    Phi = SUBUNITAL_CP[name]
+    assert not Phi.unital
+    budget = SearchBudget(restarts=3, max_iters=60, seed=1)
+    ks = range(1, Phi.d + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-unital warning
+        searched = {k: _search(Phi, k, budget).verdict for k in ks}
+    _forbid_restarts(monkeypatch)
+    for k in ks:
+        with pytest.warns(UserWarning, match="not unital"):
+            res = falsify_ks(Phi, k, budget)
+        assert res.verdict == searched[k] == "NoViolationFound"
+        assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 0}
+        assert res.witness is None
+        # a value a witness attains at k, not a bare 0
+        assert abs(res.worst_value - _witness_value(Phi, k)) < 1e-12
+        if (name, k) == ("half-delta-2", 1):
+            assert abs(res.worst_value - 0.125) < 1e-15
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 3)])
+def test_a_non_unital_map_that_is_not_cp_is_decided_violated_at_k_ge_d(monkeypatch, d, k):
+    # 0.5 tau: Phi(1) = I/2, C = F/2, F the swap
+    _forbid_restarts(monkeypatch)
+    Phi = QuantumMap(0.5 * transpose_map(d).transfer)
+    with pytest.warns(UserWarning, match="not unital"):
+        res = falsify_ks(Phi, k, FAST)
+    lam = np.linalg.eigvalsh(hermitianize(Phi.choi()))[0]
+    assert res.violated and res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 1}
+    assert abs(res.worst_value - _choi_f(d, lam)) < 1e-12
+    assert np.array_equal(res.witness.data, _p_omega(d, k)) and (res.witness.k, res.witness.d) == (k, d)
+    assert abs(min_eigenvalue(amplified_ks_defect(Phi, k, res.witness)) - res.worst_value) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_co_ks_of_a_subunital_co_cp_map_is_decided_clean(monkeypatch, d):
+    # tau o (0.5 tau) = 0.5 id is CP, with Phi(1) = I/2
+    Phi = QuantumMap(0.5 * transpose_map(d).transfer)
+    budget = SearchBudget(restarts=3, max_iters=60, seed=2)
+    searched = _search(_tau(Phi), 1, budget)
+    _forbid_restarts(monkeypatch)
+    with pytest.warns(UserWarning, match="not unital"):
+        res = falsify_co_ks(Phi, budget)
+    assert res.verdict == searched.verdict == "NoViolationFound"
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": 0}
+    assert abs(res.worst_value - min_eigenvalue(co_ks_defect(Phi, np.eye(d) / np.sqrt(d)))) < 1e-12
 
 
 # -- closed form below k = d ------------------------------------------------
@@ -1611,25 +1726,33 @@ def _ks_component(d):
     return decompose_lambda_plus_T(d, 0.25).phi1
 
 
+def _subunital_lambda_plus(a):
+    # 0.7 Lambda^+_a(Psi), Psi = sample_utp_cp(3, seed=4): Phi(1) = 0.7 I, so
+    # not unital, and not CP at a = 1.4 and 2.0, nor co-CP at a = 2.0
+    return QuantumMap(0.7 * lambda_plus(sample_utp_cp(3, seed=4), a).transfer)
+
+
 @pytest.mark.parametrize("case", ["violated", "non-unital", "ks-component-3", "ks-component-4"])
 def test_these_searches_take_the_dense_route(monkeypatch, case):
     # a violated search that never reaches the plateau; a map that is not
-    # unital, whose block-identity rows are no null space; and the KS part
-    # of Lambda^+_0.25(T) at d = 3, 4, whose form has other null vectors
-    # besides N, so that its defect never becomes one cluster: no member
-    # takes the plateau vector, and the bytes are those of the dense route
+    # unital, whose block-identity rows are no null space, and not CP, so
+    # that it is searched; and the KS part of Lambda^+_0.25(T) at d = 3, 4,
+    # whose form has other null vectors besides N, so that its defect never
+    # becomes one cluster: a search runs, no member takes the plateau
+    # vector, and the bytes are those of the dense route
     Phi, k = {
         "violated": (lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.05), 2),
-        "non-unital": (QuantumMap(0.5 * np.eye(9)), 1),
+        "non-unital": (_subunital_lambda_plus(1.4), 1),
         "ks-component-3": (_ks_component(3), 1),
         "ks-component-4": (_ks_component(4), 1),
     }[case]
     budget = SearchBudget(restarts=4, max_iters=100, seed=2)
     held = _plateau_spy(monkeypatch)
+    restarts = _restart_spy(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the non-unital warning
         res = falsify_ks(Phi, k, budget)
-        assert not any(map(any, held))
+        assert restarts and not any(map(any, held))
         _dense_only(monkeypatch)
         assert _bytes(res) == _bytes(falsify_ks(Phi, k, budget))
     assert res.violated == (case == "violated")
@@ -1650,7 +1773,7 @@ def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
     base = sample_utp_cp(3, seed=4)
     budget = SearchBudget(restarts=2, max_iters=30, seed=0)
     for Phi, unital in ((lambda_plus(base, 11), True), (lambda_minus(base, 2.999), True),
-                        (QuantumMap(0.5 * np.eye(9)), False)):
+                        (_subunital_lambda_plus(2.0), False)):
         assert Phi.unital == unital
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the non-unital warning
@@ -1663,8 +1786,9 @@ def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
 def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
     # with every defect reported as one cluster, the members of a unital
     # map fast-forward and those of a non-unital one never do, although
-    # the test alone would pass there: 0.9 Psi, Psi unital CP, has
-    # M'_v > 0 with N no null space, so x_0 is no bottom eigenvector
+    # the test alone would pass there: 0.7 Lambda^+_1.4(Psi), searched as
+    # it is not CP, passes it, but N is no null space of its M'_v, so x_0
+    # is no bottom eigenvector
     real = certify._min_eig_vectors
 
     def one_cluster(D, rngs):
@@ -1673,9 +1797,10 @@ def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
 
     monkeypatch.setattr(certify, "_min_eig_vectors", one_cluster)
     held = _plateau_spy(monkeypatch)
+    restarts = _restart_spy(monkeypatch)
     budget = SearchBudget(restarts=2, max_iters=20, seed=0)
     Psi = sample_utp_cp(3, seed=4)
-    Phi = QuantumMap(0.9 * Psi.transfer)
+    Phi = _subunital_lambda_plus(1.4)
     v = _unit(ginibre(np.random.default_rng(3), 3, 1)[:, 0])
     M = _qform(*_ks_parts(_base_t3(Phi), v[None]))
     s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0)])
@@ -1685,7 +1810,7 @@ def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the non-unital warning
         falsify_ks(Phi, 1, budget)
-    assert held == []
+    assert restarts and held == []
     falsify_ks(lambda_plus(Psi, 11), 1, budget)
     assert held
 
@@ -1861,7 +1986,8 @@ def test_stacked_scan_equals_the_per_point_loop(family, d, k, a_min, a_max, step
     # the decision the scan makes, verdict by verdict
     maps = [build_family(family, d, a=p.a, base=base) for p in scan.points]
     budgets = [replace(budget, seed=_derive_seed(budget.seed, i)) for i in range(len(maps))]
-    assert [_bytes(v) for v in certify._ks_decide(maps, k, budgets)] == [_bytes(v) for v in verdicts]
+    decided = certify._ks_decide([M.transfer for M in maps], [M.unital for M in maps], k, budgets)
+    assert [_bytes(v) for v in decided] == [_bytes(v) for v in verdicts]
     searched = [v.budget_used != {"restarts": 1, "iterations": 1, "defect_evals": int(v.violated)}
                 for v in verdicts]
     assert sum(searched) >= 2  # a stack of more than one point

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from kslab import certify, cli, serialize
 from kslab.cli import main
 from kslab.maps import QuantumMap
+from kslab.zoo import transpose_map
 
 
 def run(capsys, *argv):
@@ -301,6 +306,35 @@ def test_certify_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys
     assert rc == 1
     assert "kslab: error: map 'complex' is not Hermiticity-preserving" in err
     assert out == ""
+
+
+def _map_file(tmp_path, T, label):
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(serialize.map_to_json(QuantumMap(T, label=label))))
+    return str(path)
+
+
+def _kslab(*argv):
+    # the CLI in a fresh interpreter, whose warnings reach its stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "kslab.cli", *argv], env=env, capture_output=True, text=True)
+
+
+def test_certify_decides_a_subunital_cp_map_file_clean(tmp_path):
+    # 0.5 id: CP with Phi(1) = I/2, so KS at every k, decided without a search
+    proc = _kslab("certify", "--map", _map_file(tmp_path, 0.5 * np.eye(4), "half-identity"),
+                  "--expect", "no-violation", "--restarts", "4", "--max-iters", "50")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["budget"] == {"restarts": 1, "iterations": 1, "defect_evals": 0}
+    assert "map 'half-identity' is not unital" in proc.stderr
+
+
+def test_certify_decides_a_subunital_map_that_is_not_cp_violated_at_k_eq_d(tmp_path):
+    proc = _kslab("certify", "--map", _map_file(tmp_path, 0.5 * transpose_map(2).transfer, "half-transpose"),
+                  "--d", "2", "--k", "2", "--expect", "violation", "--restarts", "4", "--max-iters", "50")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["budget"] == {"restarts": 1, "iterations": 1, "defect_evals": 1}
+    assert "map 'half-transpose' is not unital" in proc.stderr
 
 
 def test_kpos_map_that_is_not_hermiticity_preserving_exits_1(tmp_path, capsys):

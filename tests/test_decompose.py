@@ -51,6 +51,21 @@ def test_lambda_plus_T_identity_check_raises(monkeypatch):
         decompose_lambda_plus_T(2, 0.2)
 
 
+def test_reconstruction_residual_check_raises_runtime_error(monkeypatch):
+    # a broken invariant, not bad input: RuntimeError itself, not a subclass
+    monkeypatch.setattr(decompose, "_residual", lambda *args: 1.0)
+    with pytest.raises(RuntimeError, match="reconstruction residual") as info:
+        decompose_lambda_plus_T(2, 0.2)
+    assert info.type is RuntimeError
+
+
+def test_reduction_split_check_raises_runtime_error(monkeypatch):
+    monkeypatch.setattr(decompose, "_check_reduction_split", lambda *args: "phi1 KS")
+    with pytest.raises(RuntimeError, match="reduction split construction violated") as info:
+        decompose_reduction(3, 0.9)
+    assert info.type is RuntimeError
+
+
 def test_lambda_plus_T_above_threshold_trivial():
     r = decompose_lambda_plus_T(2, 0.8)
     assert r.lam == 1.0

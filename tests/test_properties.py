@@ -4,11 +4,14 @@ classes (convex mixtures, unitary sandwiches, KS implies the partial-trace
 domination condition on samples)."""
 
 import json
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab import certify
 from kslab.certify import (
     PLATEAU_MARGIN,
     SearchBudget,
@@ -17,12 +20,21 @@ from kslab.certify import (
     _plateau_test,
     _qform,
     check_phi_k_condition,
+    falsify_co_ks,
     falsify_ks,
 )
 from kslab.linalg import dagger, ginibre, haar_isometry, hs_norm, unvec, vec
 from kslab.maps import QuantumMap, mix
 from kslab.serialize import matrix_from_json, matrix_to_json
-from kslab.zoo import lambda_minus, lambda_plus, reduction, sample_utp_cp, transpose_map, unitary_sandwich
+from kslab.zoo import (
+    lambda_minus,
+    lambda_plus,
+    reduction,
+    sample_utp_cp,
+    transpose_map,
+    transpose_rows,
+    unitary_sandwich,
+)
 
 FAST = SearchBudget(restarts=8, max_iters=200, seed=0)
 
@@ -167,6 +179,58 @@ def test_where_the_plateau_test_passes_the_bottom_eigenvector_lies_in_the_null_s
     eps = np.linalg.norm(M @ N, 2)
     x0 = N[:, 0]
     assert (x0.conj() @ M @ x0).real - w[0] <= 2 * eps + eps**2 / (PLATEAU_MARGIN * s) + 1e-12 * s
+
+
+# -- where the KS decision runs no search ----------------------------------
+#
+# At k >= d a k-KS map is CP, and P_Omega/d or I/sqrt(kd) decides any map
+# there; a CP map with Phi(1) <= I is KS at every k, and co-KS when tau o Phi
+# is. Neither runs a restart.
+
+
+def _no_restart(*args):
+    raise AssertionError("a restart ran")
+
+
+@st.composite
+def hp_map(draw):
+    # a Hermiticity-preserving map on M_d, unital or not, CP or not
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    kind = draw(st.sampled_from(["hermitian-choi", "kraus", "lambda-plus", "transpose"]))
+    if kind == "hermitian-choi":
+        G = ginibre(rng, d * d)
+        return QuantumMap.from_choi(G + dagger(G))
+    if kind == "kraus":
+        return QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])
+    if kind == "lambda-plus":
+        return lambda_plus(sample_utp_cp(d, int(rng.integers(50))), draw(st.floats(-5, 5)))
+    return transpose_map(d)
+
+
+@given(hp_map(), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_any_hermiticity_preserving_map_is_decided_at_k_ge_d(Phi, extra):
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(certify, "_alternating_restart", _no_restart)
+        warnings.simplefilter("ignore")  # the non-unital warning
+        res = falsify_ks(Phi, Phi.d + extra, FAST)
+    assert res.budget_used == {"restarts": 1, "iterations": 1, "defect_evals": int(res.violated)}
+
+
+@given(st.integers(2, 3), st.integers(0, 2**31 - 1), st.floats(0.05, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_a_cp_map_with_phi_one_below_the_identity_is_decided_clean_at_every_k(d, seed, top):
+    rng = np.random.default_rng(seed)
+    Psi = QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])
+    Psi = QuantumMap(Psi.transfer * top / np.linalg.eigvalsh(Psi(np.eye(d)))[-1])
+    co = QuantumMap(transpose_rows(Psi.transfer))  # co-CP, with tau o co = Psi
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(certify, "_alternating_restart", _no_restart)
+        warnings.simplefilter("ignore")  # the non-unital warning
+        verdicts = [falsify_ks(Psi, k, FAST) for k in range(1, d + 2)] + [falsify_co_ks(co, FAST)]
+    # a value some witness attains: >= 0 up to the rounding of ||Phi(1)|| = 1
+    assert all(v.verdict == "NoViolationFound" and v.worst_value > -1e-12 for v in verdicts)
 
 
 # -- closure properties of the certified classes ----------------------------

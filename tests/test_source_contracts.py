@@ -1,5 +1,5 @@
 """Contracts on the source of kslab itself, read with ast: runtime
-invariants are explicit exceptions, seeds and verdicts are each made in one
+invariants are explicit exceptions and none an AssertionError, seeds and verdicts are each made in one
 place, the KS search has one caller in the falsifiers, certify builds no
 map, there is one restart driver, the plateau test runs only in the
 restart's fast-forward, every module constant is read and certify has a
@@ -30,6 +30,18 @@ def test_no_assert_statements():
         for p in SOURCES
         for node in ast.walk(_tree(p))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_assertion_errors_raised():
+    # a broken invariant raises RuntimeError, as README and the cli define it
+    found = [
+        f"{p.name}:{node.lineno}"
+        for p in SOURCES
+        for node in ast.walk(_tree(p))
+        if isinstance(node, ast.Raise)
+        and "AssertionError" in (getattr(node.exc, "id", None), getattr(getattr(node.exc, "func", None), "id", None))
     ]
     assert found == []
 
