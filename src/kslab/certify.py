@@ -83,7 +83,8 @@ eigenvalue: from its last three X, phase-aligned, it evaluates D once at
 X_2 + r/(1 - r) (X_2 - X_1), r the ratio of the last two step lengths,
 when those steps point the same way within EXTRAPOLATION_ALIGNMENT and
 shrink, and keeps that point only where its bottom eigenvalue is single
-and lower (_aitken, _alternating_restart). The step draws nothing.
+and lower (_aitken, _alternating_restart). The step draws nothing; the
+steps line up in a degenerate bottom eigenspace through _ks_xstep's choice.
 """
 
 from __future__ import annotations
@@ -121,9 +122,8 @@ BATCH_MIN_DRAWS = 4
 # off its null space N for a KS X half-step to be the plateau point
 PLATEAU_MARGIN = 1e-6
 # the cosine |<d_0, d_1>| / (||d_0|| ||d_1||) of two successive steps from
-# which _aitken extrapolates; the near-threshold Lambda^-(id) runs at (3,2)
-# and (4,3) read above it, and most steps of the (4,2) ones, whose minimizers
-# are degenerate and whose iterates move by O(1), below it
+# which _aitken extrapolates; most steps of the near-threshold Lambda^-(id)
+# runs at (3,2), (4,3) and, with _ks_xstep's projection, (4,2) read above it
 EXTRAPOLATION_ALIGNMENT = 0.99
 
 
@@ -360,13 +360,25 @@ def _plateau_passes(k: int, d: int, vs: np.ndarray, windows: list[int], cap: int
     return [int(np.argmin(np.append(ok[e - L : e], False))) for L, e in zip(windows, ends)]
 
 
-def _ks_xstep(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _ks_xstep(W: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """X half-steps of the KS search for stacks W, G: a bottom eigenvector
     of each M'_v = W^T (x) I_m - G*G from one stacked dense eigh, as a fresh
     C-contiguous array with one row per member, since the bits of the defect
     depend on the layout of X. A member on the zero plateau of a unital map
-    gets here only once its plateau test fails (see _alternating_restart)."""
-    return np.linalg.eigh(_qform(W, G))[1][:, :, 0].copy()
+    gets here only once its plateau test fails (see _alternating_restart).
+    A member whose bottom cluster (as _clusters counts it) has more than one
+    eigenvalue, below -EIG_DEGENERACY_GAP, takes the unit projection onto it
+    of vec(block row 0 of its iterate in X), on its own arrays, unless that
+    is within EIG_DEGENERACY_GAP of 0: the minimizer nearest the iterate, so
+    the Aitken step cuts Lambda^-(id) at (4,2) from 31-35 to 15-19 iterations."""
+    w, U = np.linalg.eigh(_qform(W, G))
+    out, d = U[:, :, 0].copy(), G.shape[-2]
+    for b in np.flatnonzero((w[:, 1] - w[:, 0] < EIG_DEGENERACY_GAP) & (w[:, 0] < -EIG_DEGENERACY_GAP)).tolist():
+        Ub = U[b, :, : int((w[b] - w[b, 0] < EIG_DEGENERACY_GAP).sum())].copy()
+        p = Ub @ (Ub.conj().T @ X[b, :d].T.ravel())
+        if (norm := math.sqrt(np.vdot(p, p).real)) > EIG_DEGENERACY_GAP:
+            out[b] = p / norm
+    return out
 
 
 def _compress_right(C4: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -601,14 +613,14 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep`` maps a stack of vectors v to the stack of X with vec(X) a unit
-    bottom eigenvector of each Hermitian n^2 x n^2 matrix M_v with
-    vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that of M'_v in block
-    row 0), so the X half-step is exact and f(X) = lambda_min(defect(X))
-    decreases monotonely. Both take the arrays of ``maps`` after their
-    stack: each has a row per member, and a member's row leaves the batch
-    with its vector. Each member counts its own iterations and stops by its
-    own stall rule. Returns (best value, best X, counters) per run.
+    ``xstep`` maps a stack of vectors v, and the X they came from, to the
+    stack of X with vec(X) a unit bottom eigenvector of each Hermitian
+    n^2 x n^2 M_v with vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that
+    of M'_v in block row 0), so the X half-step is exact and f(X) decreases
+    monotonely. Both take the arrays of ``maps`` after their stack: each has
+    a row per member, and a member's row leaves the batch with its vector.
+    Each member counts its own iterations and stops by its own stall rule.
+    Returns (best value, best X, counters) per run.
 
     ``plateau`` is None, or (points, passes) for maps with a zero plateau
     at a point X_0 (see the module docstring): points(m) is a stack of m
@@ -664,11 +676,11 @@ def _alternating_restart(
         return False
 
     def going() -> tuple:
-        """live, V, sizes, maps and past without the members that stopped."""
+        """live, X, V, sizes, maps and past without the members that stopped."""
         keep = [j for j, b in enumerate(live) if out[b] is None]
         if len(keep) == len(live):
-            return live, V, sizes, maps, past
-        return ([live[j] for j in keep], V[keep], [sizes[j] for j in keep],
+            return live, X, V, sizes, maps, past
+        return ([live[j] for j in keep], X[keep], V[keep], [sizes[j] for j in keep],
                 tuple(M[keep] for M in maps), tuple(P[keep] for P in past))
 
     def extrapolate(due: list[int]) -> None:
@@ -718,17 +730,18 @@ def _alternating_restart(
                 if stops(b, f0[i], X0[i]):
                     break
             if p and out[b] is None:  # on from its p-th step at X_0
-                V[j], sizes[j] = U[i], cluster[i]
+                X[j], V[j], sizes[j] = X0[i], U[i], cluster[i]
                 if cluster[i] > 1:
                     V[j, :, 0] = _cluster_draws(U[[i] * p, :, : cluster[i]], [rngs[b]] * p)[-1]
 
     while True:
         if plateau is not None and n in sizes:
+            X = X.copy()  # fast_forward writes rows, and those of X may be past's or best_X's
             fast_forward([j for j, m in enumerate(sizes) if m == n])
-            live, V, sizes, maps, past = going()
+            live, X, V, sizes, maps, past = going()
             if not live:
                 break
-        X = xstep(V[:, :, 0], *maps)
+        X = xstep(V[:, :, 0], X, *maps)
         f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         f, due = f.tolist(), []
         for j, b in enumerate(live):
@@ -739,7 +752,7 @@ def _alternating_restart(
             extrapolate(due)
         past = (past[1], X)
         if any([stops(b, f[j], X[j]) for j, b in enumerate(live)]):
-            live, V, sizes, maps, past = going()
+            live, X, V, sizes, maps, past = going()
             if not live:
                 break
     return out
@@ -822,8 +835,8 @@ def _ks_search(
         x[:, :, :d] = xs.reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
-    def xstep(v, T):
-        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v)))
+    def xstep(v, X, T):
+        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X))
 
     x0 = _plateau_basis(k, d)[1]
     plateau = (lambda m: unvec(np.tile(x0, (m, 1))), partial(_plateau_passes, k, d))
@@ -895,10 +908,11 @@ def _ks_closed_form(T: np.ndarray, k: int, budget: SearchBudget, unital: bool) -
     f(lambda) = lambda/d - lambda^2/d^2 at the two ends of spec C at k = d,
     and min(0, .) of that at k > d. Both have HS norm 1, and the verdict
     reports the least value they attain at k, an upper bound on the infimum
-    as a search's value is; a unital Phi's clean value below d keeps its
-    k = d value, the rounding of a zero eigenvalue. At k >= d the value is
-    the verdict, as a CP Phi's is >= 0 there; below d the gate is C >= 0 up
-    to the rounding of its eigh. A decided verdict reads no restarts or
+    as a search's value is, not a margin (0.5 id at (2,1) reads 0.125, where
+    X = E_12 attains 0); a unital Phi's clean value below d keeps its k = d
+    value, the rounding of a zero eigenvalue. At k >= d the value is the
+    verdict, as a CP Phi's is >= 0 there; below d the gate is C >= 0 up to
+    the rounding of its eigh. A decided verdict reads no restarts or
     max_iters."""
     d = math.isqrt(len(T))
     recheck = partial(_min_eig_value, partial(_ks_defect, T, k))
@@ -936,7 +950,8 @@ def falsify_ks(
     """Search for a violation of the k-KS inequality of Phi. The closed
     form decides every Phi with spec Phi(1) outside [0, 1], every CP Phi and
     every Phi at k >= d (see _ks_closed_form); a Phi that is not CP runs the
-    search below d."""
+    search below d. A decided clean worst_value below d is the least value of
+    the closed-form witnesses: an upper bound on the infimum, not a margin."""
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_ks_map(Phi, "KS")

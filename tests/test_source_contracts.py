@@ -2,8 +2,9 @@
 invariants are explicit exceptions and none an AssertionError, seeds and verdicts are each made in one
 place, the KS search has one caller in the falsifiers, certify builds no
 map, there is one restart driver, the plateau test runs only in the
-restart's fast-forward, every module constant is read and certify has a
-fixed set of them, and the CLI has one error boundary."""
+restart's fast-forward, the X half-step form has one eigh, every module
+constant is read and certify has a fixed set of them, and the CLI has one
+error boundary."""
 
 import ast
 import inspect
@@ -108,9 +109,27 @@ def test_one_restart_driver():
 def test_the_plateau_test_runs_only_in_the_fast_forward():
     # a member on the zero plateau of a unital map runs its stall window at
     # once, and _plateau_passes, the restart's hook for it, is the one caller
-    # of _plateau_test; the X half-step has no plateau branch of its own
+    # of _plateau_test; the X half-step has no plateau branch of its own, and
+    # reads the current iterates X only for its rule inside a degenerate
+    # bottom cluster
     assert _callers("_plateau_test") == {"certify._plateau_passes"}
-    assert list(inspect.signature(certify._ks_xstep).parameters) == ["W", "G"]
+    assert list(inspect.signature(certify._ks_xstep).parameters) == ["W", "G", "X"]
+
+
+def test_one_x_half_step_eigh():
+    # the eigh of the X half-step form, np.linalg.eigh(_qform(...)), is made
+    # in _ks_xstep alone, so no second X half-step skips its rule inside a
+    # degenerate bottom cluster
+    found = [
+        f"{p.stem}.{fn.name}"
+        for p in SOURCES
+        for fn in ast.walk(_tree(p))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigh"
+        and node.args and isinstance(node.args[0], ast.Call) and ast.unparse(node.args[0].func) == "_qform"
+    ]
+    assert found == ["certify._ks_xstep"]
 
 
 def _constants(path):
