@@ -52,29 +52,27 @@ matrix is M_v = I_k (x) M'_v up to the order of vec(X), with
 M'_v = W^T (x) I_d - G*G of side n d read from the base transfer matrix;
 its bottom eigenvector, from one dense eigh, fills block row 0 of X.
 
-Most steps of a clean search of a unital map are on the zero plateau, and
-there the X half-step needs no eigenvector. The null-space fact: for
-Y = c^T (x) I_d and unital Phi, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for every Z
-(Kadison 1952: equality at X = I), so the k vectors vec(e_C^T (x) I_d)/sqrt(d)
-span a null space N of every M'_v; for Phi(I) = I + E,
-||M'_v P_N|| <= eps = ||T||_HS ||E||_HS. The gate: a member whose map is
-unital by QuantumMap.unital's rule and whose last defect was one eigenvalue
-cluster takes one Cholesky factorization of
-M'_v + s (P_N - PLATEAU_MARGIN I), s = max(||T||_HS^2, 1). Where it exists,
-M'_v >= tau = PLATEAU_MARGIN s on the complement of N, up to the rounding of
-the factorization, which is far below tau. The inequality: splitting a unit
-x into its parts in N and off it gives x* M'_v x >= -eps - eps^2 / tau, while
-x_0 = vec(e_0^T (x) I_d)/sqrt(d) in N has x_0* M'_v x_0 <= eps; so x_0 is a
-bottom eigenvector of M'_v to within 2 eps + eps^2 / tau, exactly one when
-Phi(I) = I, and the step returns it, X_0 with I_d/sqrt(d) in block (0, 0).
-Such steps repeat: at X_0 the defect, its spectrum and so the stall rule's
-input are the same bits at every pass, and only the combination v drawn
-from its one cluster changes. So a gated member runs the rest of its stall
-window at once (_alternating_restart): one evaluation of D(X_0), the
-window's draws made ahead, and the factorizations of its forms as stacked
-Cholesky calls. A member whose factorization fails, or that is not gated,
-takes the dense step from there, with the counters and draws of
-the step-by-step route.
+Most X half-steps of a clean or converged restart need no eigenvector. The
+certificate (_certified): for a unit candidate c, a Cholesky factor of
+M'_v - (c* M'_v c - eps) I, eps = STALL_TOL / STALL_WINDOW, shows that
+lambda_min(M'_v) > c* M'_v c - eps up to the rounding of the
+factorization; where that rounding exceeds eps it fails, safe, to the
+dense step. Where it passes, the step keeps c: it forgoes less than eps,
+and a stall window of such steps less than STALL_TOL, the stall rule's own
+resolution. A restart tests the start point X_0, e_0^T (x) I_d / sqrt(d) in
+block row 0, at its first X half-step, and its own X after a step that
+kept its candidate or while it stalls; a descending restart tests nothing.
+For Y = c^T (x) I_d and unital Phi, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for
+every Z (Kadison 1952), so X_0 is a null vector of every M'_v, and passes
+wherever Phi is k-KS and M'_v >= 0, at a KS threshold too. The fixed point:
+a restart that keeps its own X has the defect, spectrum and stall rule
+input of its step before, bit for bit. With one bottom eigenvalue v repeats
+too, so every later step repeats this one, and the restart counts the rest
+of its stall window at once. With a degenerate bottom only the draw v
+changes, and the restart runs the rest of its window at once, its draws
+made ahead and its forms tested as stacked Cholesky calls
+(_alternating_restart). Both keep the counters and draws of the
+step-by-step route.
 
 Near a threshold a violated restart converges linearly, slowly and along
 a line, so the restart takes a safeguarded Aitken step (Aitken 1926) on
@@ -92,7 +90,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -118,9 +116,6 @@ STACK_SEARCHES = 16
 # the fewest cluster draws that _cluster_draws combines as one batch; a batch
 # costs about two looped draws, and breaks even at 3-4
 BATCH_MIN_DRAWS = 4
-# the margin, relative to s = max(||T||_HS^2, 1), by which M'_v must exceed 0
-# off its null space N for a KS X half-step to be the plateau point
-PLATEAU_MARGIN = 1e-6
 # the cosine |<d_0, d_1>| / (||d_0|| ||d_1||) of two successive steps from
 # which _aitken extrapolates; most steps of the near-threshold Lambda^-(id)
 # runs at (3,2), (4,3) and, with _ks_xstep's projection, (4,2) read above it
@@ -265,9 +260,9 @@ def block_to_tuple(Phi: QuantumMap, k: int, X: np.ndarray) -> list[np.ndarray]:
 # G vec(Y) = sum_C Phi(Y_C) v_C, and W = Phi_k*(vv*) is read off the same
 # contraction, so M'_v = W^T (x) I_d - G*G. _ks_parts returns (W, G) and
 # _qform builds M'_v from them. At k = 1, M'_v is M_v.
-# On the plateau of a unital map, _plateau_test certifies the null space N
-# of M'_v as its bottom eigenspace (see the module docstring), for the
-# forms of a fast-forward that _plateau_passes builds.
+# _certified tells, from one Cholesky factorization, whether a candidate
+# vector is within STALL_TOL / STALL_WINDOW of the bottom of M'_v, so that
+# the X half-step may keep it with no eigh (see the module docstring).
 # The kernels work on stacks, one member per restart of a lockstep batch.
 # ---------------------------------------------------------------------------
 
@@ -302,83 +297,65 @@ def _qform(W: np.ndarray, G: np.ndarray) -> np.ndarray:
     return M
 
 
-@cache
-def _plateau_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P_N - PLATEAU_MARGIN I, x_0) for the KS X half-step forms of side
-    k d^2: P_N the projection onto N = span{vec(e_C^T (x) I_d)/sqrt(d)},
-    whose vectors hold 1/sqrt(d) at (C d + p) d + p, p < d, and
-    x_0 = vec(e_0^T (x) I_d)/sqrt(d). Read-only, as they are shared."""
-    N = np.zeros((k, k * d * d))
-    N[np.arange(k)[:, None], np.arange(k)[:, None] * d * d + np.arange(d) * (d + 1)] = 1 / math.sqrt(d)
-    Q = N.T @ N - PLATEAU_MARGIN * np.eye(k * d * d)
-    Q.flags.writeable = N.flags.writeable = False
-    return Q, N[0]
-
-
-def _plateau_test(A: np.ndarray, s: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """For each M'_v of the stack A whether M'_v + s Q, Q = P_N -
-    PLATEAU_MARGIN I from _plateau_basis and s the member's entry of ``s``,
-    has a Cholesky factor: then the bottom eigenspace of M'_v is N (see the
-    module docstring). A is overwritten with M'_v + s Q, which saves a
-    stack of forms; _plateau_passes hands it fresh ones. numpy refuses a
-    whole stack for one member that does not factor, so after a refused
-    stack each member is tested on its own."""
-    A += s[:, None, None] * Q
-    if _factors(A):
-        return np.ones(len(A), dtype=bool)
-    return np.array([_factors(a) for a in A], dtype=bool)
-
-
-def _factors(A: np.ndarray) -> bool:
-    """Whether np.linalg.cholesky factors A, a matrix or every matrix of a
-    stack."""
+def _certified(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """For each form A of the stack and its unit candidate x, the matching
+    row of c, whether A - (g - eps) I, g = x* A x and eps = STALL_TOL /
+    STALL_WINDOW, has a Cholesky factor: then lambda_min(A) > g - eps, up to
+    the rounding of the factorization, and where that rounding exceeds eps
+    the test fails. A is overwritten. numpy refuses a whole stack for one member
+    that does not factor, so after a refused stack each member is tested on
+    its own."""
+    g = (c.conj()[:, None] @ (A @ c[:, :, None]))[:, 0, 0].real
+    i = np.arange(A.shape[-1])
+    A[:, i, i] -= (g - STALL_TOL / STALL_WINDOW)[:, None]
+    ok = np.ones(len(A), dtype=bool)
     try:
         np.linalg.cholesky(A)
-        return True
     except np.linalg.LinAlgError:
-        return False
+        for b, a in enumerate(A):
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                ok[b] = False
+    return ok
 
 
-def _plateau_passes(k: int, d: int, vs: np.ndarray, windows: list[int], cap: int, T: np.ndarray) -> list[int]:
-    """For each member of a plateau fast-forward (see _alternating_restart),
-    how many leading vectors of its window pass _plateau_test.
-
-    ``vs`` holds the windows one after another: windows[i] vectors v of side
-    k d for member i, whose map has transfer matrix T[i] and so the shift
-    s = max(||T[i]||_HS^2, 1). The forms M'_v are built and tested at most
-    ``cap`` to a stack, which keeps them to the memory of one X half-step of
-    the live members."""
-    owner = np.repeat(np.arange(len(windows)), windows)
-    s = np.maximum(np.linalg.norm(T, axis=(1, 2)) ** 2, 1.0)
-    T3, Q = T.reshape(-1, d, d, d * d), _plateau_basis(k, d)[0]
-    ok = np.concatenate([
-        _plateau_test(_qform(*_ks_parts(T3[owner[c]], vs[c])), s[owner[c]], Q)
-        for c in (slice(a, a + cap) for a in range(0, len(vs), cap))
-    ])
-    ends = np.cumsum(windows).tolist()
-    # the first refused vector of each window, or its length
-    return [int(np.argmin(np.append(ok[e - L : e], False))) for L, e in zip(windows, ends)]
-
-
-def _ks_xstep(W: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """X half-steps of the KS search for stacks W, G: a bottom eigenvector
-    of each M'_v = W^T (x) I_m - G*G from one stacked dense eigh, as a fresh
-    C-contiguous array with one row per member, since the bits of the defect
-    depend on the layout of X. A member on the zero plateau of a unital map
-    gets here only once its plateau test fails (see _alternating_restart).
-    A member whose bottom cluster (as _clusters counts it) has more than one
-    eigenvalue, below -EIG_DEGENERACY_GAP, takes the unit projection onto it
-    of vec(block row 0 of its iterate in X), on its own arrays, unless that
-    is within EIG_DEGENERACY_GAP of 0: the minimizer nearest the iterate, so
-    the Aitken step cuts Lambda^-(id) at (4,2) from 31-35 to 15-19 iterations."""
-    w, U = np.linalg.eigh(_qform(W, G))
-    out, d = U[:, :, 0].copy(), G.shape[-2]
-    for b in np.flatnonzero((w[:, 1] - w[:, 0] < EIG_DEGENERACY_GAP) & (w[:, 0] < -EIG_DEGENERACY_GAP)).tolist():
-        Ub = U[b, :, : int((w[b] - w[b, 0] < EIG_DEGENERACY_GAP).sum())].copy()
-        p = Ub @ (Ub.conj().T @ X[b, :d].T.ravel())
-        if (norm := math.sqrt(np.vdot(p, p).real)) > EIG_DEGENERACY_GAP:
-            out[b] = p / norm
-    return out
+def _ks_xstep(
+    W: np.ndarray, G: np.ndarray, X: np.ndarray, c: np.ndarray, on: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """X half-steps of the KS search for stacks W, G, as a fresh
+    C-contiguous array with one row per member, since the bits of the
+    defect depend on the layout of X, and the mask of the members that kept
+    their candidate. A member with ``on`` set keeps its unit candidate, its
+    row of c, where _certified passes it on M'_v = W^T (x) I_m - G*G; the
+    others take a bottom eigenvector of M'_v from one stacked dense eigh.
+    One of those whose bottom cluster (as _clusters counts it) has more than
+    one eigenvalue, below -EIG_DEGENERACY_GAP, takes the unit projection
+    onto it of vec(block row 0 of its iterate in X), on its own arrays,
+    unless that is within EIG_DEGENERACY_GAP of 0: the minimizer nearest
+    the iterate, so the Aitken step cuts Lambda^-(id) at (4,2) from 31-35 to
+    15-19 iterations."""
+    M = _qform(W, G)
+    kept = np.zeros(len(M), dtype=bool)
+    if on.any():
+        kept[on] = _certified(M[on], c[on])
+    if not kept.any():  # the dense step for every member
+        w, U = np.linalg.eigh(M)
+        out, refused = U[:, :, 0].copy(), range(len(M))
+    else:
+        out, refused = np.array(c), np.flatnonzero(~kept)
+        if not len(refused):
+            return out, kept
+        w, U = np.linalg.eigh(M[refused])
+        out[refused] = U[:, :, 0]
+    if w[:, 0].min() < -EIG_DEGENERACY_GAP:
+        d = G.shape[-2]
+        for i in np.flatnonzero((w[:, 1] - w[:, 0] < EIG_DEGENERACY_GAP) & (w[:, 0] < -EIG_DEGENERACY_GAP)).tolist():
+            Ui, b = U[i, :, : int((w[i] - w[i, 0] < EIG_DEGENERACY_GAP).sum())].copy(), refused[i]
+            p = Ui @ (Ui.conj().T @ X[b, :d].T.ravel())
+            if (norm := math.sqrt(np.vdot(p, p).real)) > EIG_DEGENERACY_GAP:
+                out[b] = p / norm
+    return out, kept
 
 
 def _compress_right(C4: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -602,8 +579,8 @@ def _aitken(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None
 
 def _alternating_restart(
     defect: Callable[..., np.ndarray],
-    xstep: Callable[..., np.ndarray],
-    plateau: tuple[Callable[[int], np.ndarray], Callable[..., list[int]]] | None,
+    xstep: Callable[..., tuple[np.ndarray, np.ndarray]],
+    certified: Callable[..., np.ndarray] | None,
     n: int,
     budget: SearchBudget,
     rngs: list[np.random.Generator],
@@ -613,48 +590,56 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep`` maps a stack of vectors v, and the X they came from, to the
-    stack of X with vec(X) a unit bottom eigenvector of each Hermitian
-    n^2 x n^2 M_v with vec(X)* M_v vec(X) = v* defect(X) v (for k-KS, that
-    of M'_v in block row 0), so the X half-step is exact and f(X) decreases
-    monotonely. Both take the arrays of ``maps`` after their stack: each has
-    a row per member, and a member's row leaves the batch with its vector.
-    Each member counts its own iterations and stops by its own stall rule.
-    Returns (best value, best X, counters) per run.
+    ``xstep(v, X, on, first, *rows)`` maps a stack of vectors v, and the X
+    they came from, to the stack of X with vec(X) a unit bottom eigenvector
+    of each Hermitian n^2 x n^2 M_v with vec(X)* M_v vec(X) = v* defect(X) v
+    (for k-KS, that of M'_v in block row 0), so the X half-step is exact and
+    f(X) decreases monotonely; and to the mask of the members that kept
+    their candidate instead, where ``on`` lets them test one: the search's
+    start point X_0 at the ``first`` X half-step, their own X after it.
+    ``certified(vs, X, *rows)`` tells for each vector v of vs whether the
+    X of its row would keep itself as its X half-step from v; it may be None
+    for an xstep that keeps no candidate. Both take the
+    arrays of ``maps`` after their stack: each has a row per member, and a
+    member's row leaves the batch with its vector. Each member counts its
+    own iterations and stops by its own stall rule. Returns (best value,
+    best X, counters) per run.
 
-    ``plateau`` is None, or (points, passes) for maps with a zero plateau
-    at a point X_0 (see the module docstring): points(m) is a stack of m
-    copies of X_0, laid out as xstep lays out its X, since the bits of the
-    defect depend on it; passes(vs, windows, cap, *rows) is
-    _plateau_passes, which tells for each member how many leading vectors of
-    its window have X_0 as their X half-step. A member whose last defect was
-    one cluster takes its next steps at X_0 for as long as that holds, and
-    then every step gives the same D(X_0) and spectrum; only the draw v
-    changes. So before each X half-step such a member runs the rest of its
-    stall window at once. D(X_0) is evaluated once; the window is the L
-    steps after which the stall rule or max_iters would stop the member, or
-    one step where D(X_0) is not one cluster; its L - 1 draws are made
-    ahead, and passes tests its L vectors, at most max(live members,
-    STALL_WINDOW) to a stack. A member whose first j vectors pass takes j
-    steps at D(X_0), counted as j iterations and defect evaluations. Unless
-    that stops it, its generator is set back and advanced by those j steps'
-    draws only, and it takes xstep with the vector it then holds.
+    Every member tests X_0 at its first X half-step, and its own X after a
+    step that kept its candidate or in its stall window (see the module
+    docstring). Where it keeps its own X, the defect, its spectrum and the
+    stall rule's input are the same bits as at the step before. If the
+    bottom eigenvalue is single, v is too, so every step repeats that one:
+    the member counts the rest of its stall window at once, each step an
+    iteration and a defect evaluation, and stops. If the bottom cluster is
+    degenerate, only the combination v drawn from it changes: after a step
+    that kept its candidate there, the member runs the rest of its stall
+    window at once. D(X) is evaluated once more; the window is the L steps
+    after which the stall rule or max_iters would stop the member; its
+    L - 1 draws are made ahead, and ``certified`` tests its L vectors, at
+    most max(live members, STALL_WINDOW) to a stack. A member whose first j
+    vectors pass takes j steps at X. Unless that stops it, its generator is
+    set back and advanced by those j steps' draws only, and it goes on from
+    the vector it then holds, with the step-by-step route's draws and
+    counters.
 
     A member whose last 3, 5, 7, ... xsteps each left a one-eigenvalue
-    bottom cluster and lowered its best value by STALL_TOL or more evaluates
-    D at the _aitken point of its last three X, if its gate lets one
-    through, and takes it in place of the last X where its cluster is one
-    eigenvalue and its lambda_min lower: no draw, one more defect
-    evaluation, and a real point that _verdict rechecks as any other.
+    bottom cluster and lowered its best value evaluates D at the _aitken
+    point of its last three X, if its gate lets one through, and takes it in
+    place of the last X where its cluster is one eigenvalue and its
+    lambda_min lower: no draw, one more defect evaluation, and a real point
+    that _verdict rechecks as any other.
     """
     B = len(rngs)
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
     f, V, sizes = _min_eig_vectors(defect(X, *maps), rngs)
-    best_f, best_X = f.tolist(), list(X)
+    f = f.tolist()
+    best_f, best_X = list(f), list(X)
     recent_best, stall, iters = [np.inf] * B, [0] * B, [0] * B
     # the xsteps in a row that qualify for the Aitken step, the candidates
     # evaluated, and the X of the two xsteps before the last, rows as live
     run, tried, past = [0] * B, [0] * B, (X, X)
+    kept = [False] * B  # whether the member's last xstep kept its candidate
     live = list(range(B))  # the members still iterating
     out: list = [None] * B
 
@@ -676,11 +661,12 @@ def _alternating_restart(
         return False
 
     def going() -> tuple:
-        """live, X, V, sizes, maps and past without the members that stopped."""
+        """live, X, f, V, sizes, maps and past without the members that
+        stopped."""
         keep = [j for j, b in enumerate(live) if out[b] is None]
         if len(keep) == len(live):
-            return live, X, V, sizes, maps, past
-        return ([live[j] for j in keep], X[keep], V[keep], [sizes[j] for j in keep],
+            return live, X, f, V, sizes, maps, past
+        return ([live[j] for j in keep], X[keep], [f[j] for j in keep], V[keep], [sizes[j] for j in keep],
                 tuple(M[keep] for M in maps), tuple(P[keep] for P in past))
 
     def extrapolate(due: list[int]) -> None:
@@ -699,60 +685,68 @@ def _alternating_restart(
 
     def fast_forward(on: list[int]) -> None:
         """Run the rest of the stall window of the members at the positions
-        ``on`` of live, whose last defect was one cluster."""
-        points, passes = plateau
-        rows = tuple(M[on] for M in maps)
-        X0 = points(len(on))
-        w, U, cluster = _clusters(defect(X0, *rows))
-        f0, cluster = w[:, 0].tolist(), cluster.tolist()
-        windows = []
-        for i, j in enumerate(on):
-            b = live[j]
-            # the stall count after the first step; each later step adds 1
-            first = stall[b] + 1 if recent_best[b] - min(best_f[b], f0[i]) < STALL_TOL else 0
-            L = STALL_WINDOW + 1 - first if cluster[i] == n else 1
-            windows.append(min(L, budget.max_iters - iters[b]))
+        ``on`` of live, whose last xstep kept its candidate and whose defect
+        there has a degenerate bottom cluster."""
+        U = _clusters(defect(X[on], *(M[on] for M in maps)))[1]  # the cluster, column 0 too
+        # each later step has the value f[j] >= best_f[b] and adds 1 to the
+        # stall count, as stops left recent_best within STALL_TOL of best_f
+        windows = [min(STALL_WINDOW - stall[live[j]], budget.max_iters - iters[live[j]]) for j in on]
         ahead = [i for i, L in enumerate(windows) for _ in range(L - 1)]
         saved = {i: rngs[live[on[i]]].bit_generator.state for i in set(ahead)}
-        vs = np.empty((len(ahead) + len(on), n), dtype=complex)
         starts = np.cumsum(windows) - windows
+        vs = np.empty((sum(windows), n), dtype=complex)
         vs[starts] = V[on, :, 0]
         drawn = np.ones(len(vs), dtype=bool)
         drawn[starts] = False
-        # a window of more than one step has one cluster: all n columns
-        vs[drawn] = _cluster_draws(U[ahead], [rngs[live[on[i]]] for i in ahead])
-        passed = passes(vs, windows, max(len(live), STALL_WINDOW), *rows)
-        for i, (j, p) in enumerate(zip(on, passed)):
+        drawn = np.flatnonzero(drawn)  # the rows of ahead, in order
+        for m in {sizes[on[i]] for i in ahead}:
+            pick = [a for a, i in enumerate(ahead) if sizes[on[i]] == m]
+            vs[drawn[pick]] = _cluster_draws(U[[ahead[a] for a in pick], :, :m],
+                                             [rngs[live[on[ahead[a]]]] for a in pick])
+        owner, cap = np.repeat(on, windows), max(len(live), STALL_WINDOW)
+        ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
+                             for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
+        for i, (j, L, e) in enumerate(zip(on, windows, np.cumsum(windows).tolist())):
             b = live[j]
+            p = int(np.argmin(np.append(ok[e - L : e], False)))  # the first refused vector, or L
             if i in saved:
                 rngs[b].bit_generator.state = saved[i]
             for _ in range(p):
-                if stops(b, f0[i], X0[i]):
+                if stops(b, f[j], X[j]):
                     break
-            if p and out[b] is None:  # on from its p-th step at X_0
-                X[j], V[j], sizes[j] = X0[i], U[i], cluster[i]
-                if cluster[i] > 1:
-                    V[j, :, 0] = _cluster_draws(U[[i] * p, :, : cluster[i]], [rngs[b]] * p)[-1]
+            if p and out[b] is None:  # on from its p-th step at X
+                V[j, :, 0] = _cluster_draws(U[[i] * p, :, : sizes[j]], [rngs[b]] * p)[-1]
 
+    first = True
     while True:
-        if plateau is not None and n in sizes:
-            X = X.copy()  # fast_forward writes rows, and those of X may be past's or best_X's
-            fast_forward([j for j, m in enumerate(sizes) if m == n])
-            live, X, V, sizes, maps, past = going()
+        X, held = xstep(V[:, :, 0], X, np.array([first or kept[b] or stall[b] > 0 for b in live]), first, *maps)
+        for j, b in enumerate(live):
+            kept[b] = bool(held[j])
+        # a member that kept its own X with one bottom eigenvalue is at a
+        # fixed point: each later step repeats this one
+        if fixed := [] if first else [j for j, b in enumerate(live) if kept[b] and sizes[j] == 1]:
+            for j in fixed:
+                while not stops(live[j], f[j], X[j]):
+                    pass
+            live, X, f, V, sizes, maps, past = going()
             if not live:
                 break
-        X = xstep(V[:, :, 0], X, *maps)
+        first = False
         f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         f, due = f.tolist(), []
         for j, b in enumerate(live):
-            run[b] = run[b] + 1 if sizes[j] == 1 and best_f[b] - f[j] >= STALL_TOL else 0
+            run[b] = run[b] + 1 if sizes[j] == 1 and f[j] < best_f[b] else 0
             if run[b] > 2 and run[b] % 2:
                 due.append(j)
         if due:
             extrapolate(due)
         past = (past[1], X)
-        if any([stops(b, f[j], X[j]) for j, b in enumerate(live)]):
-            live, X, V, sizes, maps, past = going()
+        stopped = any([stops(b, f[j], X[j]) for j, b in enumerate(live)])
+        if on := [j for j, b in enumerate(live) if kept[b] and sizes[j] > 1 and out[b] is None]:
+            fast_forward(on)
+            stopped = True
+        if stopped:
+            live, X, f, V, sizes, maps, past = going()
             if not live:
                 break
     return out
@@ -810,19 +804,17 @@ def _kpos_restart(
 # ---------------------------------------------------------------------------
 
 
-def _ks_search(
-    transfers: list[np.ndarray], k: int, budgets: list[SearchBudget], unital: list[bool]
-) -> list[CertificateVerdict]:
+def _ks_search(transfers: list[np.ndarray], k: int, budgets: list[SearchBudget]) -> list[CertificateVerdict]:
     """The k-KS searches of the maps on one M_d with these transfer
     matrices, which the KS and co-KS falsifiers reach through _ks_decide
     only for maps that are not CP, below d, at budgets that differ only in
-    their seeds; one verdict each. ``unital`` holds each map's
-    QuantumMap.unital flag: the searches of unital maps fast-forward across
-    the zero plateau (see _alternating_restart), those of the others do
-    not. The maps of each kind are searched as lockstep stacks (see
-    _falsify) of at most STACK_SEARCHES maps."""
+    their seeds; one verdict each. The maps are searched as lockstep stacks
+    (see _falsify) of at most STACK_SEARCHES maps."""
     d = math.isqrt(len(transfers[0]))
     n = k * d
+    # vec(block row 0) of the start point X_0, e_0^T (x) I_d / sqrt(d)
+    x0 = np.zeros(n * d, dtype=complex)
+    x0[np.arange(d) * (d + 1)] = 1 / math.sqrt(d)
 
     def defect(X, T):
         return _ks_defect(T, k, X)
@@ -835,22 +827,25 @@ def _ks_search(
         x[:, :, :d] = xs.reshape(-1, n, d)
         return x.swapaxes(1, 2)
 
-    def xstep(v, X, T):
-        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X))
+    def rows(X):
+        # vec(block row 0) of each X
+        return X[:, :d].swapaxes(1, 2).reshape(len(X), n * d)
 
-    x0 = _plateau_basis(k, d)[1]
-    plateau = (lambda m: unvec(np.tile(x0, (m, 1))), partial(_plateau_passes, k, d))
-    verdicts: list = [None] * len(transfers)
-    for kind in (True, False):
-        group = [i for i, u in enumerate(unital) if u == kind]
-        restart = partial(_alternating_restart, defect, xstep, plateau if kind else None, n, budgets[0])
-        for c in range(0, len(group), STACK_SEARCHES):
-            chunk = group[c : c + STACK_SEARCHES]
-            values = [partial(_min_eig_value, partial(_ks_defect, transfers[i], k)) for i in chunk]
-            T = np.stack([transfers[i] for i in chunk])
-            found = _falsify(restart, values, partial(BlockOperator, k, d), [budgets[i] for i in chunk], T)
-            for i, v in zip(chunk, found):
-                verdicts[i] = v
+    def xstep(v, X, on, first, T):
+        c = np.broadcast_to(x0, (len(v), n * d)) if first else rows(X)
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c, on)
+        return unvec(xs), kept
+
+    def certified(vs, X, T):
+        return _certified(_qform(*_ks_parts(T.reshape(-1, d, d, d * d), vs)), rows(X))
+
+    restart = partial(_alternating_restart, defect, xstep, certified, n, budgets[0])
+    verdicts = []
+    for c in range(0, len(transfers), STACK_SEARCHES):
+        chunk = range(c, min(c + STACK_SEARCHES, len(transfers)))
+        values = [partial(_min_eig_value, partial(_ks_defect, transfers[i], k)) for i in chunk]
+        T = np.stack([transfers[i] for i in chunk])
+        verdicts += _falsify(restart, values, partial(BlockOperator, k, d), [budgets[i] for i in chunk], T)
     return verdicts
 
 
@@ -886,8 +881,7 @@ def _ks_decide(
     verdicts = [_ks_closed_form(T, k, b, u) for T, u, b in zip(transfers, unital, budgets)]
     searched = [i for i, v in enumerate(verdicts) if v is None]
     if searched:
-        found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched],
-                           [unital[i] for i in searched])
+        found = _ks_search([transfers[i] for i in searched], k, [budgets[i] for i in searched])
         for i, v in zip(searched, found):
             verdicts[i] = v
     return verdicts

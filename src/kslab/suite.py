@@ -228,8 +228,7 @@ def criterion_6(seed: int):
         seeds, maps = zip(*_utp_sample(seed, d))
         budgets = [SearchBudget(restarts=8, max_iters=200, seed=s) for s in seeds]
         transfers = [M.transfer for M in maps]
-        unital = [M.unital for M in maps]
-        n_violated = {k: sum(v.violated for v in _ks_search(transfers, k, budgets, unital)) for k in (1, 2)}
+        n_violated = {k: sum(v.violated for v in _ks_search(transfers, k, budgets)) for k in (1, 2)}
         reports += [
             {"d": d, "k": k, "n_samples": UTP_SAMPLE_SIZE, "n_violated": n}
             for k, n in n_violated.items()

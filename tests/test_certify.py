@@ -16,13 +16,13 @@ from kslab import certify
 from kslab.certify import (
     EIG_DEGENERACY_GAP,
     EXTRAPOLATION_ALIGNMENT,
-    PLATEAU_MARGIN,
     STALL_TOL,
     STALL_WINDOW,
     SchmidtWitness,
     SearchBudget,
     WitnessRecheckError,
     _alternating_restart,
+    _certified,
     _compress_left,
     _compress_right,
     _falsify,
@@ -31,7 +31,6 @@ from kslab.certify import (
     _ks_xstep,
     _min_eig_value,
     _min_eig_vectors,
-    _plateau_test,
     _qform,
     _schmidt_value,
     amplified_ks_defect,
@@ -484,7 +483,7 @@ def test_co_ks_of_a_subunital_co_cp_map_is_decided_clean(monkeypatch, d):
 
 
 def _search(Phi, k, budget):
-    return certify._ks_search([Phi.transfer], k, [budget], [Phi.unital])[0]
+    return certify._ks_search([Phi.transfer], k, [budget])[0]
 
 
 def _tau(Phi):
@@ -686,8 +685,8 @@ def _degenerate_stack(gen, n, clusters):
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 16])
 def test_min_eig_vectors_draws_match_the_looped_oracle(n):
     # members whose bottom cluster has 1 to n eigenvalues in one stack, once
-    # as 8 members and once as 48; and plateau stacks, whose members all have
-    # one cluster size, as after a clean restart's first step, with fewer and
+    # as 8 members and once as 48; and stacks whose members all have one
+    # cluster size, as at the start point of clean restarts, with fewer and
     # with at least BATCH_MIN_DRAWS members
     gen, root = np.random.default_rng(n), np.random.SeedSequence(n)
     mixed = [min(m, n) for m in [1, 2, 3, n, 2, 1, n - 1, 3]]
@@ -732,12 +731,17 @@ def _solo_alternating_restart(defect, xstep, n, budget, rng):
     f, v, m = _solo_min_eig_vector(defect(X), rng)
     best_f, best_X = f, X
     # the Aitken step: after 3, 5, 7, ... steps in a row that each left one
-    # bottom eigenvalue and lowered best_f by STALL_TOL or more
+    # bottom eigenvalue and lowered best_f
     run, tried, past = 0, 0, [None, None]
+    kept = False
     for iters in range(1, budget.max_iters + 1):
-        X = xstep(v, m == n, X).reshape(n, n, order="F")
+        # the candidate of the X half-step: the start point first, then the
+        # iterate itself after a step that kept its candidate or while stalled
+        test = "start" if iters == 1 else "own" if kept or stall > 0 else None
+        x, kept = xstep(v, X, test)
+        X = x.reshape(n, n, order="F")
         f, v, m = _solo_min_eig_vector(defect(X), rng)
-        run = run + 1 if m == 1 and best_f - f >= STALL_TOL else 0
+        run = run + 1 if m == 1 and f < best_f else 0
         x = _solo_aitken(*past, vec(X)) if run > 2 and run % 2 else None
         if x is not None:
             tried += 1
@@ -776,33 +780,30 @@ def _solo_qform(W, G):
     return M.reshape(n * m, n * m) - dagger(G) @ G
 
 
-def _null_basis(d, k):
-    # the columns vec(e_C^T (x) I_d)/sqrt(d), C < k, from their definition
-    return np.stack([vec(np.kron(np.eye(k)[C][None, :], np.eye(d))) for C in range(k)], axis=1) / np.sqrt(d)
+def _block_identity_row(d, k):
+    # vec(e_0^T (x) I_d)/sqrt(d), from its definition: block row 0 of the
+    # start point X_0
+    return vec(np.kron(np.eye(k)[0][None, :], np.eye(d))).astype(complex) / np.sqrt(d)
 
 
-def _solo_plateau_vector(M, s, d):
-    # vec(e_0^T (x) I_d)/sqrt(d) where M + s (P_N - PLATEAU_MARGIN I) has a
-    # Cholesky factor, P_N the projection onto the span of the
-    # vec(e_C^T (x) I_d)/sqrt(d); else None
-    N = _null_basis(d, len(M) // (d * d))
+def _solo_certified(M, c):
+    # whether M - (c* M c - STALL_TOL / STALL_WINDOW) I has a Cholesky factor
+    g = (c.conj() @ M @ c).real
     try:
-        np.linalg.cholesky(M + s * (N @ N.T - PLATEAU_MARGIN * np.eye(len(M))))
+        np.linalg.cholesky(M - (g - STALL_TOL / STALL_WINDOW) * np.eye(len(M)))
     except np.linalg.LinAlgError:
-        return None
-    return N[:, 0]
+        return False
+    return True
 
 
-def _solo_ks_xstep(W, G, x, plateau=False, s=1.0):
-    # the plateau test first, for a unital map whose last defect was one
-    # cluster; then the bottom vector, which inside a degenerate bottom
-    # cluster below -EIG_DEGENERACY_GAP is the normalized projection of the
-    # current iterate x onto the cluster, where that is not within
-    # EIG_DEGENERACY_GAP of 0
-    if plateau:
-        y = _solo_plateau_vector(_solo_qform(W, G), s, G.shape[1] // len(W))
-        if y is not None:
-            return y
+def _solo_ks_xstep(W, G, x, c=None):
+    # the candidate c where the certificate passes it; else the bottom
+    # vector, which inside a degenerate bottom cluster below
+    # -EIG_DEGENERACY_GAP is the normalized projection of the current
+    # iterate x onto the cluster, where that is not within
+    # EIG_DEGENERACY_GAP of 0. Returns the vector and whether it is c
+    if c is not None and _solo_certified(_solo_qform(W, G), c):
+        return c, True
     w, U = np.linalg.eigh(_solo_qform(W, G))
     cluster = np.flatnonzero(w - w[0] < EIG_DEGENERACY_GAP)
     if len(cluster) > 1 and w[0] < -EIG_DEGENERACY_GAP:
@@ -810,8 +811,8 @@ def _solo_ks_xstep(W, G, x, plateau=False, s=1.0):
         p = Uc @ (Uc.conj().T @ x)
         norm = np.sqrt(np.vdot(p, p).real)
         if norm > EIG_DEGENERACY_GAP:
-            return p / norm
-    return U[:, 0]
+            return p / norm, False
+    return U[:, 0], False
 
 
 def _solo_kpos_restart(C4, k, budget, rng):
@@ -838,14 +839,17 @@ def _solo_ks(Phi, k, budget):
     n = k * d
     T3 = Phi.transfer.reshape(d, d, d * d)
     defect = partial(amplified_ks_defect, Phi, k)
-    s = max(hs_norm(Phi.transfer) ** 2, 1.0)
 
-    def xstep(v, full, X):
-        # the bottom vector of M'_v nearest vec(block row 0 of X) fills block
-        # row 0 of the next X
+    def xstep(v, X, test):
+        # the candidate, where the certificate keeps it, or else the bottom
+        # vector of M'_v nearest vec(block row 0 of X), fills block row 0 of
+        # the next X
+        x = vec(X[:d])
+        c = {"start": _block_identity_row(d, k), "own": x, None: None}[test]
+        y, kept = _solo_ks_xstep(*_solo_ks_parts(T3, v), x, c)
         Y = np.zeros((n, n), dtype=complex)
-        Y[:d] = _solo_ks_xstep(*_solo_ks_parts(T3, v), vec(X[:d]), full and Phi.unital, s).reshape(d, n, order="F")
-        return vec(Y)
+        Y[:d] = y.reshape(d, n, order="F")
+        return vec(Y), kept
 
     restart = partial(_solo_alternating_restart, defect, xstep, n, budget)
     return _solo_falsify(restart, partial(_min_eig_value, defect), partial(BlockOperator, k, d), budget)
@@ -862,9 +866,11 @@ def _bytes(res):
     return json.dumps(verdict_to_json(res), sort_keys=True)
 
 
-# every (d, k) takes the dense X half-step, (7, 1), (5, 2) and (4, 4) at form
-# sides 49-64; each at a clean and a violated Lambda^-(id) point. falsify_ks decides k >= d in closed form, so
-# there the search itself is compared
+# every (d, k) at a clean Lambda^-(id) point, whose restarts keep X_0 and pass
+# their windows there, and at a violated one, which takes the dense X
+# half-step until it stalls; (7, 1), (5, 2) and (4, 4) at form sides 49-64.
+# falsify_ks decides k >= d in closed form, so there the search itself is
+# compared
 @pytest.mark.parametrize("offset", [-0.02, 0.05])
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (3, 3), (7, 1), (5, 2), (4, 4)])
 def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
@@ -887,20 +893,40 @@ def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
         assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
-# a clean unital search whose max_iters ends a restart inside, at the edge
-# of, or one and two steps past its stall window on the zero plateau
+def _windows(monkeypatch):
+    # each window test of a fast-forward, (vs, X, T, passed): the vectors of
+    # the stall windows tested at once, with the X and map of each
+    calls = []
+    restart = certify._alternating_restart
+
+    def spy(defect, xstep, certified, *args):
+        def tested(vs, X, T):
+            ok = certified(vs, X, T)
+            calls.append((vs.copy(), X.copy(), T.copy(), ok.copy()))
+            return ok
+
+        return restart(defect, xstep, tested, *args)
+
+    monkeypatch.setattr(certify, "_alternating_restart", spy)
+    return calls
+
+
+# a clean search whose max_iters ends a restart inside, at the edge of, or
+# one and two steps past its stall window at the start point X_0
 @pytest.mark.parametrize("max_iters", [1, 2, 3, STALL_WINDOW, STALL_WINDOW + 1, STALL_WINDOW + 2])
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (5, 2)])
 def test_lockstep_ks_matches_sequential_oracle_where_max_iters_cuts_the_window(monkeypatch, d, k, max_iters):
     Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
     budget = SearchBudget(restarts=4, max_iters=max_iters, seed=d + 10 * k)
-    calls = _plateau_windows(monkeypatch)
+    calls = _windows(monkeypatch)
     res = falsify_ks(Phi, k, budget)
-    # a window begins after the first X half-step, as a Ginibre start's
-    # defect is not one cluster, and runs no step past max_iters
-    assert all(L < max_iters for _, windows, _, _ in calls for L in windows)
+    # every restart keeps X_0 at its first X half-step, where the defect
+    # vanishes; its window, the rest of its stall window, tests no vector
+    # past max_iters
     assert bool(calls) == (max_iters > 1)
+    assert sum(len(vs) for vs, *_ in calls) == 4 * min(max_iters - 1, STALL_WINDOW)
     assert res.verdict == "NoViolationFound"
+    assert res.budget_used["iterations"] == 4 * min(max_iters, STALL_WINDOW + 1)
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
 
@@ -981,8 +1007,11 @@ def test_a_degenerate_x_half_step_reaches_the_aitken_step(d, k, seed):
         assert res.violated and res.budget_used["iterations"] <= 20
         assert res.worst_value <= before + 1e-12
     else:
+        # the certificate ends each run at the same step, and forgoes less
+        # than STALL_TOL of its value
         used = res.budget_used
-        assert (res.worst_value, used["iterations"], used["defect_evals"]) == before
+        assert (used["iterations"], used["defect_evals"]) == before[1:]
+        assert res.worst_value <= before[0] + STALL_TOL
 
 
 def test_aitken_extrapolates_along_aligned_shrinking_steps_only():
@@ -1015,10 +1044,10 @@ def test_an_aitken_candidate_without_a_single_bottom_eigenvalue_is_refused(monke
     B = np.array([[0, 1], [1j, 0]]) / np.sqrt(2)
     steps = []
 
-    def xstep(v, X):
+    def xstep(v, X, on, first):
         steps.append(v)
         X = A + 0.1 * 2.0 ** -len(steps) * B
-        return (X / hs_norm(X))[None]
+        return (X / hs_norm(X))[None], np.zeros(1, dtype=bool)
 
     def defect(X):
         e = np.linalg.norm(X - A, axis=(1, 2))
@@ -1031,9 +1060,8 @@ def test_an_aitken_candidate_without_a_single_bottom_eigenvalue_is_refused(monke
     assert f == defect(X[None])[0, 0, 0].real > 1e-3 - 1
 
 
-def test_each_aitken_candidate_counts_as_a_defect_evaluation(monkeypatch):
-    # one violated restart: it evaluates its defect once at the start, once
-    # per iteration and once per candidate, and once more for the recheck
+def _evaluations(monkeypatch):
+    # the defects the KS search evaluates, one entry per call
     evaluated = []
     ks_defect = certify._ks_defect
 
@@ -1042,12 +1070,39 @@ def test_each_aitken_candidate_counts_as_a_defect_evaluation(monkeypatch):
         return ks_defect(T, k, X)
 
     monkeypatch.setattr(certify, "_ks_defect", counted)
+    return evaluated
+
+
+def test_each_aitken_candidate_counts_as_a_defect_evaluation(monkeypatch):
+    # one violated restart whose certificate refuses every candidate, so that
+    # no step is counted without being run: it evaluates its defect once at
+    # the start, once per iteration and once per candidate, and once more
+    # for the recheck
+    evaluated = _evaluations(monkeypatch)
+    monkeypatch.setattr(certify, "_certified", lambda A, c: np.zeros(len(A), dtype=bool))
     gates = _aitken_spy(monkeypatch)
     Phi = lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.005)
     res = falsify_ks(Phi, 2, SearchBudget(restarts=1, max_iters=120, seed=23))
     used = res.budget_used
     assert res.violated and sum(gates) >= 2
     assert used["defect_evals"] == used["iterations"] + 1 + sum(gates) == sum(evaluated) - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_fixed_point_counts_the_rest_of_its_stall_window_as_the_oracle_steps_it(monkeypatch, seed):
+    # Lambda^-(id) at (3, 1), bound + 0.03: the violated restart keeps its
+    # own X where its defect has one bottom eigenvalue, and counts the rest
+    # of its stall window without evaluating it; the oracle, which runs and
+    # evaluates every step of the same rule, gets the same bits
+    evaluated = _evaluations(monkeypatch)
+    Phi = lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 1) + 0.03)
+    budget = SearchBudget(restarts=4, max_iters=300, seed=seed)
+    res = falsify_ks(Phi, 1, budget)
+    used = res.budget_used
+    assert res.violated and used["restarts"] == 1
+    assert sum(evaluated) - 1 < used["defect_evals"] - STALL_WINDOW // 2
+    monkeypatch.undo()
+    assert _bytes(res) == _bytes(_solo_ks(Phi, 1, budget))
 
 
 def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(monkeypatch):
@@ -1065,10 +1120,12 @@ def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(mo
         sizes.extend(m)
         return f, V, m
 
-    def xstep(v, X, T):
+    def xstep(v, X, on, first, T):
+        # the dense step on every iteration
         Y = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
-        Y[:, :, :d] = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X).reshape(-1, n, d)
-        return Y.swapaxes(1, 2)
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, None, np.zeros(len(v), dtype=bool))
+        Y[:, :, :d] = xs.reshape(-1, n, d)
+        return Y.swapaxes(1, 2), kept
 
     monkeypatch.setattr(certify, "_min_eig_vectors", counted)
     rng, start = (np.random.default_rng(ss) for ss in np.random.SeedSequence(5).spawn(1) * 2)
@@ -1081,46 +1138,31 @@ def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(mo
 
 
 def _refusing(monkeypatch, refuse):
-    # the plateau test refuses, besides what it refuses itself, every form
+    # the certificate refuses, besides what it refuses itself, every form
     # M'_v with refuse(M'_v), in the stack and in the oracle alike
-    test, solo = _plateau_test, _solo_plateau_vector
+    test, solo = _certified, _solo_certified
 
-    def stacked(A, s, Q):
+    def stacked(A, c):
         kept = np.array([not refuse(M) for M in A], dtype=bool)
-        return test(A, s, Q) & kept
+        return test(A, c) & kept
 
-    monkeypatch.setattr(certify, "_plateau_test", stacked)
-    monkeypatch.setattr(sys.modules[__name__], "_solo_plateau_vector",
-                        lambda M, s, d: None if refuse(M) else solo(M, s, d))
-
-
-def _plateau_windows(monkeypatch):
-    # each fast-forward's (vs, windows, T, passes)
-    calls = []
-    passes = certify._plateau_passes
-
-    def spy(k, d, vs, windows, cap, T):
-        out = passes(k, d, vs, windows, cap, T)
-        calls.append((vs.copy(), list(windows), T.copy(), list(out)))
-        return out
-
-    monkeypatch.setattr(certify, "_plateau_passes", spy)
-    return calls
+    monkeypatch.setattr(certify, "_certified", stacked)
+    monkeypatch.setattr(sys.modules[__name__], "_solo_certified", lambda M, c: not refuse(M) and solo(M, c))
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
 def test_lockstep_ks_matches_sequential_oracle_when_a_window_is_refused_part_way(monkeypatch, d, k, where):
     # one form of the first window of a clean search, told apart by its
-    # contents, is refused: the member takes the plateau steps before it,
+    # contents, is refused: the member takes the steps at X_0 before it,
     # then the dense step from it, as the oracle does step by step
     Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
     budget = SearchBudget(restarts=3, max_iters=80, seed=d + 10 * k)
-    calls = _plateau_windows(monkeypatch)
+    calls = _windows(monkeypatch)
     falsify_ks(Phi, k, budget)
-    vs, windows, T, _ = calls[0]
-    L = windows[0]
-    assert L >= 3
+    vs, _, T, passed = calls[0]
+    L = len(vs)
+    assert L == STALL_WINDOW and passed.all()
     j = {"first": 0, "middle": L // 2, "last": L - 1}[where]
     z = _unit(ginibre(np.random.default_rng(1), k * d * d, 1)[:, 0])
     feature = lambda M: (z.conj() @ M @ z).real  # noqa: E731
@@ -1128,30 +1170,73 @@ def test_lockstep_ks_matches_sequential_oracle_when_a_window_is_refused_part_way
     calls.clear()
     _refusing(monkeypatch, lambda M: abs(feature(M) - target) < 1e-9)
     res = falsify_ks(Phi, k, budget)
-    assert calls[0][1][0] == L and calls[0][3][0] == j  # the refusal took
+    assert len(calls[0][0]) == L and np.argmin(calls[0][3]) == j  # the refusal took
     assert res.verdict == "NoViolationFound"
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
 
-def _ks_plateau_restart(Phi, defect, budget, rngs):
-    # the KS restart of Phi at k = 1, plateau included, on a given defect
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def test_lockstep_ks_matches_sequential_oracle_when_a_window_at_its_own_x_is_refused(monkeypatch, d, k):
+    # the oracle's first restart tests X_0 at its steps 1 and 2; its step 2
+    # is refused, so it takes the dense step, keeps its own X at step 3,
+    # whose defect is degenerate too, and tests its next draw at step 4,
+    # which is refused as well: the lockstep search, whose window at its own
+    # X holds that draw, takes the dense step there too
+    Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
+    budget = SearchBudget(restarts=3, max_iters=80, seed=d + 10 * k)
+    z = _unit(ginibre(np.random.default_rng(1), k * d * d, 1)[:, 0])
+    feature = lambda M: (z.conj() @ M @ z).real  # noqa: E731
+    targets, tested = [], []
+    _refusing(monkeypatch, lambda M: any(abs(feature(M) - t) < 1e-9 for t in targets))
+    solo = _solo_certified
+
+    def recorded(M, c):
+        tested.append(feature(M))
+        return solo(M, c)
+
+    monkeypatch.setattr(sys.modules[__name__], "_solo_certified", recorded)
+    for step in (2, 4):
+        tested.clear()
+        _solo_ks(Phi, k, budget)
+        targets.append(tested[step - 1])
+    calls = _windows(monkeypatch)
+    res = falsify_ks(Phi, k, budget)
+    assert [c[3].tolist() for c in calls[:2]] == [[False] + [True] * 9, [False] + [True] * 7]  # both took
+    assert res.verdict == "NoViolationFound"
+    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+
+
+def _ks_restart_on(Phi, defect, budget, rngs):
+    # the KS restart of Phi at k = 1, certificate included, on a given defect
     d = Phi.d
     T = np.stack([Phi.transfer] * len(rngs))
+    x0 = _block_identity_row(d, 1)
 
     def unvec(xs):
         return xs.reshape(-1, d, d).swapaxes(1, 2)
 
-    def xstep(v, X, T):
-        return unvec(_ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X))
+    def rows(X):
+        return X.swapaxes(1, 2).reshape(len(X), d * d)
 
-    x0 = certify._plateau_basis(1, d)[1]
-    plateau = (lambda m: unvec(np.tile(x0, (m, 1))), partial(certify._plateau_passes, 1, d))
-    return _alternating_restart(lambda X, T: defect(X), xstep, plateau, d, budget, rngs, T)
+    def xstep(v, X, on, first, T):
+        c = np.tile(x0, (len(v), 1)) if first else rows(X)
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c, on)
+        return unvec(xs), kept
+
+    def certified(vs, X, T):
+        return _certified(_qform(*_ks_parts(T.reshape(-1, d, d, d * d), vs)), rows(X))
+
+    return _alternating_restart(lambda X, T: defect(X), xstep, certified, d, budget, rngs, T)
 
 
-def _solo_ks_plateau_restart(Phi, defect, budget, rng):
-    T3, s = _base_t3(Phi), max(hs_norm(Phi.transfer) ** 2, 1.0)
-    xstep = lambda v, full, X: _solo_ks_xstep(*_solo_ks_parts(T3, v), vec(X), full, s)  # noqa: E731
+def _solo_ks_restart_on(Phi, defect, budget, rng):
+    T3 = _base_t3(Phi)
+
+    def xstep(v, X, test):
+        x = vec(X)
+        c = {"start": _block_identity_row(Phi.d, 1), "own": x, None: None}[test]
+        return _solo_ks_xstep(*_solo_ks_parts(T3, v), x, c)
+
     return _solo_alternating_restart(defect, xstep, Phi.d, budget, rng)
 
 
@@ -1170,20 +1255,21 @@ def test_lockstep_restart_matches_solo_runs_with_mixed_cluster_draws():
 
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    batch = _ks_plateau_restart(Phi, defect, budget, rngs)
+    batch = _ks_restart_on(Phi, defect, budget, rngs)
     assert (True, False) in kinds  # some batch mixed drawn and plain vectors
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
     for (f, X, used), rng in zip(batch, rngs):
-        g, Y, solo_used = _solo_ks_plateau_restart(Phi, defect, budget, rng)
+        g, Y, solo_used = _solo_ks_restart_on(Phi, defect, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
 
 
 @pytest.mark.parametrize("spectrum", [(0.0, 0.0, 1e-3), (0.0, 1e-3, 2e-3)])
-def test_lockstep_restart_matches_solo_runs_when_the_plateau_defect_is_not_one_cluster(spectrum):
+def test_lockstep_restart_matches_solo_runs_when_the_start_point_defect_is_not_one_cluster(spectrum):
     # the defect vanishes for Re X_00 > 0, as above, except at X_0 = I/sqrt(3),
-    # where it has a bottom cluster of 2 or 1 of its 3 eigenvalues: a window
-    # is then one step, after which the member draws from that cluster or
-    # takes its bottom vector, and takes the dense step
+    # which every member keeps at its first X half-step, where it has a
+    # bottom cluster of 2 or 1 of its 3 eigenvalues: the member then runs a
+    # window of draws from that pair, or is at a fixed point from its next
+    # step
     Phi = sample_utp_cp(3, seed=5)
     x0 = np.eye(3) / np.sqrt(3)
     at_x0 = []
@@ -1197,12 +1283,13 @@ def test_lockstep_restart_matches_solo_runs_when_the_plateau_defect_is_not_one_c
 
     budget = SearchBudget(restarts=1, max_iters=40, seed=0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
-    batch = _ks_plateau_restart(Phi, defect, budget, rngs)
+    batch = _ks_restart_on(Phi, defect, budget, rngs)
     assert any(at_x0)
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
     for (f, X, used), rng in zip(batch, rngs):
-        g, Y, solo_used = _solo_ks_plateau_restart(Phi, defect, budget, rng)
+        g, Y, solo_used = _solo_ks_restart_on(Phi, defect, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
+        assert used["iterations"] == STALL_WINDOW + 1
 
 
 @pytest.mark.parametrize("a", [0.45, 0.55])
@@ -1327,9 +1414,9 @@ def _phi_k_search(Phi, k, budget):
     T4 = Phi.amplify(k).transfer_matrix().reshape(k, d, n, n * n)
     defect = partial(phi_k_defect, Phi, k)
 
-    def xstep(v, full, X):
-        # no plateau test: the dense step on every iteration
-        return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0]
+    def xstep(v, X, test):
+        # no candidate: the dense step on every iteration
+        return np.linalg.eigh(_phi_k_qform(T4, v))[1][:, 0], False
 
     return _solo_falsify(
         partial(_solo_alternating_restart, defect, xstep, n, budget),
@@ -1674,6 +1761,11 @@ def _form_scale(W, G):
     return max(float(np.abs(np.linalg.eigvalsh(W)).max()), hs_norm(G) ** 2, 1.0)
 
 
+def _dense_xstep(W, G, X):
+    # the X half-step of members that test no candidate
+    return _ks_xstep(W, G, X, None, np.zeros(len(W), dtype=bool))[0]
+
+
 def test_ks_xstep_gives_a_bottom_vector_of_a_degenerate_form():
     # the first m columns of G vanish, and G is small enough that nothing lies
     # below the bottom eigenvalue 1 of W^T (x) I_m, which has multiplicity m;
@@ -1685,7 +1777,7 @@ def test_ks_xstep_gives_a_bottom_vector_of_a_degenerate_form():
     M, lam_min = _dense_bottom(W, G)
     assert abs(lam_min - 1.0) < 1e-12
     tol = 1e-10 * _form_scale(W, G)
-    xs = _ks_xstep(W[None], G[None], ginibre(rng, n)[None])
+    xs = _dense_xstep(W[None], G[None], ginibre(rng, n)[None])
     assert xs.shape == (1, n * m) and xs.flags.c_contiguous and xs.flags.owndata
     x = xs[0]
     assert abs(np.linalg.norm(x) - 1) < 1e-12
@@ -1716,12 +1808,12 @@ def test_ks_xstep_projects_the_iterate_onto_a_negative_degenerate_bottom():
     assert abs(lam_min + 0.5) < 1e-12 and w[1] - w[0] < EIG_DEGENERACY_GAP < w[2] - w[0]
     x = ginibre(rng, n * m, 1)[:, 0]
     p = U[:, :2] @ (dagger(U[:, :2]) @ x)
-    y = _ks_xstep(W[None], G[None], _iterate(x, m, n)[None])[0]
+    y = _dense_xstep(W[None], G[None], _iterate(x, m, n)[None])[0]
     assert np.linalg.norm(y - p / np.linalg.norm(p)) < 1e-12
     assert np.linalg.norm(M @ y - lam_min * y) < 1e-10 * _form_scale(W, G)
     # an iterate orthogonal to the pair keeps eigh's column 0, bit for bit
     column0 = np.linalg.eigh(_qform(W[None], G[None]))[1][:, :, 0]
-    assert np.array_equal(_ks_xstep(W[None], G[None], _iterate(U[:, 5], m, n)[None]), column0)
+    assert np.array_equal(_dense_xstep(W[None], G[None], _iterate(U[:, 5], m, n)[None]), column0)
 
 
 @pytest.mark.parametrize("kind", ["unital null space", "single bottom"])
@@ -1739,49 +1831,21 @@ def test_ks_xstep_keeps_the_eigh_column_elsewhere(kind):
     w, U = np.linalg.eigh(_qform(W, G))
     assert ((w[0] - w[0, 0] < EIG_DEGENERACY_GAP).sum() > 1) == (abs(w[0, 0]) < 1e-9) == (kind == "unital null space")
     X = _iterate(U[0, :, 0], d, k * d)
-    assert np.array_equal(_ks_xstep(W, G, X[None]), U[:, :, 0])
+    assert np.array_equal(_dense_xstep(W, G, X[None]), U[:, :, 0])
 
 
-# -- the plateau test of the X half-step ------------------------------------
-
-
-def test_plateau_basis_is_the_block_identity_null_space():
-    for d, k in [(2, 1), (3, 2), (4, 2)]:
-        Q, x0 = certify._plateau_basis(k, d)
-        N = _null_basis(d, k)
-        assert np.allclose(Q, N @ N.T - PLATEAU_MARGIN * np.eye(k * d * d), rtol=0, atol=1e-15)
-        X = np.zeros((k * d, k * d), dtype=complex)
-        X[:d] = x0.reshape(d, k * d, order="F")  # block row 0, as the X half-step fills it
-        assert np.array_equal(X[:d, :d], np.eye(d) / np.sqrt(d)) and not X[:, d:].any() and not X[d:].any()
-        assert not (Q.flags.writeable or x0.flags.writeable)
-
-
-def _plateau_spy(monkeypatch):
-    # the plateau steps each member of a fast-forward took, per call
-    held = []
-    passes = certify._plateau_passes
-
-    def spy(*args):
-        out = passes(*args)
-        held.append(list(out))
-        return out
-
-    monkeypatch.setattr(certify, "_plateau_passes", spy)
-    return held
-
-
-def _dense_only(monkeypatch):
-    monkeypatch.setattr(certify, "_plateau_test", lambda A, s, Q: np.zeros(len(A), dtype=bool))
+# -- the certificate of the X half-step --------------------------------------
 
 
 def _count_solves(monkeypatch, side):
-    # the X half-step's eigenvector solves: forms of this side through a
-    # dense eigh, one per matrix of a stack
+    # the X half-step's eigenvector solves: forms of this side through the
+    # dense eigh of _ks_xstep, one per matrix of a stack
     solves = []
     eigh = np.linalg.eigh
 
     def counted_eigh(A):
-        if A.shape[-1] == side:
+        if sys._getframe(1).f_code.co_name == "_ks_xstep":
+            assert A.shape[-1] == side
             solves.extend([side] * (A.size // side**2))
         return eigh(A)
 
@@ -1789,21 +1853,61 @@ def _count_solves(monkeypatch, side):
     return solves
 
 
+def _dense_only(monkeypatch):
+    monkeypatch.setattr(certify, "_certified", lambda A, c: np.zeros(len(A), dtype=bool))
+
+
+def _tests(monkeypatch):
+    # for each X half-step, the candidates tested and how many were kept
+    calls = []
+    real = certify._certified
+
+    def spy(A, c):
+        ok = real(A, c)
+        if sys._getframe(1).f_code.co_name == "_ks_xstep":
+            calls.append((len(ok), int(ok.sum())))
+        return ok
+
+    monkeypatch.setattr(certify, "_certified", spy)
+    return calls
+
+
+def test_ks_xstep_runs_the_eigh_on_refused_members_only(monkeypatch):
+    # three members at (3, 2): one tests the bottom eigenvector of its form,
+    # one its top eigenvector, one nothing; the first keeps its candidate,
+    # and the other two, alone in the eigh, take the dense step as alone
+    d, k = 3, 2
+    n = k * d
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + 0.05)
+    v = np.stack([_unit(ginibre(np.random.default_rng(b), n, 1)[:, 0]) for b in range(3)])
+    W, G = _ks_parts(_base_t3(Phi), v)
+    U = np.linalg.eigh(_qform(W, G))[1]
+    c = np.stack([U[0, :, 0], U[1, :, -1], U[2, :, 0]])
+    X = np.stack([_iterate(U[b, :, 1], d, n) for b in range(3)])
+    solves = _count_solves(monkeypatch, n * d)
+    xs, kept = _ks_xstep(W, G, X, c, np.array([True, True, False]))
+    assert kept.tolist() == [True, False, False] and len(solves) == 2
+    assert xs.flags.c_contiguous and np.array_equal(xs[0], c[0])
+    monkeypatch.undo()
+    for b in (1, 2):
+        assert np.array_equal(xs[b], _dense_xstep(W[b : b + 1], G[b : b + 1], X[b : b + 1])[0])
+
+
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (4, 2), (5, 2)])
-def test_clean_unital_search_skips_the_eigh_on_the_plateau(monkeypatch, d, k):
-    # a clean restart reaches the zero plateau, where the test passes and
-    # no dense eigh solves for an eigenvector; the counters and verdict
-    # string are those of the dense route
+def test_a_clean_search_takes_no_dense_x_half_step(monkeypatch, d, k):
+    # a clean restart keeps X_0 at its first X half-step, where the defect
+    # vanishes, and the window of draws there passes: no dense eigh solves
+    # for an eigenvector; the counters and verdict string are those of the
+    # dense route
     Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) - 0.02)
     budget = SearchBudget(restarts=3, max_iters=100, seed=1)
-    held = _plateau_spy(monkeypatch)
     solves = _count_solves(monkeypatch, k * d * d)
     res = falsify_ks(Phi, k, budget)
     monkeypatch.undo()
     _dense_only(monkeypatch)
     dense_solves = _count_solves(monkeypatch, k * d * d)
     dense = falsify_ks(Phi, k, budget)
-    assert sum(map(sum, held)) == len(dense_solves) - len(solves) >= 20
+    assert solves == [] and len(dense_solves) >= 20
     assert res.verdict == dense.verdict == "NoViolationFound"
     assert res.budget_used == dense.budget_used
     assert abs(res.worst_value - dense.worst_value) < 1e-14
@@ -1813,113 +1917,93 @@ def _ks_component(d):
     return decompose_lambda_plus_T(d, 0.25).phi1
 
 
+# the KS part of Lambda^+_0.25(T), searched at k = 1, restarts 4 and 8: the
+# verdict and counters before the certificate, when every X half-step took
+# the dense eigh, since the form has null vectors besides the block
+# identity rows and the plateau test never passed
+KS_COMPONENT_RUNS = {
+    (2, 4): {"restarts": 4, "iterations": 44, "defect_evals": 48},
+    (2, 8): {"restarts": 8, "iterations": 88, "defect_evals": 96},
+    (3, 4): {"restarts": 4, "iterations": 44, "defect_evals": 48},
+    (3, 8): {"restarts": 8, "iterations": 88, "defect_evals": 96},
+    (4, 4): {"restarts": 4, "iterations": 44, "defect_evals": 48},
+    (4, 8): {"restarts": 8, "iterations": 88, "defect_evals": 96},
+}
+
+
+@pytest.mark.parametrize("d,restarts", list(KS_COMPONENT_RUNS))
+def test_the_ks_component_at_its_threshold_takes_at_most_one_dense_step_a_restart(monkeypatch, d, restarts):
+    # its forms have d zero eigenvalues, not only the block identity row's,
+    # and X_0 passes the certificate there
+    budget = SearchBudget(restarts=restarts, max_iters=200 if restarts == 8 else 100, seed=0 if restarts == 8 else 2)
+    solves = _count_solves(monkeypatch, d * d)
+    res = falsify_ks(_ks_component(d), 1, budget)
+    assert len(solves) <= restarts
+    assert res.verdict == "NoViolationFound" and res.budget_used == KS_COMPONENT_RUNS[d, restarts]
+    assert abs(res.worst_value) < 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ["reduction", "lambda-minus-3-2", "lambda-minus-4-2"])
+def test_a_descending_member_tests_no_candidate(monkeypatch, case, seed):
+    # violated restarts of 11 to 49 iterations test X_0 at their first X
+    # half-step, refused, and their own X once, where they have stalled and
+    # it is kept: no step of their descent pays for a certificate
+    Phi, k = {
+        "reduction": (reduction(2, 0.7), 1),
+        "lambda-minus-3-2": (lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.005), 2),
+        "lambda-minus-4-2": (lambda_minus(QuantumMap.identity(4), bound_lambda_minus(4, 2) + 0.05), 2),
+    }[case]
+    calls = _tests(monkeypatch)
+    res = falsify_ks(Phi, k, SearchBudget(restarts=1, max_iters=300, seed=seed))
+    assert res.violated and res.budget_used["iterations"] >= 11
+    assert calls == [(1, 0), (1, 1)]
+
+
 def _subunital_lambda_plus(a):
     # 0.7 Lambda^+_a(Psi), Psi = sample_utp_cp(3, seed=4): Phi(1) = 0.7 I, so
     # not unital, and not CP at a = 1.4 and 2.0, nor co-CP at a = 2.0
     return QuantumMap(0.7 * lambda_plus(sample_utp_cp(3, seed=4), a).transfer)
 
 
-@pytest.mark.parametrize("case", ["violated", "non-unital", "ks-component-3", "ks-component-4"])
-def test_these_searches_take_the_dense_route(monkeypatch, case):
-    # a violated search that never reaches the plateau; a map that is not
-    # unital, whose block-identity rows are no null space, and not CP, so
-    # that it is searched; and the KS part of Lambda^+_0.25(T) at d = 3, 4,
-    # whose form has other null vectors besides N, so that its defect never
-    # becomes one cluster: a search runs, no member takes the plateau
-    # vector, and the bytes are those of the dense route
-    Phi, k = {
-        "violated": (lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.05), 2),
-        "non-unital": (_subunital_lambda_plus(1.4), 1),
-        "ks-component-3": (_ks_component(3), 1),
-        "ks-component-4": (_ks_component(4), 1),
-    }[case]
-    budget = SearchBudget(restarts=4, max_iters=100, seed=2)
-    held = _plateau_spy(monkeypatch)
-    restarts = _restart_spy(monkeypatch)
+@pytest.mark.parametrize("a", [1.4, 2.0])
+def test_the_certificate_runs_on_a_map_that_is_not_unital(monkeypatch, a):
+    # X_0 is no bottom vector of these forms and is refused, but each
+    # restart ends at a fixed point that keeps its own X, with no eigh; the
+    # KS and co-KS searches are the oracle's bit for bit
+    Phi = _subunital_lambda_plus(a)
+    assert not Phi.unital
+    budget = SearchBudget(restarts=3, max_iters=100, seed=0)
+    calls = _tests(monkeypatch)
+    searched = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the non-unital warning
-        res = falsify_ks(Phi, k, budget)
-        assert restarts and not any(map(any, held))
-        _dense_only(monkeypatch)
-        assert _bytes(res) == _bytes(falsify_ks(Phi, k, budget))
-    assert res.violated == (case == "violated")
-
-
-def test_the_plateau_gate_reads_the_unital_flag(monkeypatch):
-    # a search fast-forwards across the plateau iff its map's
-    # QuantumMap.unital flag is set, for KS and co-KS; far out on the Lambda
-    # line, the residual of Phi(I) is above STRUCT_TOL but inside the flag's
-    # scaled bound
-    flags = []
-
-    def spy(defect, xstep, plateau, n, budget, rngs, *maps):
-        flags.append([plateau is not None] * len(rngs))
-        return _alternating_restart(defect, xstep, plateau, n, budget, rngs, *maps)
-
-    monkeypatch.setattr(certify, "_alternating_restart", spy)
-    base = sample_utp_cp(3, seed=4)
-    budget = SearchBudget(restarts=2, max_iters=30, seed=0)
-    for Phi, unital in ((lambda_plus(base, 11), True), (lambda_minus(base, 2.999), True),
-                        (_subunital_lambda_plus(2.0), False)):
-        assert Phi.unital == unital
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the non-unital warning
-            for falsify in (partial(falsify_ks, k=1), falsify_co_ks):
-                flags.clear()
-                falsify(Phi, budget=budget)
-                assert flags and all(row == [unital] * len(row) for row in flags)
-
-
-def test_the_plateau_test_runs_only_for_unital_maps(monkeypatch):
-    # with every defect reported as one cluster, the members of a unital
-    # map fast-forward and those of a non-unital one never do, although
-    # the test alone would pass there: 0.7 Lambda^+_1.4(Psi), searched as
-    # it is not CP, passes it, but N is no null space of its M'_v, so x_0
-    # is no bottom eigenvector
-    real = certify._min_eig_vectors
-
-    def one_cluster(D, rngs):
-        f, V, sizes = real(D, rngs)
-        return f, V, [D.shape[-1]] * len(sizes)
-
-    monkeypatch.setattr(certify, "_min_eig_vectors", one_cluster)
-    held = _plateau_spy(monkeypatch)
-    restarts = _restart_spy(monkeypatch)
-    budget = SearchBudget(restarts=2, max_iters=20, seed=0)
-    Psi = sample_utp_cp(3, seed=4)
-    Phi = _subunital_lambda_plus(1.4)
-    v = _unit(ginibre(np.random.default_rng(3), 3, 1)[:, 0])
-    M = _qform(*_ks_parts(_base_t3(Phi), v[None]))
-    s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0)])
-    assert _plateau_test(M.copy(), s, certify._plateau_basis(1, 3)[0])[0]
-    x0 = certify._plateau_basis(1, 3)[1]
-    assert (x0 @ M[0] @ x0).real - np.linalg.eigvalsh(M[0])[0] > 1e-3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the non-unital warning
-        falsify_ks(Phi, 1, budget)
-    assert restarts and held == []
-    falsify_ks(lambda_plus(Psi, 11), 1, budget)
-    assert held
+        for search, oracle in ((partial(falsify_ks, k=1), Phi), (falsify_co_ks, _tau(Phi))):
+            calls.clear()
+            res = search(Phi, budget=budget)
+            if calls:  # co-KS at a = 1.4 is decided
+                assert calls[0][1] == 0 and sum(kept for _, kept in calls) == res.budget_used["restarts"]
+                searched.append((res, oracle))
+    monkeypatch.undo()
+    assert len(searched) == (2 if a == 2.0 else 1)
+    for res, oracle in searched:
+        assert _bytes(res) == _bytes(_solo_ks(oracle, 1, budget))
 
 
 def test_a_refused_stack_is_tested_member_by_member():
     # numpy refuses the whole stack for its one member that does not
-    # factor (a map that is not KS); the other members still pass, each
-    # as it does alone, and a fast-forward over the three counts the
-    # leading passes of each window
+    # factor (a map that is not KS, whose form has a negative eigenvalue
+    # below X_0's value 0); the other members still pass, each as it does
+    # alone
     base = sample_utp_cp(3, seed=4)
     maps = [base, lambda_plus(base, 11), sample_utp_cp(3, seed=5)]
     T3 = np.stack([_base_t3(Phi) for Phi in maps])
     v = np.stack([_unit(ginibre(np.random.default_rng(b), 3, 1)[:, 0]) for b in range(3)])
     M = _qform(*_ks_parts(T3, v))
-    s = np.array([max(hs_norm(Phi.transfer) ** 2, 1.0) for Phi in maps])
-    Q = certify._plateau_basis(1, 3)[0]
-    assert _plateau_test(M.copy(), s, Q).tolist() == [True, False, True]
-    assert [_plateau_test(M[b : b + 1].copy(), s[b : b + 1], Q)[0] for b in range(3)] == [True, False, True]
-    # windows of 3, 2 and 4 steps, in stacks of 2 that straddle them
-    vs = v[[0, 1, 2, 1, 2, 0, 1, 2, 0]]
-    T = np.stack([Phi.transfer for Phi in maps])
-    assert certify._plateau_passes(1, 3, vs, [3, 2, 4], 2, T) == [3, 0, 4]
+    c = np.tile(_block_identity_row(3, 1), (3, 1))
+    assert _certified(M.copy(), c).tolist() == [True, False, True]
+    assert [_certified(M[b : b + 1].copy(), c[b : b + 1])[0] for b in range(3)] == [True, False, True]
+    assert [_solo_certified(M[b], c[b]) for b in range(3)] == [True, False, True]
 
 
 def test_falsify_ks_at_form_side_50_brackets_lambda_minus_bound():
@@ -1948,9 +2032,9 @@ def _drifting_search(drift):
         calls.append(X)
         return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
 
-    def xstep(v, X):
+    def xstep(v, X, on, first):
         # X = E_00, from the bottom eigenvector eigh gives for M_v = I
-        return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2)
+        return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2), np.zeros(len(v), dtype=bool)
 
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
     return _falsify(
@@ -2089,9 +2173,9 @@ def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
     # than 2 (R - 1) members, and the scan is still the per-point loop
     stacks = []
 
-    def counted(defect, xstep, plateau, n, budget, rngs, *maps):
+    def counted(defect, xstep, certified, n, budget, rngs, *maps):
         stacks.append(len(rngs))
-        return _alternating_restart(defect, xstep, plateau, n, budget, rngs, *maps)
+        return _alternating_restart(defect, xstep, certified, n, budget, rngs, *maps)
 
     monkeypatch.setattr(certify, "STACK_SEARCHES", 2)
     monkeypatch.setattr(certify, "_alternating_restart", counted)
@@ -2103,34 +2187,37 @@ def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
     assert scan == _scan_loop("lambda-minus", 2, 1, 0.6, 0.72, 0.02, budget)[0]
 
 
-def test_a_plateau_stack_holds_at_most_the_live_members_or_a_stall_window(monkeypatch):
+def test_a_window_stack_holds_at_most_the_live_members_or_a_stall_window(monkeypatch):
     # the 9-point (3, 2) scan of Lambda^-(id) at 16 restarts: its second
     # stage fast-forwards the clean restarts of its clean points together,
-    # with windows of up to STALL_WINDOW + 1 forms each; no stack of forms
-    # holds more than max(live members, STALL_WINDOW), the live members
-    # being at most those of the last defect evaluation
-    live, stacks, split = [], [], []
-    vectors, test, passes = certify._min_eig_vectors, _plateau_test, certify._plateau_passes
+    # with windows of up to STALL_WINDOW forms each; no stack of forms holds
+    # more than max(live members, STALL_WINDOW), the live members being at
+    # most those of the last defect evaluation
+    live, stacks = [], []
+    vectors = certify._min_eig_vectors
 
     def counted_vectors(D, rngs):
         live.append(len(rngs))
         return vectors(D, rngs)
 
-    def counted_test(A, s, Q):
-        stacks.append((len(A), live[-1]))
-        return test(A, s, Q)
-
-    def counted_passes(k, d, vs, windows, cap, T):
-        split.append(len(vs) > cap)
-        return passes(k, d, vs, windows, cap, T)
-
     monkeypatch.setattr(certify, "_min_eig_vectors", counted_vectors)
-    monkeypatch.setattr(certify, "_plateau_test", counted_test)
-    monkeypatch.setattr(certify, "_plateau_passes", counted_passes)
+    restart = certify._alternating_restart
+
+    def spy(defect, xstep, certified, *args):
+        def tested(vs, X, T):
+            # a fast-forward follows a defect evaluation, so len(live) tells
+            # the stacks of one fast-forward apart from the next one's
+            stacks.append((len(vs), live[-1], len(live)))
+            return certified(vs, X, T)
+
+        return restart(defect, xstep, tested, *args)
+
+    monkeypatch.setattr(certify, "_alternating_restart", spy)
     bound = bound_lambda_minus(3, 2)
     scan = scan_threshold("lambda-minus", 3, 2, bound - 0.03, bound + 0.05, 0.01, SearchBudget(16, 200, 0))
-    assert len(scan.points) == 9 and any(split)
-    assert all(size <= max(members, STALL_WINDOW) for size, members in stacks)
+    assert len(scan.points) == 9 and stacks
+    assert len({ff for *_, ff in stacks}) < len(stacks)  # a fast-forward split into stacks
+    assert all(size <= max(members, STALL_WINDOW) for size, members, _ in stacks)
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])

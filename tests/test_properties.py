@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 from kslab import certify
 from kslab.certify import (
-    PLATEAU_MARGIN,
+    STALL_TOL,
+    STALL_WINDOW,
     SearchBudget,
+    _certified,
     _ks_parts,
-    _plateau_basis,
-    _plateau_test,
     _qform,
     check_phi_k_condition,
     falsify_co_ks,
     falsify_ks,
 )
+from kslab.decompose import ks_threshold_depolarized_transpose
 from kslab.linalg import dagger, ginibre, haar_isometry, hs_norm, unvec, vec
 from kslab.maps import QuantumMap, mix
 from kslab.serialize import matrix_from_json, matrix_to_json
@@ -101,9 +102,11 @@ def test_defect_of_cp_map_hermitian(X):
 #
 # For unital Phi and Y = c^T (x) I_d, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for every
 # Z, so the vectors vec(e_C^T (x) I_d)/sqrt(d) span a null space N of every
-# M'_v; for Phi(I) = I + E, ||M'_v N|| <= ||T||_HS ||E||_HS.
+# M'_v; for Phi(I) = I + E, ||M'_v N|| <= ||T||_HS ||E||_HS. So the start
+# point X_0, whose block row 0 is the first of them, is a bottom vector of
+# every form of a unital KS map, where M'_v >= 0.
 
-PLATEAU_DK = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2)]
+FORM_DK = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2)]
 
 
 def _null_basis(d, k):
@@ -113,7 +116,7 @@ def _null_basis(d, k):
 
 @st.composite
 def unital_case(draw):
-    d, k = draw(st.sampled_from(PLATEAU_DK))
+    d, k = draw(st.sampled_from(FORM_DK))
     seed = draw(st.integers(0, 2**31 - 1))
     kind = draw(st.sampled_from(["random-utp", "lambda-plus", "lambda-minus", "identity", "transpose"]))
     if kind == "identity":
@@ -132,7 +135,7 @@ def unital_case(draw):
     return Phi, k, v / np.linalg.norm(v)
 
 
-def _plateau_parts(Phi, k, v):
+def _form_parts(Phi, k, v):
     d = Phi.d
     T = Phi.transfer
     M = _qform(*_ks_parts(T.reshape(1, d, d, d * d), v[None]))[0]
@@ -144,14 +147,14 @@ def _plateau_parts(Phi, k, v):
 def test_block_identity_rows_are_a_null_space_of_the_form(case):
     Phi, k, v = case
     assert Phi.unital
-    M, N, s = _plateau_parts(Phi, k, v)
+    M, N, s = _form_parts(Phi, k, v)
     eps = hs_norm(Phi(np.eye(Phi.d)) - np.eye(Phi.d))
     # 1e-12 s where Phi is unital to rounding; a random base is unital to
     # about 1e-10, which the ||T|| ||E|| term carries
     assert np.linalg.norm(M @ N, 2) <= 1e-12 * s + hs_norm(Phi.transfer) * eps
 
 
-@given(st.sampled_from(PLATEAU_DK), st.integers(0, 2**31 - 1))
+@given(st.sampled_from(FORM_DK), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_block_identity_rows_are_no_null_space_of_a_non_unital_form(dk, seed):
     d, k = dk
@@ -159,26 +162,65 @@ def test_block_identity_rows_are_no_null_space_of_a_non_unital_form(dk, seed):
     Phi = QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])  # CP, not unital
     assert not Phi.unital
     v = ginibre(rng, k * d, 1)[:, 0]
-    M, N, s = _plateau_parts(Phi, k, v / np.linalg.norm(v))
+    M, N, s = _form_parts(Phi, k, v / np.linalg.norm(v))
     eps = hs_norm(Phi(np.eye(d)) - np.eye(d))
     assert 1e-12 * s < np.linalg.norm(M @ N, 2) <= 1e-12 * s + hs_norm(Phi.transfer) * eps
 
 
-@given(unital_case())
-@settings(max_examples=60, deadline=None)
-def test_where_the_plateau_test_passes_the_bottom_eigenvector_lies_in_the_null_space(case):
-    Phi, k, v = case
-    M, N, s = _plateau_parts(Phi, k, v)
-    if not _plateau_test(M[None].copy(), np.array([s]), _plateau_basis(k, Phi.d)[0])[0]:
-        return
-    w, U = np.linalg.eigh(M)
-    x = U[:, 0]
-    assert np.linalg.norm(N.T @ x) >= 1 - 1e-9
-    # the returned vector, N's first column, is a bottom eigenvector up to
-    # 2 eps + eps^2 / (PLATEAU_MARGIN s), eps = ||M N||
-    eps = np.linalg.norm(M @ N, 2)
-    x0 = N[:, 0]
-    assert (x0.conj() @ M @ x0).real - w[0] <= 2 * eps + eps**2 / (PLATEAU_MARGIN * s) + 1e-12 * s
+# -- the certificate of the X half-step ---------------------------------------
+#
+# Where _certified keeps a unit candidate c of the form M'_v, lambda_min(M'_v)
+# > c* M'_v c - STALL_TOL / STALL_WINDOW, up to the rounding of the Cholesky
+# factorization, so that the X half-step forgoes less than that by keeping c.
+
+
+@st.composite
+def certificate_case(draw):
+    # a unital map, a CP map or a map that is neither, both not unital, or
+    # Lambda^+_t(T) at its KS threshold t(d), d <= 6, at k = 1; a unit v; and
+    # a candidate: X_0's block row, a bottom eigenvector of M'_v nudged by up
+    # to 1e-6, or a random unit vector
+    kind = draw(st.sampled_from(["unital", "not unital", "threshold"]))
+    if kind == "unital":
+        Phi, k, v = draw(unital_case())
+        d = Phi.d
+    else:
+        d, k = draw(st.sampled_from(FORM_DK))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        if kind == "threshold":  # KS at k = 1
+            d, k = d + k - 1, 1
+            Phi = lambda_plus(transpose_map(d), ks_threshold_depolarized_transpose(d))
+        elif draw(st.booleans()):
+            Phi = QuantumMap.from_kraus([ginibre(rng, d) for _ in range(2)])  # CP, not unital
+        else:
+            Phi = QuantumMap(0.7 * lambda_plus(sample_utp_cp(d, int(rng.integers(50))), draw(st.floats(1, 2.5))).transfer)
+        v = ginibre(rng, k * d, 1)[:, 0]
+        v /= np.linalg.norm(v)
+    M = _qform(*_ks_parts(Phi.transfer.reshape(1, d, d, d * d), v[None]))[0]
+    which = draw(st.sampled_from(["start", "near bottom", "random"]))
+    z = ginibre(np.random.default_rng(draw(st.integers(0, 2**31 - 1))), len(M), 1)[:, 0]
+    if which == "start":
+        c = _null_basis(d, k)[:, 0].astype(complex)
+    elif which == "near bottom":
+        c = np.linalg.eigh(M)[1][:, 0] + draw(st.floats(0, 1e-6)) * z / np.linalg.norm(z)
+    else:
+        c = z
+    return kind, which, M, c / np.linalg.norm(c)
+
+
+@given(certificate_case())
+@settings(max_examples=150, deadline=None)
+def test_where_the_certificate_keeps_a_candidate_it_is_within_eps_of_the_bottom(case):
+    kind, which, M, c = case
+    kept = _certified(M[None].copy(), c[None])[0]
+    g = (c.conj() @ M @ c).real
+    lam = np.linalg.eigvalsh(M)[0]
+    slack = 4 * len(M) * np.finfo(float).eps * max(1.0, np.linalg.norm(M, 2))
+    if kept:
+        assert lam >= g - STALL_TOL / STALL_WINDOW - slack
+    if kind == "threshold" and which == "start":
+        # Lambda^+_t(T) is KS, so M'_v >= 0, and X_0's row is a null vector
+        assert kept
 
 
 # -- where the KS decision runs no search ----------------------------------

@@ -1,13 +1,12 @@
 """Contracts on the source of kslab itself, read with ast: runtime
 invariants are explicit exceptions and none an AssertionError, seeds and verdicts are each made in one
 place, the KS search has one caller in the falsifiers, certify builds no
-map, there is one restart driver, the plateau test runs only in the
-restart's fast-forward, the X half-step form has one eigh, every module
-constant is read and certify has a fixed set of them, and the CLI has one
-error boundary."""
+map, there is one restart driver, the Cholesky factorization runs only in
+the certificate of the X half-step, the X half-step form has one eigh, on
+the members the certificate refused, every module constant is read and
+certify has a fixed set of them, and the CLI has one error boundary."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import kslab
@@ -106,30 +105,40 @@ def test_one_restart_driver():
     assert _callers("_falsify") == {"certify._ks_search", "certify.falsify_k_positivity"}
 
 
-def test_the_plateau_test_runs_only_in_the_fast_forward():
-    # a member on the zero plateau of a unital map runs its stall window at
-    # once, and _plateau_passes, the restart's hook for it, is the one caller
-    # of _plateau_test; the X half-step has no plateau branch of its own, and
-    # reads the current iterates X only for its rule inside a degenerate
-    # bottom cluster
-    assert _callers("_plateau_test") == {"certify._plateau_passes"}
-    assert list(inspect.signature(certify._ks_xstep).parameters) == ["W", "G", "X"]
+def _function(name):
+    """The definition of certify.<name>."""
+    return next(fn for fn in ast.walk(_tree(Path(certify.__file__)))
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
 
 
-def test_one_x_half_step_eigh():
-    # the eigh of the X half-step form, np.linalg.eigh(_qform(...)), is made
-    # in _ks_xstep alone, so no second X half-step skips its rule inside a
-    # degenerate bottom cluster
-    found = [
-        f"{p.stem}.{fn.name}"
-        for p in SOURCES
-        for fn in ast.walk(_tree(p))
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigh"
-        and node.args and isinstance(node.args[0], ast.Call) and ast.unparse(node.args[0].func) == "_qform"
-    ]
-    assert found == ["certify._ks_xstep"]
+def test_cholesky_only_in_the_certificate():
+    # _certified is the one test that lets an X half-step keep its candidate
+    # with no eigh; the X half-step and the restart's window test, the
+    # search's certified hook, call it
+    assert _callers("cholesky") == {"certify._certified"}
+    assert _callers("_certified") == {"certify._ks_xstep", "certify.certified"}
+
+
+def test_one_x_half_step_eigh_on_refused_members_only():
+    # the form M'_v, _qform(...), is built in the X half-step and the window
+    # test alone; its eigh, in _ks_xstep, runs after the certificate, on the
+    # members it refused: the whole stack only where no member kept its
+    # candidate. So no second X half-step skips the certificate or the rule
+    # inside a degenerate bottom cluster
+    assert _callers("_qform") == {"certify._ks_xstep", "certify.certified"}
+    fn = _function("_ks_xstep")
+
+    def eighs(stmts):
+        return [ast.unparse(node.args[0]) for stmt in stmts for node in ast.walk(stmt)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigh"]
+
+    branch = next(node for node in fn.body if isinstance(node, ast.If) and ast.unparse(node.test) == "not kept.any()")
+    assert eighs(branch.body) == ["M"] and eighs(branch.orelse) == ["M[refused]"] and len(eighs(fn.body)) == 2
+    assert not any(
+        isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigh"
+        and node.args and "_qform" in ast.unparse(node.args[0])
+        for p in SOURCES for node in ast.walk(_tree(p))
+    )
 
 
 def _constants(path):
@@ -147,7 +156,7 @@ def test_certify_constants_are_a_fixed_set():
     # a new search knob, or the removal of one, is an edit to this list
     assert _constants(Path(certify.__file__)) == {
         "EIG_DEGENERACY_GAP", "STALL_TOL", "STALL_WINDOW", "WITNESS_RECHECK_TOL",
-        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "PLATEAU_MARGIN", "EXTRAPOLATION_ALIGNMENT",
+        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "EXTRAPOLATION_ALIGNMENT",
     }
 
 
