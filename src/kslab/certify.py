@@ -64,15 +64,13 @@ block row 0, at its first X half-step, and its own X after a step that
 kept its candidate or while it stalls; a descending restart tests nothing.
 For Y = c^T (x) I_d and unital Phi, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for
 every Z (Kadison 1952), so X_0 is a null vector of every M'_v, and passes
-wherever Phi is k-KS and M'_v >= 0, at a KS threshold too. The fixed point:
-a restart that keeps its own X has the defect, spectrum and stall rule
-input of its step before, bit for bit. With one bottom eigenvalue v repeats
-too, so every later step repeats this one, and the restart counts the rest
-of its stall window at once. With a degenerate bottom only the draw v
-changes, and the restart runs the rest of its window at once, its draws
-made ahead and its forms tested as stacked Cholesky calls
-(_alternating_restart). Both keep the counters and draws of the
-step-by-step route.
+wherever Phi is k-KS and M'_v >= 0, at a KS threshold too. The window: a
+restart that keeps its own X has the defect, spectrum and stall rule input
+of its step before, bit for bit, and runs the rest of its stall window at
+once (_alternating_restart). With one bottom eigenvalue v repeats the
+vector X passed, so no step draws or tests; with a degenerate bottom only
+the draw v changes, and the draws are made ahead and tested as stacked
+Cholesky calls. Both keep the counters and draws of the step-by-step route.
 
 Near a threshold a violated restart converges linearly, slowly and along
 a line, so the restart takes a safeguarded Aitken step (Aitken 1926) on
@@ -535,22 +533,23 @@ def _min_eig_vectors(
     its eigenspace; inside a near-degenerate bottom cluster a random unit
     combination is taken (subgradient choice), drawn from that member's rng.
 
-    Returns (f, V, sizes): column 0 of V[b] holds the vector, the bottom
-    eigenvector or the draw written over it, and sizes[b] is the number of
-    eigenvalues in the bottom cluster, the first m of the ascending
-    spectrum. The members of one cluster size m > 1 draw through one
-    _cluster_draws call, each from its own rng, so the order of the draws
-    across members does not matter.
+    Returns (f, V, sizes, bottom): column 0 of V[b] holds the vector, the
+    bottom eigenvector bottom[b] or the draw written over it, a strided
+    column whose strides are part of the bits of an X half-step from it, and
+    sizes[b] is the number of eigenvalues in the bottom cluster, the first m
+    of the ascending spectrum. The members of one cluster size m > 1 draw
+    through one _cluster_draws call, each from its own rng, so the order of
+    the draws across members does not matter.
     """
     w, V, sizes = _clusters(D)
-    sizes = sizes.tolist()
+    sizes, bottom = sizes.tolist(), V[:, :, 0].copy()
     groups: dict[int, list[int]] = {}
     for b, m in enumerate(sizes):
         if m != 1:
             groups.setdefault(m, []).append(b)
     for m, members in groups.items():
         V[members, :, 0] = _cluster_draws(V[members, :, :m], [rngs[b] for b in members])
-    return w[:, 0], V, sizes
+    return w[:, 0], V, sizes, bottom
 
 
 def _min_eig_value(defect: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> float:
@@ -607,21 +606,21 @@ def _alternating_restart(
 
     Every member tests X_0 at its first X half-step, and its own X after a
     step that kept its candidate or in its stall window (see the module
-    docstring). Where it keeps its own X, the defect, its spectrum and the
-    stall rule's input are the same bits as at the step before. If the
-    bottom eigenvalue is single, v is too, so every step repeats that one:
-    the member counts the rest of its stall window at once, each step an
-    iteration and a defect evaluation, and stops. If the bottom cluster is
-    degenerate, only the combination v drawn from it changes: after a step
-    that kept its candidate there, the member runs the rest of its stall
-    window at once. D(X) is evaluated once more; the window is the L steps
-    after which the stall rule or max_iters would stop the member; its
-    L - 1 draws are made ahead, and ``certified`` tests its L vectors, at
-    most max(live members, STALL_WINDOW) to a stack. A member whose first j
-    vectors pass takes j steps at X. Unless that stops it, its generator is
-    set back and advanced by those j steps' draws only, and it goes on from
-    the vector it then holds, with the step-by-step route's draws and
-    counters.
+    docstring). A member that keeps its own X has the defect, spectrum and
+    stall rule input of the step before, bit for bit, and runs its window:
+    the L steps after which the stall rule or max_iters would stop it, each
+    an iteration and a defect evaluation. With one bottom eigenvalue v
+    repeats the vector its X passed, so all L steps pass with no draw and no
+    test; X_0 is not the X of the step before, so at the first step only a
+    degenerate one opens a window. In a degenerate bottom cluster, read from
+    the step's own eigh, the L - 1 draws are made ahead, and ``certified``
+    tests the L vectors, at most max(live members, STALL_WINDOW) to a stack.
+    A member whose first j vectors pass takes j steps at X. Unless that stops
+    it, its generator is set back and advanced by those j steps' draws only,
+    and it holds the refused vector, for which its next xstep takes the
+    dense step with no second test: the step-by-step route's draws and
+    counters. xstep gets v as column 0 of the step's V, strided as the eigh
+    left it: v's strides are part of the bits of the X half-step.
 
     A member whose last 3, 5, 7, ... xsteps each left a one-eigenvalue
     bottom cluster and lowered its best value evaluates D at the _aitken
@@ -632,7 +631,7 @@ def _alternating_restart(
     """
     B = len(rngs)
     X = np.stack([X0 / hs_norm(X0) for X0 in (ginibre(rng, n) for rng in rngs)])
-    f, V, sizes = _min_eig_vectors(defect(X, *maps), rngs)
+    f, V, sizes, _ = _min_eig_vectors(defect(X, *maps), rngs)
     f = f.tolist()
     best_f, best_X = list(f), list(X)
     recent_best, stall, iters = [np.inf] * B, [0] * B, [0] * B
@@ -683,56 +682,53 @@ def _alternating_restart(
             if m == 1 and fa < f[j]:
                 X[j], f[j], V[j], sizes[j] = Xa[i], fa, U[i], 1
 
-    def fast_forward(on: list[int]) -> None:
+    def window(on: list[int], bottom: np.ndarray) -> None:
         """Run the rest of the stall window of the members at the positions
-        ``on`` of live, whose last xstep kept its candidate and whose defect
-        there has a degenerate bottom cluster."""
-        U = _clusters(defect(X[on], *(M[on] for M in maps)))[1]  # the cluster, column 0 too
+        ``on`` of live, whose last xstep kept their own X; bottom[j] is the
+        bottom eigenvector of live[j]'s defect, which a draw overwrote in V."""
         # each later step has the value f[j] >= best_f[b] and adds 1 to the
-        # stall count, as stops left recent_best within STALL_TOL of best_f
-        windows = [min(STALL_WINDOW - stall[live[j]], budget.max_iters - iters[live[j]]) for j in on]
-        ahead = [i for i, L in enumerate(windows) for _ in range(L - 1)]
-        saved = {i: rngs[live[on[i]]].bit_generator.state for i in set(ahead)}
-        starts = np.cumsum(windows) - windows
-        vs = np.empty((sum(windows), n), dtype=complex)
-        vs[starts] = V[on, :, 0]
-        drawn = np.ones(len(vs), dtype=bool)
-        drawn[starts] = False
-        drawn = np.flatnonzero(drawn)  # the rows of ahead, in order
-        for m in {sizes[on[i]] for i in ahead}:
-            pick = [a for a, i in enumerate(ahead) if sizes[on[i]] == m]
-            vs[drawn[pick]] = _cluster_draws(U[[ahead[a] for a in pick], :, :m],
-                                             [rngs[live[on[ahead[a]]]] for a in pick])
-        owner, cap = np.repeat(on, windows), max(len(live), STALL_WINDOW)
-        ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
-                             for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
-        for i, (j, L, e) in enumerate(zip(on, windows, np.cumsum(windows).tolist())):
-            b = live[j]
-            p = int(np.argmin(np.append(ok[e - L : e], False)))  # the first refused vector, or L
-            if i in saved:
+        # stall count, as stops left recent_best within STALL_TOL of best_f;
+        # with one bottom eigenvalue v repeats the vector X passed, and so
+        # every step passes with no draw and no test
+        steps = {j: min(STALL_WINDOW - stall[live[j]], budget.max_iters - iters[live[j]]) for j in on}
+        if drawn := [j for j in on if sizes[j] > 1]:
+            windows = [steps[j] for j in drawn]
+            U = np.concatenate([bottom[drawn, :, None], V[drawn, :, 1:]], axis=2)  # the cluster
+            saved = [rngs[live[j]].bit_generator.state for j in drawn]
+            ends = np.cumsum(windows)
+            vs = np.empty((ends[-1], n), dtype=complex)
+            vs[ends - windows] = V[drawn, :, 0]
+            # (position in drawn, row of vs) of each draw made ahead, in order
+            ahead = [(i, e - L + r) for i, (L, e) in enumerate(zip(windows, ends.tolist())) for r in range(1, L)]
+            for m in {sizes[drawn[i]] for i, _ in ahead}:
+                pick = [(i, row) for i, row in ahead if sizes[drawn[i]] == m]
+                vs[[row for _, row in pick]] = _cluster_draws(U[[i for i, _ in pick], :, :m],
+                                                              [rngs[live[drawn[i]]] for i, _ in pick])
+            owner, cap = np.repeat(drawn, windows), max(len(live), STALL_WINDOW)
+            ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
+                                 for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
+            for i, (j, L, e) in enumerate(zip(drawn, windows, ends.tolist())):
+                b = live[j]
+                p = steps[j] = int(np.argmin(np.append(ok[e - L : e], False)))  # the first refused vector, or L
                 rngs[b].bit_generator.state = saved[i]
+                if p < L:  # b holds the refused vector, and takes the dense step from it
+                    if p:
+                        V[j, :, 0] = _cluster_draws(U[[i] * p, :, : sizes[j]], [rngs[b]] * p)[-1]
+                    refused.add(b)
+        for j, p in steps.items():
             for _ in range(p):
-                if stops(b, f[j], X[j]):
-                    break
-            if p and out[b] is None:  # on from its p-th step at X
-                V[j, :, 0] = _cluster_draws(U[[i] * p, :, : sizes[j]], [rngs[b]] * p)[-1]
+                stops(live[j], f[j], X[j])
 
-    first = True
+    # the members that hold a vector their window refused: their next xstep
+    # takes the dense step without testing it again
+    first, refused = True, set()
     while True:
-        X, held = xstep(V[:, :, 0], X, np.array([first or kept[b] or stall[b] > 0 for b in live]), first, *maps)
+        test = np.array([b not in refused and (first or kept[b] or stall[b] > 0) for b in live])
+        X, held = xstep(V[:, :, 0], X, test, first, *maps)
+        refused.clear()
         for j, b in enumerate(live):
             kept[b] = bool(held[j])
-        # a member that kept its own X with one bottom eigenvalue is at a
-        # fixed point: each later step repeats this one
-        if fixed := [] if first else [j for j, b in enumerate(live) if kept[b] and sizes[j] == 1]:
-            for j in fixed:
-                while not stops(live[j], f[j], X[j]):
-                    pass
-            live, X, f, V, sizes, maps, past = going()
-            if not live:
-                break
-        first = False
-        f, V, sizes = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
+        f, V, sizes, bottom = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         f, due = f.tolist(), []
         for j, b in enumerate(live):
             run[b] = run[b] + 1 if sizes[j] == 1 and f[j] < best_f[b] else 0
@@ -742,9 +738,12 @@ def _alternating_restart(
             extrapolate(due)
         past = (past[1], X)
         stopped = any([stops(b, f[j], X[j]) for j, b in enumerate(live)])
-        if on := [j for j, b in enumerate(live) if kept[b] and sizes[j] > 1 and out[b] is None]:
-            fast_forward(on)
+        # a kept X_0 is not the X of the step before, so only a degenerate
+        # one opens a window at the first step
+        if on := [j for j, b in enumerate(live) if kept[b] and out[b] is None and (sizes[j] > 1 or not first)]:
+            window(on, bottom)
             stopped = True
+        first = False
         if stopped:
             live, X, f, V, sizes, maps, past = going()
             if not live:

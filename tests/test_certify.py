@@ -659,8 +659,10 @@ def _solo_min_eig_vector(D, rng):
 
 def _looped_min_eig_vectors(D, rngs):
     # _min_eig_vectors with its cluster draws as first written: two draws,
-    # np.linalg.norm and a boolean-mask product per degenerate member
+    # np.linalg.norm and a boolean-mask product per degenerate member; and
+    # the bottom eigenvectors the draws overwrite
     w, V = np.linalg.eigh(hermitianize(D))
+    bottom = V[:, :, 0].copy()
     cluster = w - w[:, :1] < EIG_DEGENERACY_GAP
     sizes = cluster.sum(axis=1)
     for b in (sizes != 1).nonzero()[0].tolist():
@@ -668,7 +670,7 @@ def _looped_min_eig_vectors(D, rngs):
         c = rngs[b].standard_normal(m) + 1j * rngs[b].standard_normal(m)
         c /= np.linalg.norm(c)
         V[b, :, 0] = V[b][:, cluster[b]] @ c
-    return w[:, 0], V
+    return w[:, 0], V, bottom
 
 
 def _degenerate_stack(gen, n, clusters):
@@ -698,9 +700,9 @@ def test_min_eig_vectors_draws_match_the_looped_oracle(n):
         seeds = root.spawn(len(D))
         rngs = [np.random.default_rng(ss) for ss in seeds]
         oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
-        f, V, sizes = _min_eig_vectors(D.copy(), rngs)
-        g, W = _looped_min_eig_vectors(D.copy(), oracle_rngs)
-        assert np.array_equal(f, g) and np.array_equal(V, W), clusters
+        f, V, sizes, bottom = _min_eig_vectors(D.copy(), rngs)
+        g, W, eigenvectors = _looped_min_eig_vectors(D.copy(), oracle_rngs)
+        assert np.array_equal(f, g) and np.array_equal(V, W) and np.array_equal(bottom, eigenvectors), clusters
         assert sizes == clusters
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
@@ -880,22 +882,48 @@ def test_lockstep_ks_matches_sequential_oracle(d, k, offset):
     assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
 
 
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
+def _non_unital_map(d, seed, s, t):
+    # s ((1 - t) Phi + t tau) + K . K*, Phi a random UTP CP map, tau the
+    # transposition and ||K||^2 = 0.03: neither unital nor CP, with spec
+    # Phi(1) inside [0, 1], so that falsify_ks searches it below d
+    gen = np.random.default_rng(seed)
+    K = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    K *= np.sqrt(0.03) / np.linalg.norm(K, 2)
+    T = s * ((1 - t) * sample_utp_cp(d, seed=seed).transfer + t * transpose_map(d).transfer)
+    return QuantumMap(T + np.kron(K.conj(), K))
+
+
+# (seed, s, t) of _non_unital_map: clean points, whose stage-2 members stop
+# at different steps
+NON_UNITAL = {(2, 1): [(7, 0.78, 0.27), (15, 0.81, 0.25)],
+              (3, 1): [(2, 0.62, 0.1), (17, 0.88, 0.065)],
+              (3, 2): [(3, 0.75, 0.008), (8, 0.9, 0.004)]}
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (3, 2)])
 def test_lockstep_ks_matches_oracle_on_random_and_degenerate_maps(d, k):
     # the identity has a zero defect, so every vector step draws from a
     # degenerate cluster; a random UTP CP map mixes drawn and plain steps;
     # falsify_ks decides both of these CP maps, so the search itself
-    # is compared there
+    # is compared there. The maps that are not unital leave the stack one by
+    # one, so the vectors of the members that go on are laid out as after a
+    # member left
     budget = SearchBudget(restarts=6, max_iters=80, seed=7)
     for Phi, search in ((QuantumMap.identity(d), _search),
                         (sample_utp_cp(d, seed=3), _search),
                         (reduction(d, 0.9), falsify_ks)):
         assert _bytes(search(Phi, k, budget)) == _bytes(_solo_ks(Phi, k, budget))
+    for p in NON_UNITAL[d, k]:
+        Phi = _non_unital_map(d, *p)
+        with pytest.warns(UserWarning, match="not unital"):
+            res = falsify_ks(Phi, k, budget)
+        assert res.verdict == "NoViolationFound" and res.budget_used["restarts"] == 6
+        assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
 
 def _windows(monkeypatch):
-    # each window test of a fast-forward, (vs, X, T, passed): the vectors of
-    # the stall windows tested at once, with the X and map of each
+    # each test of windows that draw ahead, (vs, X, T, passed): the vectors
+    # of the stall windows tested at once, with the X and map of each
     calls = []
     restart = certify._alternating_restart
 
@@ -911,22 +939,36 @@ def _windows(monkeypatch):
     return calls
 
 
-# a clean search whose max_iters ends a restart inside, at the edge of, or
-# one and two steps past its stall window at the start point X_0
-@pytest.mark.parametrize("max_iters", [1, 2, 3, STALL_WINDOW, STALL_WINDOW + 1, STALL_WINDOW + 2])
-@pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (5, 2)])
+# clean searches at bound - 0.02, whose max_iters ends a restart inside, at
+# the edge of, or one and two steps past its stall window at the start point
+# X_0; and the violated (3, 1) search at bound + 0.03, whose restart keeps
+# its own X at its third step, where its defect has one bottom eigenvalue,
+# and max_iters ends it there, one step into, inside and at the end of its
+# window
+WINDOW_CUTS = [(d, k, m) for d, k in ((2, 1), (3, 2), (5, 2))
+               for m in (1, 2, 3, STALL_WINDOW, STALL_WINDOW + 1, STALL_WINDOW + 2)]
+WINDOW_CUTS += [(3, 1, m) for m in (3, 4, 6, STALL_WINDOW + 1)]
+
+
+@pytest.mark.parametrize("d,k,max_iters", WINDOW_CUTS)
 def test_lockstep_ks_matches_sequential_oracle_where_max_iters_cuts_the_window(monkeypatch, d, k, max_iters):
-    Phi = lambda_minus(QuantumMap.identity(d), d / (k * d + 1) - 0.02)
+    clean = (d, k) != (3, 1)
+    Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + (-0.02 if clean else 0.03))
     budget = SearchBudget(restarts=4, max_iters=max_iters, seed=d + 10 * k)
     calls = _windows(monkeypatch)
     res = falsify_ks(Phi, k, budget)
-    # every restart keeps X_0 at its first X half-step, where the defect
-    # vanishes; its window, the rest of its stall window, tests no vector
-    # past max_iters
-    assert bool(calls) == (max_iters > 1)
-    assert sum(len(vs) for vs, *_ in calls) == 4 * min(max_iters - 1, STALL_WINDOW)
-    assert res.verdict == "NoViolationFound"
-    assert res.budget_used["iterations"] == 4 * min(max_iters, STALL_WINDOW + 1)
+    if clean:
+        # every restart keeps X_0 at its first X half-step, where the defect
+        # vanishes; its window, the rest of its stall window, tests no
+        # vector past max_iters
+        assert bool(calls) == (max_iters > 1)
+        assert sum(len(vs) for vs, *_ in calls) == 4 * min(max_iters - 1, STALL_WINDOW)
+        assert res.verdict == "NoViolationFound"
+        assert res.budget_used["iterations"] == 4 * min(max_iters, STALL_WINDOW + 1)
+    else:
+        # a one-eigenvalue window draws and tests nothing
+        assert res.violated and not calls
+        assert res.budget_used["iterations"] == min(max_iters, STALL_WINDOW + 1)
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
 
@@ -1092,8 +1134,8 @@ def test_each_aitken_candidate_counts_as_a_defect_evaluation(monkeypatch):
 def test_a_fixed_point_counts_the_rest_of_its_stall_window_as_the_oracle_steps_it(monkeypatch, seed):
     # Lambda^-(id) at (3, 1), bound + 0.03: the violated restart keeps its
     # own X where its defect has one bottom eigenvalue, and counts the rest
-    # of its stall window without evaluating it; the oracle, which runs and
-    # evaluates every step of the same rule, gets the same bits
+    # of its stall window after that step's evaluation; the oracle, which
+    # runs and evaluates every step of the same rule, gets the same bits
     evaluated = _evaluations(monkeypatch)
     Phi = lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 1) + 0.03)
     budget = SearchBudget(restarts=4, max_iters=300, seed=seed)
@@ -1116,9 +1158,9 @@ def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(mo
     vectors = certify._min_eig_vectors
 
     def counted(D, rngs):
-        f, V, m = vectors(D, rngs)
+        f, V, m, bottom = vectors(D, rngs)
         sizes.extend(m)
-        return f, V, m
+        return f, V, m, bottom
 
     def xstep(v, X, on, first, T):
         # the dense step on every iteration
@@ -1168,11 +1210,22 @@ def test_lockstep_ks_matches_sequential_oracle_when_a_window_is_refused_part_way
     feature = lambda M: (z.conj() @ M @ z).real  # noqa: E731
     target = feature(_qform(*_ks_parts(T[0].reshape(d, d, d * d), vs[j][None]))[0])
     calls.clear()
-    _refusing(monkeypatch, lambda M: abs(feature(M) - target) < 1e-9)
+    tests = []  # each test of the refused form
+
+    def refuse(M):
+        if hit := bool(abs(feature(M) - target) < 1e-9):
+            tests.append(M)
+        return hit
+
+    _refusing(monkeypatch, refuse)
     res = falsify_ks(Phi, k, budget)
     assert len(calls[0][0]) == L and np.argmin(calls[0][3]) == j  # the refusal took
+    # the member holds the refused vector and takes the dense step from it
+    # with no second test, as the oracle tests it once
+    assert len(tests) == 1
     assert res.verdict == "NoViolationFound"
-    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
+    tests.clear()
+    assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget)) and len(tests) == 1
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (3, 2)])
@@ -1268,8 +1321,8 @@ def test_lockstep_restart_matches_solo_runs_when_the_start_point_defect_is_not_o
     # the defect vanishes for Re X_00 > 0, as above, except at X_0 = I/sqrt(3),
     # which every member keeps at its first X half-step, where it has a
     # bottom cluster of 2 or 1 of its 3 eigenvalues: the member then runs a
-    # window of draws from that pair, or is at a fixed point from its next
-    # step
+    # window of draws from that pair, or tests X_0 at its next step and runs
+    # a window of no draws from there
     Phi = sample_utp_cp(3, seed=5)
     x0 = np.eye(3) / np.sqrt(3)
     at_x0 = []
@@ -1290,6 +1343,36 @@ def test_lockstep_restart_matches_solo_runs_when_the_start_point_defect_is_not_o
         g, Y, solo_used = _solo_ks_restart_on(Phi, defect, budget, rng)
         assert f == g and np.array_equal(X, Y) and used == solo_used
         assert used["iterations"] == STALL_WINDOW + 1
+
+
+def test_a_kept_x0_with_one_bottom_eigenvalue_is_tested_at_the_second_step(monkeypatch):
+    # a unital CP map's defect less 1e-3 I, and (0, 1e-3, 2e-3) at X_0,
+    # which every member keeps at its first X half-step; the certificate
+    # refuses M'_v for that bottom vector v = e_0. X_0 is not the X of the
+    # step before, so the first step opens no window: each member tests X_0
+    # at its second step, and takes the dense step to a lower value, as the
+    # oracle does
+    Phi = sample_utp_cp(3, seed=5)
+    x0 = np.eye(3) / np.sqrt(3)
+    spectrum = np.diag([0.0, 1e-3, 2e-3]).astype(complex)
+
+    def defect(X):
+        D = amplified_ks_defect(Phi, 1, X) - 1e-3 * np.eye(3)
+        return np.where((X == x0).all(axis=(-1, -2))[..., None, None], spectrum, D)
+
+    e0 = np.linalg.eigh(spectrum)[1][:, 0]
+    z = _unit(ginibre(np.random.default_rng(1), 9, 1)[:, 0])
+    feature = lambda M: (z.conj() @ M @ z).real  # noqa: E731
+    target = feature(_qform(*_ks_parts(Phi.transfer.reshape(1, 3, 3, 9), e0[None]))[0])
+    _refusing(monkeypatch, lambda M: abs(feature(M) - target) < 1e-9)
+    budget = SearchBudget(restarts=1, max_iters=40, seed=0)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    batch = _ks_restart_on(Phi, defect, budget, rngs)
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(11).spawn(8)]
+    for (f, X, used), rng in zip(batch, rngs):
+        g, Y, solo_used = _solo_ks_restart_on(Phi, defect, budget, rng)
+        assert f == g and np.array_equal(X, Y) and used == solo_used
+        assert f < -1e-4 and used["iterations"] > STALL_WINDOW + 1  # the refusal took
 
 
 @pytest.mark.parametrize("a", [0.45, 0.55])
@@ -2189,7 +2272,7 @@ def test_scan_stacks_its_searched_points_in_chunks(monkeypatch):
 
 def test_a_window_stack_holds_at_most_the_live_members_or_a_stall_window(monkeypatch):
     # the 9-point (3, 2) scan of Lambda^-(id) at 16 restarts: its second
-    # stage fast-forwards the clean restarts of its clean points together,
+    # stage runs the windows of the clean restarts of its clean points together,
     # with windows of up to STALL_WINDOW forms each; no stack of forms holds
     # more than max(live members, STALL_WINDOW), the live members being at
     # most those of the last defect evaluation
@@ -2205,8 +2288,8 @@ def test_a_window_stack_holds_at_most_the_live_members_or_a_stall_window(monkeyp
 
     def spy(defect, xstep, certified, *args):
         def tested(vs, X, T):
-            # a fast-forward follows a defect evaluation, so len(live) tells
-            # the stacks of one fast-forward apart from the next one's
+            # a window follows a defect evaluation, so len(live) tells the
+            # stacks of one step's windows apart from the next one's
             stacks.append((len(vs), live[-1], len(live)))
             return certified(vs, X, T)
 
@@ -2216,7 +2299,7 @@ def test_a_window_stack_holds_at_most_the_live_members_or_a_stall_window(monkeyp
     bound = bound_lambda_minus(3, 2)
     scan = scan_threshold("lambda-minus", 3, 2, bound - 0.03, bound + 0.05, 0.01, SearchBudget(16, 200, 0))
     assert len(scan.points) == 9 and stacks
-    assert len({ff for *_, ff in stacks}) < len(stacks)  # a fast-forward split into stacks
+    assert len({ff for *_, ff in stacks}) < len(stacks)  # one step's windows split into stacks
     assert all(size <= max(members, STALL_WINDOW) for size, members, _ in stacks)
 
 

@@ -3,7 +3,8 @@ invariants are explicit exceptions and none an AssertionError, seeds and verdict
 place, the KS search has one caller in the falsifiers, certify builds no
 map, there is one restart driver, the Cholesky factorization runs only in
 the certificate of the X half-step, the X half-step form has one eigh, on
-the members the certificate refused, every module constant is read and
+the members the certificate refused, a KS window reads its cluster from the
+step's own eigh, every module constant is read and
 certify has a fixed set of them, and the CLI has one error boundary."""
 
 import ast
@@ -117,6 +118,12 @@ def test_cholesky_only_in_the_certificate():
     # search's certified hook, call it
     assert _callers("cholesky") == {"certify._certified"}
     assert _callers("_certified") == {"certify._ks_xstep", "certify.certified"}
+
+
+def test_a_window_reads_its_cluster_from_the_steps_own_eigh():
+    # the defect's spectrum is read where the step or an Aitken candidate is
+    # evaluated, and nowhere else: a window evaluates no defect
+    assert _callers("_clusters") == {"certify._min_eig_vectors", "certify.extrapolate"}
 
 
 def test_one_x_half_step_eigh_on_refused_members_only():
