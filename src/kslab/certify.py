@@ -29,10 +29,10 @@ own map's transfer matrix. A stack member computes bit for bit what it
 would compute alone, so the verdicts depend neither on the schedule nor on
 the other searches in the stack. That holds for the random combinations
 drawn inside a degenerate bottom cluster too: each member draws from its
-own generator, one call per member, and the combinations, their norms and
-their products with the cluster's eigenvectors run once per cluster size as
-stacked products that make, member by member, the BLAS call of a member
-alone on the same strides (see _min_eig_vectors).
+own generator, one call per member, and one _cluster_draws call runs the
+combinations, their norms and their products with the cluster's
+eigenvectors as one stacked product per cluster size, which makes, member
+by member, the BLAS call of a member alone on the same strides.
 
 The k-positivity restart minimizes <psi|C_Phi|psi> over Schmidt-rank-k unit
 vectors by alternating least squares over the two Schmidt factors. The KS
@@ -111,9 +111,6 @@ WITNESS_RECHECK_TOL = 1e-8
 # the most maps one KS stack searches at once; a longer list runs in chunks,
 # so that the memory of a threshold scan does not grow with its grid
 STACK_SEARCHES = 16
-# the fewest cluster draws that _cluster_draws combines as one batch; a batch
-# costs about two looped draws, and breaks even at 3-4
-BATCH_MIN_DRAWS = 4
 # the cosine |<d_0, d_1>| / (||d_0|| ||d_1||) of two successive steps from
 # which _aitken extrapolates; most steps of the near-threshold Lambda^-(id)
 # runs at (3,2), (4,3) and, with _ks_xstep's projection, (4,2) read above it
@@ -494,41 +491,37 @@ def _clusters(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, V, (w - w[:, :1] < EIG_DEGENERACY_GAP).sum(axis=1)
 
 
-def _cluster_draws(cols: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """cols[i] @ c_i for each n x m matrix of the stack cols, c_i a random
-    unit vector of C^m drawn by rngs[i]; a generator listed more than once
-    draws for its rows in order.
+def _cluster_draws(U: np.ndarray, sizes: list[int], rngs: list[np.random.Generator]) -> np.ndarray:
+    """U[i, :, :m] @ c_i for each row i of the stack U, m = sizes[i] and c_i a
+    random unit vector of C^m drawn by rngs[i]; a generator listed more than
+    once draws for its rows in order.
 
     Only the draws stay per row: row i calls standard_normal(2 m) on its
-    generator. The combination c, its norm and its product with the columns
-    run once for all rows, with the arithmetic of a single row's call, so
-    each row gets the bits it would get alone. The sums, square roots and
-    divisions are elementwise; the squared norm is a stacked (1 x m)(m x 1)
-    product over the real and the imaginary view, the strided BLAS dot of
-    c.real.dot(c.real); and the product is a stacked (n x m)(m x 1) product
-    over per-row Fortran-ordered copies of the columns, the gemv of
-    np.asfortranarray(cols[i]) @ c. Fewer than BATCH_MIN_DRAWS rows run one
-    by one, which is cheaper there."""
-    m = cols.shape[-1]
-    if len(cols) < BATCH_MIN_DRAWS:
-        out = np.empty(cols.shape[:2], dtype=complex)
-        for i, rng in enumerate(rngs):
-            z = rng.standard_normal(2 * m)
-            c = z[:m] + 1j * z[m:]
-            c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
-            out[i] = np.asfortranarray(cols[i]) @ c
-        return out
-    z = np.stack([rng.standard_normal(2 * m) for rng in rngs])
-    c = z[:, :m] + 1j * z[:, m:]
-    re, im = c.real[:, None], c.imag[:, None]
-    c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
-    cols = np.ascontiguousarray(cols.swapaxes(1, 2)).swapaxes(1, 2)
-    return (cols @ c[:, :, None])[:, :, 0]
+    generator, in row order. The rows of one cluster size m run their
+    combination c, its norm and its product with the columns as one stack,
+    with the arithmetic of a single row's call, so each row gets the bits it
+    would get alone. The sums, square roots and divisions are elementwise;
+    the squared norm is a stacked (1 x m)(m x 1) product over the real and
+    the imaginary view, the strided BLAS dot of c.real.dot(c.real); and the
+    product is a stacked (n x m)(m x 1) product over per-row Fortran-ordered
+    copies of the columns, the gemv of np.asfortranarray(U[i, :, :m]) @ c."""
+    z = [rng.standard_normal(2 * m) for rng, m in zip(rngs, sizes)]
+    out = np.empty(U.shape[:2], dtype=complex)
+    for m in set(sizes):
+        rows = [i for i, mi in enumerate(sizes) if mi == m]
+        c = np.array([z[i] for i in rows])
+        c = c[:, :m] + 1j * c[:, m:]
+        re, im = c.real[:, None], c.imag[:, None]
+        c /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+        # the rows' m x n transposes, gathered in one copy: their columns in Fortran order
+        cols = np.take(U.swapaxes(1, 2)[:, :m], rows, axis=0, out=np.empty((len(rows), m, U.shape[1]), dtype=complex))
+        out[rows] = (cols.swapaxes(1, 2) @ c[:, :, None])[:, :, 0]
+    return out
 
 
 def _min_eig_vectors(
     D: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
     """Smallest eigenvalue of each matrix of the stack D, and a vector from
     its eigenspace; inside a near-degenerate bottom cluster a random unit
     combination is taken (subgradient choice), drawn from that member's rng.
@@ -537,18 +530,15 @@ def _min_eig_vectors(
     bottom eigenvector bottom[b] or the draw written over it, a strided
     column whose strides are part of the bits of an X half-step from it, and
     sizes[b] is the number of eigenvalues in the bottom cluster, the first m
-    of the ascending spectrum. The members of one cluster size m > 1 draw
-    through one _cluster_draws call, each from its own rng, so the order of
-    the draws across members does not matter.
+    of the ascending spectrum. The members whose bottom cluster is
+    degenerate draw through one _cluster_draws call, each from its own rng,
+    so the order of the draws across members does not matter.
     """
     w, V, sizes = _clusters(D)
     sizes, bottom = sizes.tolist(), V[:, :, 0].copy()
-    groups: dict[int, list[int]] = {}
-    for b, m in enumerate(sizes):
-        if m != 1:
-            groups.setdefault(m, []).append(b)
-    for m, members in groups.items():
-        V[members, :, 0] = _cluster_draws(V[members, :, :m], [rngs[b] for b in members])
+    if drawn := [b for b, m in enumerate(sizes) if m > 1]:
+        V[drawn, :, 0] = _cluster_draws(V[drawn, :, : max(sizes)], [sizes[b] for b in drawn],
+                                        [rngs[b] for b in drawn])
     return w[:, 0], V, sizes, bottom
 
 
@@ -693,17 +683,17 @@ def _alternating_restart(
         steps = {j: min(STALL_WINDOW - stall[live[j]], budget.max_iters - iters[live[j]]) for j in on}
         if drawn := [j for j in on if sizes[j] > 1]:
             windows = [steps[j] for j in drawn]
-            U = np.concatenate([bottom[drawn, :, None], V[drawn, :, 1:]], axis=2)  # the cluster
+            top = max(sizes[j] for j in drawn)
+            U = np.concatenate([bottom[drawn, :, None], V[drawn, :, 1:top]], axis=2)  # the clusters
             saved = [rngs[live[j]].bit_generator.state for j in drawn]
             ends = np.cumsum(windows)
             vs = np.empty((ends[-1], n), dtype=complex)
             vs[ends - windows] = V[drawn, :, 0]
             # (position in drawn, row of vs) of each draw made ahead, in order
             ahead = [(i, e - L + r) for i, (L, e) in enumerate(zip(windows, ends.tolist())) for r in range(1, L)]
-            for m in {sizes[drawn[i]] for i, _ in ahead}:
-                pick = [(i, row) for i, row in ahead if sizes[drawn[i]] == m]
-                vs[[row for _, row in pick]] = _cluster_draws(U[[i for i, _ in pick], :, :m],
-                                                              [rngs[live[drawn[i]]] for i, _ in pick])
+            take = [i for i, _ in ahead]
+            vs[[row for _, row in ahead]] = _cluster_draws(U[take], [sizes[drawn[i]] for i in take],
+                                                           [rngs[live[drawn[i]]] for i in take])
             owner, cap = np.repeat(drawn, windows), max(len(live), STALL_WINDOW)
             ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
                                  for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
@@ -713,7 +703,7 @@ def _alternating_restart(
                 rngs[b].bit_generator.state = saved[i]
                 if p < L:  # b holds the refused vector, and takes the dense step from it
                     if p:
-                        V[j, :, 0] = _cluster_draws(U[[i] * p, :, : sizes[j]], [rngs[b]] * p)[-1]
+                        V[j, :, 0] = _cluster_draws(U[[i] * p], [sizes[j]] * p, [rngs[b]] * p)[-1]
                     refused.add(b)
         for j, p in steps.items():
             for _ in range(p):

@@ -33,6 +33,14 @@ def matrix_from_json(data: list) -> np.ndarray:
         raise ValueError(f"malformed matrix data: expected nested [re, im] pairs ({exc})")
 
 
+def _dimension(obj: dict, field: str) -> int:
+    """obj[field], which must be an integer >= 1: a d or k read from outside."""
+    n = obj[field]
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"field '{field}': expected an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def map_to_json(Phi: QuantumMap, repr_: str = "transfer") -> dict:
     if repr_ == "transfer":
         data = matrix_to_json(Phi.transfer)
@@ -51,7 +59,7 @@ def map_from_json(obj: dict) -> QuantumMap:
             raise ValueError(f"map JSON is missing required field '{field}'")
     if obj.get("conv", "col-vec") != "col-vec":
         raise ValueError(f"unsupported vectorization convention '{obj['conv']}'")
-    d, repr_, label = int(obj["d"]), obj["repr"], obj.get("label", "")
+    d, repr_, label = _dimension(obj, "d"), obj["repr"], obj.get("label", "")
     if repr_ == "transfer":
         T = matrix_from_json(obj["data"])
         if T.shape != (d * d, d * d):
@@ -83,7 +91,7 @@ def witness_from_json(obj: dict | None) -> BlockOperator | SchmidtWitness | None
     if obj is None:
         return None
     if obj["kind"] == "block":
-        return BlockOperator(k=int(obj["k"]), d=int(obj["d"]), data=matrix_from_json(obj["matrix"]))
+        return BlockOperator(k=_dimension(obj, "k"), d=_dimension(obj, "d"), data=matrix_from_json(obj["matrix"]))
     if obj["kind"] == "schmidt":
         return SchmidtWitness(u=matrix_from_json(obj["u"]), v=matrix_from_json(obj["v"]))
     raise ValueError(f"unknown witness kind '{obj['kind']}'")

@@ -688,13 +688,13 @@ def _degenerate_stack(gen, n, clusters):
 def test_min_eig_vectors_draws_match_the_looped_oracle(n):
     # members whose bottom cluster has 1 to n eigenvalues in one stack, once
     # as 8 members and once as 48; and stacks whose members all have one
-    # cluster size, as at the start point of clean restarts, with fewer and
-    # with at least BATCH_MIN_DRAWS members
+    # cluster size, as at the start point of clean restarts, from one
+    # member to many
     gen, root = np.random.default_rng(n), np.random.SeedSequence(n)
     mixed = [min(m, n) for m in [1, 2, 3, n, 2, 1, n - 1, 3]]
     stacks = [mixed, mixed * 6]
     for m in sorted({2, n}):
-        stacks += [[m] * members for members in (1, 3, certify.BATCH_MIN_DRAWS, 45)]
+        stacks += [[m] * members for members in (1, 2, 3, 4, 45)]
     for clusters in stacks:
         D = _degenerate_stack(gen, n, clusters)
         seeds = root.spawn(len(D))
@@ -705,6 +705,36 @@ def test_min_eig_vectors_draws_match_the_looped_oracle(n):
         assert np.array_equal(f, g) and np.array_equal(V, W) and np.array_equal(bottom, eigenvectors), clusters
         assert sizes == clusters
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
+
+
+def _solo_cluster_draw(cols, rng):
+    # one row's cluster draw, alone: a unit combination c of the columns,
+    # with the BLAS dot for its squared norm and the gemv on a
+    # Fortran-ordered copy of the columns
+    m = cols.shape[1]
+    z = rng.standard_normal(2 * m)
+    c = z[:m] + 1j * z[m:]
+    c /= np.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+    return np.asfortranarray(cols) @ c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+def test_cluster_draws_of_mixed_sizes_match_a_per_row_oracle(n):
+    # one call whose rows have every cluster size 1..n, in a mixed order,
+    # and whose generators are each listed for several rows of different
+    # sizes: every row gets the bits of its draw alone, and every generator
+    # draws for its rows in row order
+    gen, root = np.random.default_rng(100 + n), np.random.SeedSequence(100 + n)
+    sizes = [int(m) for m in gen.permutation(np.tile(np.arange(1, n + 1), 3))]
+    U = np.stack([np.linalg.qr(ginibre(gen, n))[0] for _ in sizes])
+    seeds = root.spawn(3)
+    rngs = [np.random.default_rng(ss) for ss in seeds]
+    oracle_rngs = [np.random.default_rng(ss) for ss in seeds]
+    owners = [i % 3 for i in range(len(sizes))]
+    out = certify._cluster_draws(U.copy(), sizes, [rngs[o] for o in owners])
+    want = np.stack([_solo_cluster_draw(U[i, :, :m], oracle_rngs[o]) for i, (m, o) in enumerate(zip(sizes, owners))])
+    assert np.array_equal(out, want)
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
 
 def _solo_aitken(x0, x1, x2):

@@ -156,11 +156,16 @@ def test_construct_and_certify_round_trip(tmp_path, capsys):
 
 
 def test_construct_malformed_map_file(tmp_path, capsys):
+    # a missing field, and a d that is not an integer >= 1 with data whose
+    # side d * d = 4 would pass the shape check
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"d": 2, "repr": "transfer"}))
-    rc, _, err = run(capsys, "certify", "--map", str(path), "--k", "1")
-    assert rc == 1
-    assert "'data'" in err
+    cases = [({"d": 2, "repr": "transfer"}, "'data'")]
+    cases += [({"d": d, "repr": "transfer", "data": serialize.matrix_to_json(np.eye(4))}, "'d'") for d in (-2, 2.7)]
+    for obj, field in cases:
+        path.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "certify", "--map", str(path), "--k", "1")
+        assert rc == 1 and out == ""
+        assert err.startswith("kslab: error:") and field in err and "Traceback" not in err
 
 
 def test_scan_csv_sorted(tmp_path, capsys):

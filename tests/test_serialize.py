@@ -67,6 +67,12 @@ def test_map_from_json_field_errors():
         map_from_json({"d": 3, "repr": "transfer", "data": matrix_to_json(np.eye(4))})
     with pytest.raises(ValueError, match="repr"):
         map_from_json({"d": 2, "repr": "stinespring", "data": []})
+    # a d that is not an integer >= 1, with data whose side d * d = 4 would
+    # otherwise pass the shape check
+    for d in (-2, 2.7, 2.0, "2", True, 0):
+        for repr_ in ("transfer", "choi"):
+            with pytest.raises(ValueError, match="'d'.*integer >= 1"):
+                map_from_json({"d": d, "repr": repr_, "data": matrix_to_json(np.eye(4))})
 
 
 def test_block_witness_round_trip():
@@ -77,6 +83,18 @@ def test_block_witness_round_trip():
     assert np.array_equal(back.data, w.data)
     assert witness_to_json(None) is None
     assert witness_from_json(None) is None
+
+
+def test_block_witness_dimensions_are_checked():
+    # k = d = -2 has k d = 4, the side of the matrix, so only the dimension
+    # check refuses it
+    obj = witness_to_json(BlockOperator(k=2, d=2, data=ginibre(rng, 4)))
+    for k, d in ((-2, -2), (2.0, 2), (1, 4.0), (0, 2)):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            witness_from_json({**obj, "k": k, "d": d})
+    verdict = verdict_to_json(falsify_ks(reduction(2, 0.7), 1, FAST))
+    with pytest.raises(ValueError, match="'k'"):
+        verdict_from_json({**verdict, "witness": {**verdict["witness"], "k": -2, "d": -2}})
 
 
 def test_schmidt_witness_round_trip():

@@ -4,8 +4,9 @@ place, the KS search has one caller in the falsifiers, certify builds no
 map, there is one restart driver, the Cholesky factorization runs only in
 the certificate of the X half-step, the X half-step form has one eigh, on
 the members the certificate refused, a KS window reads its cluster from the
-step's own eigh, every module constant is read and
-certify has a fixed set of them, and the CLI has one error boundary."""
+step's own eigh, a cluster draw is made in one function, every module
+constant is read and certify has a fixed set of them, and the CLI has one
+error boundary."""
 
 import ast
 from pathlib import Path
@@ -126,6 +127,16 @@ def test_a_window_reads_its_cluster_from_the_steps_own_eigh():
     assert _callers("_clusters") == {"certify._min_eig_vectors", "certify.extrapolate"}
 
 
+def test_one_cluster_draw_path():
+    # a degenerate bottom cluster draws its random combination in
+    # _cluster_draws alone, which stacks the draws per cluster size: the
+    # step's vectors and the window's draws made ahead each reach it in one
+    # call, and no other certify function draws a normal variate (the
+    # Ginibre starts are linalg's)
+    assert _callers("_cluster_draws") == {"certify._min_eig_vectors", "certify.window"}
+    assert {f for f in _callers("standard_normal") if f.startswith("certify.")} == {"certify._cluster_draws"}
+
+
 def test_one_x_half_step_eigh_on_refused_members_only():
     # the form M'_v, _qform(...), is built in the X half-step and the window
     # test alone; its eigh, in _ks_xstep, runs after the certificate, on the
@@ -163,7 +174,7 @@ def test_certify_constants_are_a_fixed_set():
     # a new search knob, or the removal of one, is an edit to this list
     assert _constants(Path(certify.__file__)) == {
         "EIG_DEGENERACY_GAP", "STALL_TOL", "STALL_WINDOW", "WITNESS_RECHECK_TOL",
-        "STACK_SEARCHES", "BATCH_MIN_DRAWS", "EXTRAPOLATION_ALIGNMENT",
+        "STACK_SEARCHES", "EXTRAPOLATION_ALIGNMENT",
     }
 
 
