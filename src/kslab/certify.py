@@ -59,18 +59,19 @@ lambda_min(M'_v) > c* M'_v c - eps up to the rounding of the
 factorization; where that rounding exceeds eps it fails, safe, to the
 dense step. Where it passes, the step keeps c: it forgoes less than eps,
 and a stall window of such steps less than STALL_TOL, the stall rule's own
-resolution. A restart tests the start point X_0, e_0^T (x) I_d / sqrt(d) in
-block row 0, at its first X half-step, and its own X after a step that
-kept its candidate or while it stalls; a descending restart tests nothing.
+resolution. The X half-step tests one candidate, the start point X_0,
+e_0^T (x) I_d / sqrt(d) in block row 0, at a restart's first step only.
 For Y = c^T (x) I_d and unital Phi, Phi_k(Y*Z) = Phi_k(Y)* Phi_k(Z) for
 every Z (Kadison 1952), so X_0 is a null vector of every M'_v, and passes
-wherever Phi is k-KS and M'_v >= 0, at a KS threshold too. The window: a
-restart that keeps its own X has the defect, spectrum and stall rule input
-of its step before, bit for bit, and runs the rest of its stall window at
-once (_alternating_restart). With one bottom eigenvalue v repeats the
-vector X passed, so no step draws or tests; with a degenerate bottom only
-the draw v changes, and the draws are made ahead and tested as stacked
-Cholesky calls. Both keep the counters and draws of the step-by-step route.
+wherever Phi is k-KS and M'_v >= 0, at a KS threshold too. A restart's own
+X is tested in one place, its window, opened after a step that kept X_0 or
+while the restart stalls; a descending restart tests nothing. An X that
+keeps itself has the defect, spectrum and stall rule input of its step
+before, bit for bit, so the window runs the rest of the stall window at
+once (_alternating_restart): with one bottom eigenvalue v repeats, and one
+test of X at v tells every step; with a degenerate bottom only the draw v
+changes, and the draws are made ahead and tested as stacked Cholesky
+calls. Both keep the counters, draws and tests of the step-by-step route.
 
 Near a threshold a violated restart converges linearly, slowly and along
 a line, so the restart takes a safeguarded Aitken step (Aitken 1926) on
@@ -86,6 +87,7 @@ steps line up in a degenerate bottom eigenspace through _ks_xstep's choice.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -130,6 +132,11 @@ class SearchBudget:
     violation_tol: float = 1e-9
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer too, as JSON takes it
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
@@ -316,14 +323,15 @@ def _certified(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _ks_xstep(
-    W: np.ndarray, G: np.ndarray, X: np.ndarray, c: np.ndarray, on: np.ndarray
+    W: np.ndarray, G: np.ndarray, X: np.ndarray, c: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """X half-steps of the KS search for stacks W, G, as a fresh
     C-contiguous array with one row per member, since the bits of the
     defect depend on the layout of X, and the mask of the members that kept
-    their candidate. A member with ``on`` set keeps its unit candidate, its
-    row of c, where _certified passes it on M'_v = W^T (x) I_m - G*G; the
-    others take a bottom eigenvector of M'_v from one stacked dense eigh.
+    their candidate. Unless c is None, each member keeps its unit
+    candidate, its row of the C-contiguous c, where _certified passes it on
+    M'_v = W^T (x) I_m - G*G; the others take a bottom eigenvector of M'_v
+    from one stacked dense eigh.
     One of those whose bottom cluster (as _clusters counts it) has more than
     one eigenvalue, below -EIG_DEGENERACY_GAP, takes the unit projection
     onto it of vec(block row 0 of its iterate in X), on its own arrays,
@@ -331,9 +339,7 @@ def _ks_xstep(
     the iterate, so the Aitken step cuts Lambda^-(id) at (4,2) from 31-35 to
     15-19 iterations."""
     M = _qform(W, G)
-    kept = np.zeros(len(M), dtype=bool)
-    if on.any():
-        kept[on] = _certified(M[on], c[on])
+    kept = np.zeros(len(M), dtype=bool) if c is None else _certified(M.copy(), c)
     if not kept.any():  # the dense step for every member
         w, U = np.linalg.eigh(M)
         out, refused = U[:, :, 0].copy(), range(len(M))
@@ -569,7 +575,7 @@ def _aitken(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray | None
 def _alternating_restart(
     defect: Callable[..., np.ndarray],
     xstep: Callable[..., tuple[np.ndarray, np.ndarray]],
-    certified: Callable[..., np.ndarray] | None,
+    certified: Callable[..., np.ndarray],
     n: int,
     budget: SearchBudget,
     rngs: list[np.random.Generator],
@@ -579,38 +585,35 @@ def _alternating_restart(
     start on the HS unit sphere, one run per generator.
 
     ``defect`` maps a stack of n x n matrices to the stack of their defects.
-    ``xstep(v, X, on, first, *rows)`` maps a stack of vectors v, and the X
+    ``xstep(v, X, first, *rows)`` maps a stack of vectors v, and the X
     they came from, to the stack of X with vec(X) a unit bottom eigenvector
     of each Hermitian n^2 x n^2 M_v with vec(X)* M_v vec(X) = v* defect(X) v
     (for k-KS, that of M'_v in block row 0), so the X half-step is exact and
     f(X) decreases monotonely; and to the mask of the members that kept
-    their candidate instead, where ``on`` lets them test one: the search's
-    start point X_0 at the ``first`` X half-step, their own X after it.
-    ``certified(vs, X, *rows)`` tells for each vector v of vs whether the
-    X of its row would keep itself as its X half-step from v; it may be None
-    for an xstep that keeps no candidate. Both take the
-    arrays of ``maps`` after their stack: each has a row per member, and a
-    member's row leaves the batch with its vector. Each member counts its
-    own iterations and stops by its own stall rule. Returns (best value,
-    best X, counters) per run.
+    the search's start point X_0 instead, which it may test at the
+    ``first`` X half-step only. ``certified(vs, X, *rows)`` tells for each
+    vector v of vs whether the X of its row would keep itself as its X
+    half-step from v. Both take the arrays of ``maps`` after their stack:
+    each has a row per member, and a member's row leaves the batch with its
+    vector. Each member counts its own iterations and stops by its own
+    stall rule. Returns (best value, best X, counters) per run.
 
-    Every member tests X_0 at its first X half-step, and its own X after a
-    step that kept its candidate or in its stall window (see the module
-    docstring). A member that keeps its own X has the defect, spectrum and
-    stall rule input of the step before, bit for bit, and runs its window:
-    the L steps after which the stall rule or max_iters would stop it, each
-    an iteration and a defect evaluation. With one bottom eigenvalue v
-    repeats the vector its X passed, so all L steps pass with no draw and no
-    test; X_0 is not the X of the step before, so at the first step only a
-    degenerate one opens a window. In a degenerate bottom cluster, read from
-    the step's own eigh, the L - 1 draws are made ahead, and ``certified``
-    tests the L vectors, at most max(live members, STALL_WINDOW) to a stack.
-    A member whose first j vectors pass takes j steps at X. Unless that stops
-    it, its generator is set back and advanced by those j steps' draws only,
-    and it holds the refused vector, for which its next xstep takes the
-    dense step with no second test: the step-by-step route's draws and
-    counters. xstep gets v as column 0 of the step's V, strided as the eigh
-    left it: v's strides are part of the bits of the X half-step.
+    After each step, a member that kept X_0 or has stalled runs its window
+    (see the module docstring), the only test of its own X: the L steps
+    after which the stall rule or max_iters would stop it, should each keep
+    its X, each an iteration and a defect evaluation. ``certified`` tests
+    the vector v of its next X half-step at its X. With one bottom
+    eigenvalue, a kept X repeats its defect and v, so that one test tells
+    all L steps; in a degenerate bottom cluster, read from the step's own
+    eigh, the L - 1 later draws are made ahead and tested too. The tests
+    run at most max(live members, STALL_WINDOW) to a stack. A member whose
+    first p vectors pass takes p steps at X, which, as any kept step, end
+    its run of descending steps. Unless that stops it, its generator is set
+    back and advanced by those p steps' draws only, and it holds the
+    refused vector, for which its next xstep takes the dense step: the
+    step-by-step route's draws, tests and counters. xstep gets v as column
+    0 of the step's V, strided as the eigh left it: v's strides are part of
+    the bits of the X half-step.
 
     A member whose last 3, 5, 7, ... xsteps each left a one-eigenvalue
     bottom cluster and lowered its best value evaluates D at the _aitken
@@ -628,7 +631,6 @@ def _alternating_restart(
     # the xsteps in a row that qualify for the Aitken step, the candidates
     # evaluated, and the X of the two xsteps before the last, rows as live
     run, tried, past = [0] * B, [0] * B, (X, X)
-    kept = [False] * B  # whether the member's last xstep kept its candidate
     live = list(range(B))  # the members still iterating
     out: list = [None] * B
 
@@ -673,51 +675,44 @@ def _alternating_restart(
                 X[j], f[j], V[j], sizes[j] = Xa[i], fa, U[i], 1
 
     def window(on: list[int], bottom: np.ndarray) -> None:
-        """Run the rest of the stall window of the members at the positions
-        ``on`` of live, whose last xstep kept their own X; bottom[j] is the
-        bottom eigenvector of live[j]'s defect, which a draw overwrote in V."""
-        # each later step has the value f[j] >= best_f[b] and adds 1 to the
-        # stall count, as stops left recent_best within STALL_TOL of best_f;
-        # with one bottom eigenvalue v repeats the vector X passed, and so
-        # every step passes with no draw and no test
+        """Run the stall window of the members at the positions ``on`` of
+        live for as long as their X keeps itself; bottom[j] is the bottom
+        eigenvector of live[j]'s defect, which a draw overwrote in V."""
+        # each step at X has the value f[j] >= best_f[b] and adds 1 to the
+        # stall count, as stops left recent_best within STALL_TOL of best_f
         steps = {j: min(STALL_WINDOW - stall[live[j]], budget.max_iters - iters[live[j]]) for j in on}
-        if drawn := [j for j in on if sizes[j] > 1]:
-            windows = [steps[j] for j in drawn]
-            top = max(sizes[j] for j in drawn)
-            U = np.concatenate([bottom[drawn, :, None], V[drawn, :, 1:top]], axis=2)  # the clusters
-            saved = [rngs[live[j]].bit_generator.state for j in drawn]
-            ends = np.cumsum(windows)
-            vs = np.empty((ends[-1], n), dtype=complex)
-            vs[ends - windows] = V[drawn, :, 0]
-            # (position in drawn, row of vs) of each draw made ahead, in order
-            ahead = [(i, e - L + r) for i, (L, e) in enumerate(zip(windows, ends.tolist())) for r in range(1, L)]
+        windows = [steps[j] if sizes[j] > 1 else 1 for j in on]  # the vectors each tests
+        ends = np.cumsum(windows)
+        vs = np.empty((ends[-1], n), dtype=complex)
+        vs[ends - windows] = V[on, :, 0]
+        saved = [rngs[live[j]].bit_generator.state for j in on]
+        # (position in on, row of vs) of each draw made ahead, in order
+        if ahead := [(i, e - L + r) for i, (L, e) in enumerate(zip(windows, ends.tolist())) for r in range(1, L)]:
+            top = max(sizes[j] for j in on)
+            U = np.concatenate([bottom[on, :, None], V[on, :, 1:top]], axis=2)  # the clusters
             take = [i for i, _ in ahead]
-            vs[[row for _, row in ahead]] = _cluster_draws(U[take], [sizes[drawn[i]] for i in take],
-                                                           [rngs[live[drawn[i]]] for i in take])
-            owner, cap = np.repeat(drawn, windows), max(len(live), STALL_WINDOW)
-            ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
-                                 for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
-            for i, (j, L, e) in enumerate(zip(drawn, windows, ends.tolist())):
-                b = live[j]
-                p = steps[j] = int(np.argmin(np.append(ok[e - L : e], False)))  # the first refused vector, or L
+            vs[[row for _, row in ahead]] = _cluster_draws(U[take], [sizes[on[i]] for i in take],
+                                                           [rngs[live[on[i]]] for i in take])
+        owner, cap = np.repeat(on, windows), max(len(live), STALL_WINDOW)
+        ok = np.concatenate([certified(vs[s], X[owner[s]], *(M[owner[s]] for M in maps))
+                             for s in (slice(a, a + cap) for a in range(0, len(vs), cap))])
+        for i, (j, L, e) in enumerate(zip(on, windows, ends.tolist())):
+            b = live[j]
+            p = int(np.argmin(np.append(ok[e - L : e], False)))  # the first refused vector, or L
+            if p < L:  # b holds the refused vector, and its next xstep takes the dense step from it
+                steps[j] = p
                 rngs[b].bit_generator.state = saved[i]
-                if p < L:  # b holds the refused vector, and takes the dense step from it
-                    if p:
-                        V[j, :, 0] = _cluster_draws(U[[i] * p], [sizes[j]] * p, [rngs[b]] * p)[-1]
-                    refused.add(b)
+                if p:
+                    V[j, :, 0] = _cluster_draws(U[[i] * p], [sizes[j]] * p, [rngs[b]] * p)[-1]
         for j, p in steps.items():
+            if p:
+                run[live[j]] = 0
             for _ in range(p):
                 stops(live[j], f[j], X[j])
 
-    # the members that hold a vector their window refused: their next xstep
-    # takes the dense step without testing it again
-    first, refused = True, set()
+    first = True
     while True:
-        test = np.array([b not in refused and (first or kept[b] or stall[b] > 0) for b in live])
-        X, held = xstep(V[:, :, 0], X, test, first, *maps)
-        refused.clear()
-        for j, b in enumerate(live):
-            kept[b] = bool(held[j])
+        X, kept = xstep(V[:, :, 0], X, first, *maps)
         f, V, sizes, bottom = _min_eig_vectors(defect(X, *maps), [rngs[b] for b in live])
         f, due = f.tolist(), []
         for j, b in enumerate(live):
@@ -728,9 +723,7 @@ def _alternating_restart(
             extrapolate(due)
         past = (past[1], X)
         stopped = any([stops(b, f[j], X[j]) for j, b in enumerate(live)])
-        # a kept X_0 is not the X of the step before, so only a degenerate
-        # one opens a window at the first step
-        if on := [j for j, b in enumerate(live) if kept[b] and out[b] is None and (sizes[j] > 1 or not first)]:
+        if on := [j for j, b in enumerate(live) if out[b] is None and (kept[j] or stall[b] > 0)]:
             window(on, bottom)
             stopped = True
         first = False
@@ -820,9 +813,9 @@ def _ks_search(transfers: list[np.ndarray], k: int, budgets: list[SearchBudget])
         # vec(block row 0) of each X
         return X[:, :d].swapaxes(1, 2).reshape(len(X), n * d)
 
-    def xstep(v, X, on, first, T):
-        c = np.broadcast_to(x0, (len(v), n * d)) if first else rows(X)
-        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c, on)
+    def xstep(v, X, first, T):
+        c = np.tile(x0, (len(v), 1)) if first else None
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c)
         return unvec(xs), kept
 
     def certified(vs, X, T):

@@ -50,10 +50,10 @@ class QuantumMap:
 
     def __init__(self, transfer: np.ndarray, label: str = ""):
         transfer = np.array(transfer, dtype=complex)
-        n = transfer.shape[0]
-        d = int(round(np.sqrt(n)))
-        if transfer.shape != (n, n) or d * d != n:
-            raise ValueError(f"transfer matrix shape {transfer.shape} is not (d^2, d^2)")
+        n = transfer.shape[0] if transfer.ndim else 0
+        d = math.isqrt(n)
+        if not n or transfer.shape != (n, n) or d * d != n:
+            raise ValueError(f"transfer matrix shape {transfer.shape} is not (d^2, d^2), d >= 1")
         if not np.all(np.isfinite(transfer)):
             raise ValueError("transfer matrix contains non-finite entries")
         transfer.flags.writeable = False
@@ -108,14 +108,16 @@ class QuantumMap:
     @classmethod
     def from_choi(cls, C: np.ndarray, label: str = "") -> "QuantumMap":
         C = np.asarray(C, dtype=complex)
-        n = C.shape[0]
-        if C.shape != (n, n) or math.isqrt(n) ** 2 != n:
-            raise ValueError(f"Choi matrix shape {C.shape} is not (d^2, d^2)")
+        n = C.shape[0] if C.ndim else 0
+        if not n or C.shape != (n, n) or math.isqrt(n) ** 2 != n:
+            raise ValueError(f"Choi matrix shape {C.shape} is not (d^2, d^2), d >= 1")
         return cls(choi(C), label=label)
 
     @classmethod
     def from_kraus(cls, kraus: list[np.ndarray], label: str = "") -> "QuantumMap":
-        """Phi(X) = sum_i K_i X K_i*."""
+        """Phi(X) = sum_i K_i X K_i*, for at least one K_i."""
+        if not len(kraus):
+            raise ValueError("a Kraus list needs at least one operator")
         T = sum(np.kron(K.conj(), K) for K in kraus)
         return cls(T, label=label)
 

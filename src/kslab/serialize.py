@@ -33,11 +33,12 @@ def matrix_from_json(data: list) -> np.ndarray:
         raise ValueError(f"malformed matrix data: expected nested [re, im] pairs ({exc})")
 
 
-def _dimension(obj: dict, field: str) -> int:
-    """obj[field], which must be an integer >= 1: a d or k read from outside."""
+def _integer(obj: dict, field: str, least: int = 1) -> int:
+    """obj[field], which must be an integer >= least: a d, k or seed read
+    from outside."""
     n = obj[field]
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"field '{field}': expected an integer >= 1, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"field '{field}': expected an integer >= {least}, got {n!r}")
     return int(n)
 
 
@@ -59,7 +60,7 @@ def map_from_json(obj: dict) -> QuantumMap:
             raise ValueError(f"map JSON is missing required field '{field}'")
     if obj.get("conv", "col-vec") != "col-vec":
         raise ValueError(f"unsupported vectorization convention '{obj['conv']}'")
-    d, repr_, label = _dimension(obj, "d"), obj["repr"], obj.get("label", "")
+    d, repr_, label = _integer(obj, "d"), obj["repr"], obj.get("label", "")
     if repr_ == "transfer":
         T = matrix_from_json(obj["data"])
         if T.shape != (d * d, d * d):
@@ -91,7 +92,7 @@ def witness_from_json(obj: dict | None) -> BlockOperator | SchmidtWitness | None
     if obj is None:
         return None
     if obj["kind"] == "block":
-        return BlockOperator(k=_dimension(obj, "k"), d=_dimension(obj, "d"), data=matrix_from_json(obj["matrix"]))
+        return BlockOperator(k=_integer(obj, "k"), d=_integer(obj, "d"), data=matrix_from_json(obj["matrix"]))
     if obj["kind"] == "schmidt":
         return SchmidtWitness(u=matrix_from_json(obj["u"]), v=matrix_from_json(obj["v"]))
     raise ValueError(f"unknown witness kind '{obj['kind']}'")
@@ -108,12 +109,14 @@ def verdict_to_json(v: CertificateVerdict) -> dict:
 
 
 def verdict_from_json(obj: dict) -> CertificateVerdict:
+    if obj["verdict"] not in ("Violated", "NoViolationFound"):
+        raise ValueError(f"field 'verdict': expected 'Violated' or 'NoViolationFound', got {obj['verdict']!r}")
     return CertificateVerdict(
         verdict=obj["verdict"],
         worst_value=float(obj["worst_value"]),
         witness=witness_from_json(obj.get("witness")),
         budget_used=dict(obj.get("budget", {})),
-        seed=int(obj.get("seed", 0)),
+        seed=_integer({"seed": 0, **obj}, "seed", 0),
     )
 
 

@@ -898,6 +898,12 @@ def _bytes(res):
     return json.dumps(verdict_to_json(res), sort_keys=True)
 
 
+def _refuse_all(vs, X, *rows):
+    # the certificate of a fake restart: no X keeps itself, so every X
+    # half-step of the restart is its xstep's
+    return np.zeros(len(vs), dtype=bool)
+
+
 # every (d, k) at a clean Lambda^-(id) point, whose restarts keep X_0 and pass
 # their windows there, and at a violated one, which takes the dense X
 # half-step until it stalls; (7, 1), (5, 2) and (4, 4) at form sides 49-64.
@@ -996,8 +1002,8 @@ def test_lockstep_ks_matches_sequential_oracle_where_max_iters_cuts_the_window(m
         assert res.verdict == "NoViolationFound"
         assert res.budget_used["iterations"] == 4 * min(max_iters, STALL_WINDOW + 1)
     else:
-        # a one-eigenvalue window draws and tests nothing
-        assert res.violated and not calls
+        # a one-eigenvalue window draws nothing and tests its vector once
+        assert res.violated and [(len(vs), passed.tolist()) for vs, *_, passed in calls] == [(1, [True])]
         assert res.budget_used["iterations"] == min(max_iters, STALL_WINDOW + 1)
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
@@ -1116,7 +1122,7 @@ def test_an_aitken_candidate_without_a_single_bottom_eigenvalue_is_refused(monke
     B = np.array([[0, 1], [1j, 0]]) / np.sqrt(2)
     steps = []
 
-    def xstep(v, X, on, first):
+    def xstep(v, X, first):
         steps.append(v)
         X = A + 0.1 * 2.0 ** -len(steps) * B
         return (X / hs_norm(X))[None], np.zeros(1, dtype=bool)
@@ -1126,7 +1132,7 @@ def test_an_aitken_candidate_without_a_single_bottom_eigenvalue_is_refused(monke
         return np.stack([np.diag([x - 1, x - 1 + max(x - 1e-3, 0)]) for x in e]).astype(complex)
 
     gates = _aitken_spy(monkeypatch)
-    (f, X, used), = _alternating_restart(defect, xstep, None, 2, SearchBudget(max_iters=6),
+    (f, X, used), = _alternating_restart(defect, xstep, _refuse_all, 2, SearchBudget(max_iters=6),
                                          [np.random.default_rng(0)])
     assert sum(gates) == 2 and used == {"iterations": 6, "defect_evals": 9}
     assert f == defect(X[None])[0, 0, 0].real > 1e-3 - 1
@@ -1192,16 +1198,16 @@ def test_a_restart_with_one_eigenvalue_clusters_draws_nothing_after_its_start(mo
         sizes.extend(m)
         return f, V, m, bottom
 
-    def xstep(v, X, on, first, T):
+    def xstep(v, X, first, T):
         # the dense step on every iteration
         Y = np.zeros((len(v), n, n), dtype=complex)  # [., column, row]
-        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, None, np.zeros(len(v), dtype=bool))
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, None)
         Y[:, :, :d] = xs.reshape(-1, n, d)
         return Y.swapaxes(1, 2), kept
 
     monkeypatch.setattr(certify, "_min_eig_vectors", counted)
     rng, start = (np.random.default_rng(ss) for ss in np.random.SeedSequence(5).spawn(1) * 2)
-    (f, _, used), = _alternating_restart(lambda X, T: certify._ks_defect(T, k, X), xstep, None, n,
+    (f, _, used), = _alternating_restart(lambda X, T: certify._ks_defect(T, k, X), xstep, _refuse_all, n,
                                          SearchBudget(max_iters=120), [rng], Phi.transfer[None])
     ginibre(start, n)
     assert f < -1e-3 and sum(gates) >= 2 and set(sizes) == {1}
@@ -1284,7 +1290,7 @@ def test_lockstep_ks_matches_sequential_oracle_when_a_window_at_its_own_x_is_ref
         targets.append(tested[step - 1])
     calls = _windows(monkeypatch)
     res = falsify_ks(Phi, k, budget)
-    assert [c[3].tolist() for c in calls[:2]] == [[False] + [True] * 9, [False] + [True] * 7]  # both took
+    assert [c[3].tolist() for c in calls[:2]] == [[False] + [True] * 9, [True, False] + [True] * 7]  # both took
     assert res.verdict == "NoViolationFound"
     assert _bytes(res) == _bytes(_solo_ks(Phi, k, budget))
 
@@ -1301,13 +1307,15 @@ def _ks_restart_on(Phi, defect, budget, rngs):
     def rows(X):
         return X.swapaxes(1, 2).reshape(len(X), d * d)
 
-    def xstep(v, X, on, first, T):
-        c = np.tile(x0, (len(v), 1)) if first else rows(X)
-        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c, on)
+    def xstep(v, X, first, T):
+        c = np.tile(x0, (len(v), 1)) if first else None
+        xs, kept = _ks_xstep(*_ks_parts(T.reshape(-1, d, d, d * d), v), X, c)
         return unvec(xs), kept
 
     def certified(vs, X, T):
-        return _certified(_qform(*_ks_parts(T.reshape(-1, d, d, d * d), vs)), rows(X))
+        # read from the module at call time, as _ks_xstep does, so that a
+        # patched certificate reaches the window too
+        return certify._certified(_qform(*_ks_parts(T.reshape(-1, d, d, d * d), vs)), rows(X))
 
     return _alternating_restart(lambda X, T: defect(X), xstep, certified, d, budget, rngs, T)
 
@@ -1351,8 +1359,8 @@ def test_lockstep_restart_matches_solo_runs_when_the_start_point_defect_is_not_o
     # the defect vanishes for Re X_00 > 0, as above, except at X_0 = I/sqrt(3),
     # which every member keeps at its first X half-step, where it has a
     # bottom cluster of 2 or 1 of its 3 eigenvalues: the member then runs a
-    # window of draws from that pair, or tests X_0 at its next step and runs
-    # a window of no draws from there
+    # window of draws from that pair, tested ahead, or a window that tests
+    # X_0 once at the bottom vector of its next step and draws nothing
     Phi = sample_utp_cp(3, seed=5)
     x0 = np.eye(3) / np.sqrt(3)
     at_x0 = []
@@ -1378,10 +1386,10 @@ def test_lockstep_restart_matches_solo_runs_when_the_start_point_defect_is_not_o
 def test_a_kept_x0_with_one_bottom_eigenvalue_is_tested_at_the_second_step(monkeypatch):
     # a unital CP map's defect less 1e-3 I, and (0, 1e-3, 2e-3) at X_0,
     # which every member keeps at its first X half-step; the certificate
-    # refuses M'_v for that bottom vector v = e_0. X_0 is not the X of the
-    # step before, so the first step opens no window: each member tests X_0
-    # at its second step, and takes the dense step to a lower value, as the
-    # oracle does
+    # refuses M'_v for that bottom vector v = e_0. The first step's window
+    # tests X_0 at v, the vector of the second step, once, as the oracle's
+    # second step does; refused, each member takes the dense step to a
+    # lower value, as the oracle does
     Phi = sample_utp_cp(3, seed=5)
     x0 = np.eye(3) / np.sqrt(3)
     spectrum = np.diag([0.0, 1e-3, 2e-3]).astype(complex)
@@ -1413,6 +1421,33 @@ def test_lockstep_kpos_matches_sequential_oracle(d, a):
     res = falsify_k_positivity(reduction(d, a), 2, budget)
     assert res.violated == (a > 0.5)
     assert _bytes(res) == _bytes(_solo_kpos(reduction(d, a), 2, budget))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d,k", [(3, 2), (4, 2), (4, 3)])
+def test_lockstep_kpos_matches_sequential_oracle_when_members_stop_apart(monkeypatch, d, k, seed):
+    # clean searches of C = H + t I, H a seeded random Hermitian matrix and t
+    # 1e-6 above the least value the search finds on H: the stage-2 members
+    # stop at different iterations (18, 12, 15, 15 and 13 at (3, 2), seed
+    # 0), so the stack sheds them one at a time, and each still gets the
+    # bytes of its run alone
+    gen = np.random.default_rng(seed)
+    G = gen.standard_normal((d * d, d * d)) + 1j * gen.standard_normal((d * d, d * d))
+    H = (G + dagger(G)) / 2
+    budget = SearchBudget(restarts=6, max_iters=200, seed=seed)
+    t = 1e-6 - falsify_k_positivity(QuantumMap.from_choi(H), k, budget).worst_value
+    Phi = QuantumMap.from_choi(H + t * np.eye(d * d))
+    stops, restart = [], certify._kpos_restart
+
+    def spy(*args):
+        out = restart(*args)
+        stops.append([used["iterations"] for *_, used in out])
+        return out
+
+    monkeypatch.setattr(certify, "_kpos_restart", spy)
+    res = falsify_k_positivity(Phi, k, budget)
+    assert res.verdict == "NoViolationFound" and len(stops) == 2 and len(set(stops[1])) > 1
+    assert _bytes(res) == _bytes(_solo_kpos(Phi, k, budget))
 
 
 def _scripted_search(values, budget, drift=0.0):
@@ -1876,7 +1911,7 @@ def _form_scale(W, G):
 
 def _dense_xstep(W, G, X):
     # the X half-step of members that test no candidate
-    return _ks_xstep(W, G, X, None, np.zeros(len(W), dtype=bool))[0]
+    return _ks_xstep(W, G, X, None)[0]
 
 
 def test_ks_xstep_gives_a_bottom_vector_of_a_degenerate_form():
@@ -1971,14 +2006,15 @@ def _dense_only(monkeypatch):
 
 
 def _tests(monkeypatch):
-    # for each X half-step, the candidates tested and how many were kept
+    # for each stack of candidates tested, by a restart's first X half-step
+    # ("_ks_xstep", X_0) or by a window ("certified", its own X), the
+    # candidates tested and how many passed
     calls = []
     real = certify._certified
 
     def spy(A, c):
         ok = real(A, c)
-        if sys._getframe(1).f_code.co_name == "_ks_xstep":
-            calls.append((len(ok), int(ok.sum())))
+        calls.append((sys._getframe(1).f_code.co_name, len(ok), int(ok.sum())))
         return ok
 
     monkeypatch.setattr(certify, "_certified", spy)
@@ -1987,18 +2023,19 @@ def _tests(monkeypatch):
 
 def test_ks_xstep_runs_the_eigh_on_refused_members_only(monkeypatch):
     # three members at (3, 2): one tests the bottom eigenvector of its form,
-    # one its top eigenvector, one nothing; the first keeps its candidate,
-    # and the other two, alone in the eigh, take the dense step as alone
+    # the others their top and second eigenvectors; the first keeps its
+    # candidate, and the other two, alone in the eigh, take the dense step
+    # as alone
     d, k = 3, 2
     n = k * d
     Phi = lambda_minus(QuantumMap.identity(d), bound_lambda_minus(d, k) + 0.05)
     v = np.stack([_unit(ginibre(np.random.default_rng(b), n, 1)[:, 0]) for b in range(3)])
     W, G = _ks_parts(_base_t3(Phi), v)
     U = np.linalg.eigh(_qform(W, G))[1]
-    c = np.stack([U[0, :, 0], U[1, :, -1], U[2, :, 0]])
+    c = np.stack([U[0, :, 0], U[1, :, -1], U[2, :, 1]])
     X = np.stack([_iterate(U[b, :, 1], d, n) for b in range(3)])
     solves = _count_solves(monkeypatch, n * d)
-    xs, kept = _ks_xstep(W, G, X, c, np.array([True, True, False]))
+    xs, kept = _ks_xstep(W, G, X, c)
     assert kept.tolist() == [True, False, False] and len(solves) == 2
     assert xs.flags.c_contiguous and np.array_equal(xs[0], c[0])
     monkeypatch.undo()
@@ -2070,7 +2107,44 @@ def test_a_descending_member_tests_no_candidate(monkeypatch, case, seed):
     calls = _tests(monkeypatch)
     res = falsify_ks(Phi, k, SearchBudget(restarts=1, max_iters=300, seed=seed))
     assert res.violated and res.budget_used["iterations"] >= 11
-    assert calls == [(1, 0), (1, 1)]
+    assert calls == [("_ks_xstep", 1, 0), ("certified", 1, 1)]
+
+
+@pytest.mark.parametrize("Phi,k", [
+    (lambda_minus(QuantumMap.identity(3), bound_lambda_minus(3, 2) + 0.005), 2),
+    (_non_unital_map(3, *NON_UNITAL[3, 2][0]), 2),
+    (reduction(2, 0.7), 1),
+])
+def test_only_a_restarts_first_x_half_step_gets_a_candidate(monkeypatch, Phi, k):
+    # a violated search of one stage and a clean one of two: the first X
+    # half-step of each stage tests X_0 for every member, as C-contiguous
+    # rows, and no later one gets a candidate, as only the window tests a
+    # restart's own X
+    events = []
+    xstep, restart = certify._ks_xstep, certify._alternating_restart
+
+    def spied_xstep(W, G, X, c):
+        x0 = np.tile(_block_identity_row(Phi.d, k), (len(W), 1))
+        events.append(None if c is None else c.flags.c_contiguous and np.array_equal(c, x0))
+        return xstep(W, G, X, c)
+
+    def spied_restart(*args):
+        events.append("stage")
+        return restart(*args)
+
+    monkeypatch.setattr(certify, "_ks_xstep", spied_xstep)
+    monkeypatch.setattr(certify, "_alternating_restart", spied_restart)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the non-unital warning
+        res = falsify_ks(Phi, k, SearchBudget(restarts=6, max_iters=80, seed=7))
+    stages = []
+    for event in events:
+        if event == "stage":
+            stages.append([])
+        else:
+            stages[-1].append(event)
+    assert len(stages) == (1 if res.violated else 2)
+    assert all(s[0] is True and len(s) > 1 and all(c is None for c in s[1:]) for s in stages)
 
 
 def _subunital_lambda_plus(a):
@@ -2082,8 +2156,8 @@ def _subunital_lambda_plus(a):
 @pytest.mark.parametrize("a", [1.4, 2.0])
 def test_the_certificate_runs_on_a_map_that_is_not_unital(monkeypatch, a):
     # X_0 is no bottom vector of these forms and is refused, but each
-    # restart ends at a fixed point that keeps its own X, with no eigh; the
-    # KS and co-KS searches are the oracle's bit for bit
+    # restart ends at a fixed point whose window keeps its own X, with no
+    # eigh; the KS and co-KS searches are the oracle's bit for bit
     Phi = _subunital_lambda_plus(a)
     assert not Phi.unital
     budget = SearchBudget(restarts=3, max_iters=100, seed=0)
@@ -2095,7 +2169,8 @@ def test_the_certificate_runs_on_a_map_that_is_not_unital(monkeypatch, a):
             calls.clear()
             res = search(Phi, budget=budget)
             if calls:  # co-KS at a = 1.4 is decided
-                assert calls[0][1] == 0 and sum(kept for _, kept in calls) == res.budget_used["restarts"]
+                assert calls[0][::2] == ("_ks_xstep", 0)
+                assert sum(kept for site, _, kept in calls if site == "certified") == res.budget_used["restarts"]
                 searched.append((res, oracle))
     monkeypatch.undo()
     assert len(searched) == (2 if a == 2.0 else 1)
@@ -2145,13 +2220,13 @@ def _drifting_search(drift):
         calls.append(X)
         return -(1.0 + drift * len(calls)) * np.broadcast_to(np.eye(2, dtype=complex), X.shape)
 
-    def xstep(v, X, on, first):
+    def xstep(v, X, first):
         # X = E_00, from the bottom eigenvector eigh gives for M_v = I
         return np.eye(4)[np.zeros(len(v), dtype=int)].reshape(-1, 2, 2), np.zeros(len(v), dtype=bool)
 
     budget = SearchBudget(restarts=2, max_iters=5, seed=0)
     return _falsify(
-        partial(_alternating_restart, defect, xstep, None, 2, budget),
+        partial(_alternating_restart, defect, xstep, _refuse_all, 2, budget),
         [partial(_min_eig_value, defect)],
         partial(BlockOperator, 1, 2),
         [budget],
@@ -2394,3 +2469,15 @@ def test_budget_validation():
         SearchBudget(violation_tol=0)
     with pytest.raises(ValueError):
         SearchBudget(violation_tol=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["restarts", "max_iters", "seed"])
+def test_budget_counts_and_seed_are_integers(field):
+    # max_iters = 2.5 would reach range() deep inside a search, and a decided
+    # verdict would record seed 2.5; a numpy integer is taken, as an int, so
+    # that the verdict's seed serializes
+    for value in (2.5, 2.0, np.float64(2), True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchBudget(**{field: value})
+    value = getattr(SearchBudget(**{field: np.int64(2)}), field)
+    assert value == 2 and type(value) is int

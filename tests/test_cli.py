@@ -168,6 +168,15 @@ def test_construct_malformed_map_file(tmp_path, capsys):
         assert err.startswith("kslab: error:") and field in err and "Traceback" not in err
 
 
+def test_certify_map_file_with_no_kraus_operator_exits_1(tmp_path, capsys):
+    # an empty Kraus list is refused as input, not left to an IndexError
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"d": 2, "repr": "kraus", "data": []}))
+    rc, out, err = run(capsys, "certify", "--map", str(path), "--k", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith("kslab: error:") and "Kraus" in err and "Traceback" not in err
+
+
 def test_scan_csv_sorted(tmp_path, capsys):
     path = tmp_path / "scan.csv"
     rc, _, _ = run(

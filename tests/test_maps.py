@@ -26,6 +26,20 @@ def test_transfer_shape_validation():
         QuantumMap(np.diag([1, np.inf, 1, 1]))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QuantumMap(np.zeros((0, 0))),
+    lambda: QuantumMap(np.float64(1.0)),
+    lambda: QuantumMap.from_choi(np.zeros((0, 0))),
+    lambda: QuantumMap.from_choi(np.float64(1.0)),
+    lambda: QuantumMap.from_kraus([]),
+])
+def test_a_map_of_side_0_or_no_kraus_operator_is_refused(build):
+    # a map on B(H_0) is no map kslab can search, and an empty Kraus sum has
+    # no side: each is a ValueError, not a d = 0 map or an IndexError
+    with pytest.raises(ValueError, match="d >= 1|at least one operator"):
+        build()
+
+
 def test_map_owns_a_read_only_transfer_matrix():
     T = np.eye(4, dtype=complex)
     P = QuantumMap(T)

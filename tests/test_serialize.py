@@ -6,7 +6,7 @@ import pytest
 from kslab.certify import SearchBudget, falsify_k_positivity, falsify_ks, scan_threshold
 from kslab.decompose import decompose_reduction
 from kslab.linalg import ginibre, hs_norm
-from kslab.maps import BlockOperator
+from kslab.maps import BlockOperator, QuantumMap
 from kslab.serialize import (
     decomposition_from_json,
     decomposition_to_json,
@@ -110,6 +110,18 @@ def test_verdict_round_trip():
     assert back.worst_value == res.worst_value
     assert back.seed == res.seed
     assert np.array_equal(back.witness.data, res.witness.data)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("verdict", "Violatd"), ("verdict", "violated"), ("verdict", None),
+    ("seed", -3), ("seed", 2.5), ("seed", True), ("seed", "7"),
+])
+def test_verdict_from_json_refuses_an_unknown_verdict_or_a_bad_seed(field, value):
+    # a misspelt verdict or a seed that is not an integer >= 0 would load as
+    # a clean verdict that no search gave
+    obj = verdict_to_json(falsify_ks(QuantumMap.identity(2), 1, FAST))
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        verdict_from_json({**obj, field: value})
 
 
 def test_scan_json_and_csv():
